@@ -42,6 +42,7 @@ from .dynamics import (
     mean_momentum_tilde,
     mean_position,
     mean_subsystem_occupation,
+    mode_sum,
     p_nm,
     p_omega_n,
     p_omega_omega,

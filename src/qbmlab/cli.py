@@ -9,6 +9,7 @@ Identical inputs produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -94,92 +95,80 @@ def _threads() -> int:
     return n if n > 0 else (os.cpu_count() or 1)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of counts such as --n and --points."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # --- model construction from flags -------------------------------------------
 
 def _add_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="model file (key = value lines plus a [bath] section)")
     sub.add_argument("--paper-defaults", action="store_true",
                      help="equidistant band of width 0.018 with Lorentzian couplings, D = A")
-    sub.add_argument("--n", type=int, help="total oscillator count N+1 for --paper-defaults")
+    sub.add_argument("--n", type=_positive_int,
+                     help="total oscillator count N+1 for --paper-defaults")
+    _add_paper_model_args(sub)
+
+
+def _add_paper_model_args(sub: argparse.ArgumentParser) -> None:
+    """Parameters of the --paper-defaults family, shared with sweep."""
     sub.add_argument("--convention", choices=("prose", "formula"), default="prose",
                      help="band-width reading: spacing = width/(N-2) or width/(N-1)")
-    sub.add_argument("--band-width", type=float, default=0.018)
-    sub.add_argument("--d-over-a", type=float, default=1.0,
+    sub.add_argument("--band-width", type=_finite_float, default=0.018)
+    sub.add_argument("--d-over-a", type=_finite_float, default=1.0,
                      help="coupling peak in units of the grid spacing")
-    sub.add_argument("--omega", type=float, default=None, help="subsystem frequency")
-    sub.add_argument("--beta", type=float, default=None, help="inverse temperature")
-    sub.add_argument("--kappa", type=float, default=None, help="initial subsystem quanta")
-    sub.add_argument("--rel-tol", type=float, default=1e-13, help="root refinement tolerance")
+    sub.add_argument("--omega", type=_finite_float, default=None, help="subsystem frequency")
+    sub.add_argument("--beta", type=_finite_float, default=None, help="inverse temperature")
+    sub.add_argument("--kappa", type=_finite_float, default=None,
+                     help="initial subsystem quanta")
+    sub.add_argument("--rel-tol", type=_finite_float, default=1e-13,
+                     help="root refinement tolerance")
+
+
+def _model_overrides(args) -> dict:
+    """--omega, --beta and --kappa as model fields, where given."""
+    given = {"omega_sub": args.omega, "beta": args.beta, "kappa": args.kappa}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _paper_model(args, n_plus_1: int) -> SpectralModel:
+    return paper_default_model(n_plus_1, convention=args.convention,
+                               band_width=args.band_width, d_over_a=args.d_over_a,
+                               **_model_overrides(args))
 
 
 def _resolve_model(args, parser: argparse.ArgumentParser) -> SpectralModel:
     if args.config and args.paper_defaults:
         parser.error("--config and --paper-defaults are mutually exclusive")
     if args.config:
-        model = load_model(args.config)
-        overrides = {}
-        if args.omega is not None:
-            overrides["omega_sub"] = args.omega
-        if args.beta is not None:
-            overrides["beta"] = args.beta
-        if args.kappa is not None:
-            overrides["kappa"] = args.kappa
-        if overrides:
-            model = SpectralModel(
-                omega_sub=overrides.get("omega_sub", model.omega_sub),
-                beta=overrides.get("beta", model.beta),
-                kappa=overrides.get("kappa", model.kappa),
-                bath_freqs=model.bath_freqs,
-                couplings=model.couplings,
-                mass=model.mass,
-            )
-        return model
+        return dataclasses.replace(load_model(args.config), **_model_overrides(args))
     if args.paper_defaults:
         if args.n is None:
             parser.error("--paper-defaults requires --n")
-        return paper_default_model(
-            args.n,
-            convention=args.convention,
-            band_width=args.band_width,
-            d_over_a=args.d_over_a,
-            omega_sub=args.omega if args.omega is not None else 1.0,
-            beta=args.beta if args.beta is not None else 1.0,
-            kappa=args.kappa if args.kappa is not None else 1.0,
-        )
+        return _paper_model(args, args.n)
     parser.error("give either --config or --paper-defaults")
 
 
-def _model_argv(args) -> list[str]:
-    argv = []
-    if args.config:
-        argv += ["--config", str(args.config)]
-    if args.paper_defaults:
-        argv += ["--paper-defaults", "--n", str(args.n),
-                 "--convention", args.convention,
-                 "--band-width", _fmt(args.band_width),
-                 "--d-over-a", _fmt(args.d_over_a)]
-    for name, flag in (("omega", "--omega"), ("beta", "--beta"), ("kappa", "--kappa")):
-        value = getattr(args, name)
-        if value is not None:
-            argv += [flag, _fmt(value)]
-    argv += ["--rel-tol", _fmt(args.rel_tol)]
-    return argv
-
-
-def _model_summary(model: SpectralModel, args) -> dict:
-    return {
-        "source": str(args.config) if args.config else "paper-defaults",
-        "omega_sub": model.omega_sub,
-        "beta": model.beta,
-        "kappa": model.kappa,
-        "mass": model.mass,
-        "n_osc": model.n_osc,
-        "band_width": model.band_width,
-        "spacing": model.uniform_spacing(),
-    }
-
-
-def _derived_quantities(model: SpectralModel, modes, args) -> dict:
+def _model_record(model: SpectralModel, modes, args) -> dict:
+    """Manifest fields of a discrete-model run: the model and derived scales."""
     tp = poincare_time(modes)
     derived = {
         "t_poincare": tp.t_poincare,
@@ -195,25 +184,55 @@ def _derived_quantities(model: SpectralModel, modes, args) -> dict:
         ] * (n_osc - 2) / 2.0
     if model.uniform_spacing() is not None:
         derived["gamma_width"] = width_from_discrete(model)
-    return derived
+    return {
+        "model": {
+            "source": str(args.config) if args.config else "paper-defaults",
+            "omega_sub": model.omega_sub,
+            "beta": model.beta,
+            "kappa": model.kappa,
+            "mass": model.mass,
+            "n_osc": model.n_osc,
+            "band_width": model.band_width,
+            "spacing": model.uniform_spacing(),
+        },
+        "derived": derived,
+    }
 
 
-def _manifest(args, command: str, argv: list[str], model_summary, derived,
-              tolerances: dict, outputs: list[str], extra: dict | None = None) -> dict:
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def _argv_effective(args, parser: argparse.ArgumentParser) -> list[str]:
+    """Subcommand plus every option that has a value, as --dest-with-dashes flags."""
+    argv = [args.command]
+    for action in _subparsers(parser)[args.command]._actions:
+        value = getattr(args, action.dest, None)
+        if not action.option_strings or value is None or value is False:
+            continue
+        flag = "--" + action.dest.replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            values = value if isinstance(value, list) else [value]
+            argv += [flag, *(_fmt(v) if isinstance(v, float) else str(v) for v in values)]
+    return argv
+
+
+def _write_manifest(args, parser, outputs: list[str], tolerances: dict, **fields) -> None:
+    """Write <prefix>_manifest.json: how to repeat the run and what it produced."""
     payload = {
-        "command": command,
-        "argv_effective": argv,
+        "command": args.command,
+        "argv_effective": _argv_effective(args, parser),
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "model": model_summary,
-        "derived": derived,
         "tolerances": tolerances,
         "outputs": outputs,
         "threads": _threads(),
+        **fields,
     }
-    if extra:
-        payload.update(extra)
-    return payload
+    _write_json(_out(args, "_manifest.json"), payload)
 
 
 def _out(args, suffix: str) -> Path:
@@ -227,18 +246,21 @@ def _add_output_args(sub: argparse.ArgumentParser, default_prefix: str) -> None:
     sub.add_argument("--prefix", default=default_prefix, help="output file name prefix")
 
 
-def _add_grid_args(sub: argparse.ArgumentParser, default_t_max: float | None) -> None:
-    sub.add_argument("--t0", type=float, default=0.0)
-    sub.add_argument("--t-max", type=float, default=default_t_max)
-    sub.add_argument("--points", type=int, default=2001)
+def _add_grid_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--t0", type=_finite_float, default=0.0)
+    sub.add_argument("--t-max", type=_finite_float, default=None)
+    sub.add_argument("--points", type=_positive_int, default=2001)
 
 
 def _make_grid(args, fallback_t_max: float) -> TimeGrid:
+    t0 = getattr(args, "t0", 0.0)  # sweep grids start at 0
     t_max = args.t_max if args.t_max is not None else fallback_t_max
-    if t_max <= args.t0:
-        raise ModelError(f"t_max = {t_max} must exceed t0 = {args.t0}")
-    dt = (t_max - args.t0) / max(args.points - 1, 1)
-    return TimeGrid(t0=args.t0, dt=dt, count=args.points)
+    if t_max <= t0:
+        raise ModelError(f"t_max = {t_max} must exceed t0 = {t0}")
+    dt = (t_max - t0) / max(args.points - 1, 1)
+    if not math.isfinite(dt):
+        raise ModelError(f"grid step over [{t0}, {t_max}] is not finite")
+    return TimeGrid(t0=t0, dt=dt, count=args.points)
 
 
 # --- subcommands --------------------------------------------------------------
@@ -256,32 +278,17 @@ def _cmd_solve(args, parser) -> int:
         ),
     )
     validity = validate_dissipation(model)
-    manifest_path = _out(args, "_manifest.json")
-    manifest = _manifest(
-        args, "solve", ["solve"] + _model_argv(args) + _output_argv(args),
-        _model_summary(model, args), _derived_quantities(model, modes, args),
-        {"rel_tol": args.rel_tol},
-        [csv_path.name],
-        extra={"dissipation": {
+    _write_manifest(
+        args, parser, [csv_path.name], {"rel_tol": args.rel_tol},
+        **_model_record(model, modes, args),
+        dissipation={
             "left_sum": validity.left_sum, "right_sum": validity.right_sum,
             "left_bound": validity.left_bound, "right_bound": validity.right_bound,
             "passes": list(validity.passes), "d_bound_ratio": validity.d_bound_ratio,
-        }},
+        },
     )
-    _write_json(manifest_path, manifest)
-    print(f"wrote {csv_path} and {manifest_path}")
+    print(f"wrote {csv_path} and {_out(args, '_manifest.json')}")
     return 0
-
-
-def _output_argv(args) -> list[str]:
-    return ["--out-dir", str(args.out_dir), "--prefix", args.prefix]
-
-
-def _grid_argv(args) -> list[str]:
-    argv = ["--t0", _fmt(args.t0), "--points", str(args.points)]
-    if args.t_max is not None:
-        argv += ["--t-max", _fmt(args.t_max)]
-    return argv
 
 
 def _cmd_evolve(args, parser) -> int:
@@ -305,17 +312,8 @@ def _cmd_evolve(args, parser) -> int:
     )
     plot_path = _out(args, "_series.gp")
     _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
-
-    argv = (["evolve"] + _model_argv(args) + _grid_argv(args)
-            + ["--obs", args.obs, "--x0", _fmt(args.x0), "--p0", _fmt(args.p0)]
-            + _output_argv(args))
-    manifest = _manifest(
-        args, "evolve", argv, _model_summary(model, args),
-        _derived_quantities(model, modes, args),
-        {"rel_tol": args.rel_tol},
-        [csv_path.name, plot_path.name],
-    )
-    _write_json(_out(args, "_manifest.json"), manifest)
+    _write_manifest(args, parser, [csv_path.name, plot_path.name],
+                    {"rel_tol": args.rel_tol}, **_model_record(model, modes, args))
     print(f"wrote {csv_path}")
     return 0
 
@@ -336,16 +334,12 @@ def _cmd_langevin(args, parser) -> int:
             for i in range(grid.count)
         ),
     )
-    argv = (["langevin"] + _model_argv(args) + _grid_argv(args)
-            + ["--wronskian-tol", _fmt(args.wronskian_tol)] + _output_argv(args))
-    manifest = _manifest(
-        args, "langevin", argv, _model_summary(model, args),
-        _derived_quantities(model, modes, args),
+    _write_manifest(
+        args, parser, [csv_path.name],
         {"rel_tol": args.rel_tol, "wronskian_tol": args.wronskian_tol},
-        [csv_path.name],
-        extra={"invalid_samples": int(np.count_nonzero(~table.valid))},
+        **_model_record(model, modes, args),
+        invalid_samples=int(np.count_nonzero(~table.valid)),
     )
-    _write_json(_out(args, "_manifest.json"), manifest)
     print(f"wrote {csv_path}")
     return 0
 
@@ -372,15 +366,9 @@ def _cmd_recurrence(args, parser) -> int:
     }
     json_path = _out(args, "_recurrence.json")
     _write_json(json_path, payload)
-    argv = (["recurrence"] + _model_argv(args) + _grid_argv(args)
-            + ["--threshold", _fmt(args.threshold)] + _output_argv(args))
-    manifest = _manifest(
-        args, "recurrence", argv, _model_summary(model, args),
-        _derived_quantities(model, modes, args),
-        {"rel_tol": args.rel_tol, "threshold": args.threshold},
-        [json_path.name],
-    )
-    _write_json(_out(args, "_manifest.json"), manifest)
+    _write_manifest(args, parser, [json_path.name],
+                    {"rel_tol": args.rel_tol, "threshold": args.threshold},
+                    **_model_record(model, modes, args))
     print(f"wrote {json_path}")
     return 0
 
@@ -430,51 +418,19 @@ def _cmd_continuum(args, parser) -> int:
     json_path = _out(args, "_continuum.json")
     _write_json(json_path, payload)
     outputs.append(json_path.name)
-
-    argv = ["continuum", "--density", args.density,
-            "--band", _fmt(args.band[0]), _fmt(args.band[1]),
-            "--omega", _fmt(args.omega), "--beta", _fmt(args.beta),
-            "--quad-tol", _fmt(args.quad_tol)]
-    for name in ("peak", "half_width", "c1", "c2"):
-        value = getattr(args, name)
-        if value is not None:
-            argv += ["--" + name.replace("_", "-"), _fmt(value)]
-    if args.survival_t_max is not None:
-        argv += ["--survival-t-max", _fmt(args.survival_t_max),
-                 "--survival-points", str(args.survival_points)]
-    argv += _output_argv(args)
-    manifest = {
-        "command": "continuum",
-        "argv_effective": argv,
-        "version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "density": args.density,
-        "band": [args.band[0], args.band[1]],
-        "tolerances": {"quad_tol": args.quad_tol},
-        "outputs": outputs,
-        "threads": _threads(),
-    }
-    _write_json(_out(args, "_manifest.json"), manifest)
+    _write_manifest(args, parser, outputs, {"quad_tol": args.quad_tol},
+                    density=args.density, band=list(args.band))
     print(f"wrote {json_path}")
     return 0
 
 
 def _sweep_member(n_plus_1: int, args):
-    model = paper_default_model(
-        n_plus_1,
-        convention=args.convention,
-        band_width=args.band_width,
-        d_over_a=args.d_over_a,
-        omega_sub=args.omega if args.omega is not None else 1.0,
-        beta=args.beta if args.beta is not None else 1.0,
-        kappa=args.kappa if args.kappa is not None else 1.0,
-    )
+    model = _paper_model(args, n_plus_1)
     modes = solve_normal_modes(model, rel_tol=args.rel_tol)
     init = InitialState.thermal(model)
     tp = poincare_time(modes)
     gamma = width_from_discrete(model)
-    t_max = args.t_max if args.t_max is not None else 1.5 / gamma
-    grid = TimeGrid(t0=0.0, dt=t_max / (args.points - 1), count=args.points)
+    grid = _make_grid(args, fallback_t_max=1.5 / gamma)
     series = evolve_series(modes, init, grid, ["N_omega"])
     report = analyze(modes, series, "N_omega", init=init)
     rescaled = None
@@ -534,46 +490,15 @@ def _cmd_sweep(args, parser) -> int:
     _write_plot_script(plot_path, csv_path.name, ["t_poincare"], "recurrence time sweep")
     outputs.append(plot_path.name)
 
-    argv = (["sweep", "--n-list", args.n_list] + _model_argv_sweep(args)
-            + _grid_argv_sweep(args) + _output_argv(args))
-    manifest = {
-        "command": "sweep",
-        "argv_effective": argv,
-        "version": __version__,
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "tolerances": {"rel_tol": args.rel_tol},
-        "convention": args.convention,
-        "outputs": outputs,
-        "threads": _threads(),
-        "status": "failed" if failed else "ok",
-        "failed_member": failed,
-    }
-    _write_json(_out(args, "_manifest.json"), manifest)
+    _write_manifest(args, parser, outputs, {"rel_tol": args.rel_tol},
+                    convention=args.convention,
+                    status="failed" if failed else "ok", failed_member=failed)
     if failed:
         print(f"sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
               file=sys.stderr)
         return 1
     print(f"wrote {csv_path}")
     return 0
-
-
-def _model_argv_sweep(args) -> list[str]:
-    argv = ["--convention", args.convention, "--band-width", _fmt(args.band_width),
-            "--d-over-a", _fmt(args.d_over_a), "--rel-tol", _fmt(args.rel_tol)]
-    for name, flag in (("omega", "--omega"), ("beta", "--beta"), ("kappa", "--kappa")):
-        value = getattr(args, name)
-        if value is not None:
-            argv += [flag, _fmt(value)]
-    return argv
-
-
-def _grid_argv_sweep(args) -> list[str]:
-    argv = ["--points", str(args.points)]
-    if args.t_max is not None:
-        argv += ["--t-max", _fmt(args.t_max)]
-    if args.rescaled_series:
-        argv += ["--rescaled-series"]
-    return argv
 
 
 def _cmd_validate(args, parser) -> int:
@@ -608,60 +533,54 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = subs.add_parser("evolve", help="mean-observable time series")
     _add_model_args(p_evolve)
-    _add_grid_args(p_evolve, default_t_max=None)
+    _add_grid_args(p_evolve)
     p_evolve.add_argument("--obs", default="N_omega",
                           help=f"comma-separated subset of {','.join(OBSERVABLES)}")
-    p_evolve.add_argument("--x0", type=float, default=1.0)
-    p_evolve.add_argument("--p0", type=float, default=0.0)
+    p_evolve.add_argument("--x0", type=_finite_float, default=1.0)
+    p_evolve.add_argument("--p0", type=_finite_float, default=0.0)
     _add_output_args(p_evolve, "evolve")
 
     p_lan = subs.add_parser("langevin", help="rotation kernels and damping coefficients")
     _add_model_args(p_lan)
-    _add_grid_args(p_lan, default_t_max=None)
-    p_lan.add_argument("--wronskian-tol", type=float, default=DEFAULT_WRONSKIAN_TOL)
+    _add_grid_args(p_lan)
+    p_lan.add_argument("--wronskian-tol", type=_finite_float, default=DEFAULT_WRONSKIAN_TOL)
     _add_output_args(p_lan, "langevin")
 
     p_rec = subs.add_parser("recurrence", help="revival detection and decay fit")
     _add_model_args(p_rec)
-    _add_grid_args(p_rec, default_t_max=None)
-    p_rec.add_argument("--threshold", type=float, default=0.5)
+    _add_grid_args(p_rec)
+    p_rec.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_output_args(p_rec, "recurrence")
 
     p_cont = subs.add_parser("continuum", help="dense-bath decay analytics")
     p_cont.add_argument("--density", choices=("lorentzian", "ullersma"),
                         default="lorentzian")
-    p_cont.add_argument("--band", type=float, nargs=2, required=True,
+    p_cont.add_argument("--band", type=_finite_float, nargs=2, required=True,
                         metavar=("LO", "HI"))
-    p_cont.add_argument("--omega", type=float, default=1.0)
-    p_cont.add_argument("--beta", type=float, default=1.0)
-    p_cont.add_argument("--peak", type=float, default=None)
-    p_cont.add_argument("--half-width", type=float, default=None)
-    p_cont.add_argument("--c1", type=float, default=None)
-    p_cont.add_argument("--c2", type=float, default=None)
-    p_cont.add_argument("--quad-tol", type=float, default=1e-10)
-    p_cont.add_argument("--survival-t-max", type=float, default=None)
-    p_cont.add_argument("--survival-points", type=int, default=401)
+    p_cont.add_argument("--omega", type=_finite_float, default=1.0)
+    p_cont.add_argument("--beta", type=_finite_float, default=1.0)
+    p_cont.add_argument("--peak", type=_finite_float, default=None)
+    p_cont.add_argument("--half-width", type=_finite_float, default=None)
+    p_cont.add_argument("--c1", type=_finite_float, default=None)
+    p_cont.add_argument("--c2", type=_finite_float, default=None)
+    p_cont.add_argument("--quad-tol", type=_finite_float, default=1e-10)
+    p_cont.add_argument("--survival-t-max", type=_finite_float, default=None)
+    p_cont.add_argument("--survival-points", type=_positive_int, default=401)
     _add_output_args(p_cont, "continuum")
 
     p_sweep = subs.add_parser("sweep", help="one run per bath size")
     p_sweep.add_argument("--n-list", required=True,
                          help="comma-separated N+1 values, e.g. 10,32,100,500")
-    p_sweep.add_argument("--convention", choices=("prose", "formula"), default="prose")
-    p_sweep.add_argument("--band-width", type=float, default=0.018)
-    p_sweep.add_argument("--d-over-a", type=float, default=1.0)
-    p_sweep.add_argument("--omega", type=float, default=None)
-    p_sweep.add_argument("--beta", type=float, default=None)
-    p_sweep.add_argument("--kappa", type=float, default=None)
-    p_sweep.add_argument("--rel-tol", type=float, default=1e-13)
-    p_sweep.add_argument("--t-max", type=float, default=None)
-    p_sweep.add_argument("--points", type=int, default=1201)
+    _add_paper_model_args(p_sweep)
+    p_sweep.add_argument("--t-max", type=_finite_float, default=None)
+    p_sweep.add_argument("--points", type=_positive_int, default=1201)
     p_sweep.add_argument("--rescaled-series", action="store_true",
                          help="also write per-member series against t/t_P")
     _add_output_args(p_sweep, "sweep")
 
     p_val = subs.add_parser("validate", help="check the positivity conditions")
     _add_model_args(p_val)
-    p_val.add_argument("--delta", type=float, default=None,
+    p_val.add_argument("--delta", type=_finite_float, default=None,
                        help="regulator frequency; defaults to the smallest grid spacing")
     _add_output_args(p_val, "validate")
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
+from .dynamics import mode_sum
 from .model import SpectralModel, thermal_occupancy
 
 __all__ = [
@@ -72,6 +72,9 @@ class ContinuumModel:
     g_sq_complex: Callable | None = None
 
     def __post_init__(self):
+        scalars = (self.omega_min, self.omega_max, self.omega_sub, self.beta)
+        if not all(math.isfinite(v) for v in scalars):
+            raise ContinuumError(f"band edges, omega_sub and beta must be finite, got {scalars}")
         if not self.omega_min < self.omega_sub < self.omega_max:
             raise ContinuumError(
                 f"omega_sub = {self.omega_sub} must lie inside the band "
@@ -79,8 +82,10 @@ class ContinuumModel:
             )
         if self.beta <= 0:
             raise ContinuumError(f"beta must be positive, got {self.beta}")
-        if float(self.g_sq(np.asarray(self.omega_sub))) <= 0:
-            raise ContinuumError("spectral density must be positive at omega_sub")
+        g_sub = float(self.g_sq(np.asarray(self.omega_sub)))
+        if not 0 < g_sub < math.inf:
+            raise ContinuumError(f"spectral density must be positive and finite at "
+                                 f"omega_sub, got {g_sub}")
 
     @property
     def band(self) -> float:
@@ -202,6 +207,8 @@ def _check_quad_tol(quad_tol: float) -> None:
 
 def _pv_value(cm: ContinuumModel, alpha: float, quad_tol: float) -> float:
     """PV integral of g^2(w)/(alpha - w) over the band, split at alpha."""
+    from scipy.integrate import quad  # deferred: costs most of the CLI's import time
+
     g2a = float(cm.g_sq(np.asarray(alpha)))
     h = 1e-7 * cm.band
 
@@ -428,8 +435,7 @@ def survival_amplitude_continuum(
             f"weight density integrates to {table.completeness!r}, not 1: "
             "the scheme is under-resolved or the model has bound states"
         )
-    mass = table.density * table.quad_weights
-    s = np.exp(-1j * np.outer(ts, table.nodes)) @ mass
+    s = mode_sum(table.nodes, table.density * table.quad_weights, ts)
     return complex(s[0]) if scalar else s
 
 
@@ -493,6 +499,8 @@ def _edge_regular_integral(cm: ContinuumModel, side: str, margin: float,
 
     Uses the substitution u = log(distance), which removes the edge steepness.
     """
+    from scipy.integrate import quad  # deferred, as in _pv_value
+
     band = cm.band
     eta = margin * band
     sign = 1.0 if side == "left" else -1.0

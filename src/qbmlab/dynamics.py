@@ -22,6 +22,7 @@ from .model import InitialState
 __all__ = [
     "TimeGrid",
     "TimeSeries",
+    "mode_sum",
     "survival_amplitude",
     "p_omega_omega",
     "p_omega_n",
@@ -39,7 +40,7 @@ __all__ = [
     "OBSERVABLES",
 ]
 
-_TIME_CHUNK = 1_000_000  # max elements of the (T, N+1) phase matrix per slab
+_SLAB_BYTES = 32 * 2**20  # memory budget of one time slab in mode_sum
 
 
 @dataclass(frozen=True)
@@ -97,22 +98,45 @@ def _times_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(ts), scalar
 
 
-def _phase_matrix(modes: NormalModes, ts: np.ndarray) -> np.ndarray:
-    """E[k, nu] = |Phi_nu|^2 exp(-i alpha_nu t_k)."""
-    return modes.weights[None, :] * np.exp(-1j * np.outer(ts, modes.alphas))
+def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
+    """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
+
+    The phase matrix is formed one time slab at a time, within a fixed memory
+    budget, and multiplied as cos(phase) @ C and sin(phase) @ C: two real
+    GEMMs instead of one complex-by-real product.  ``reduce``, when given,
+    maps each complex slab to its per-time result, so a caller that needs
+    only, say, |S|^2 @ q never holds the full (T, J) sum.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    coeffs = np.asarray(coeffs, dtype=float)
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    cols = coeffs.reshape(freqs.size, -1)
+    step = max(1, _SLAB_BYTES // (8 * (2 * freqs.size + 4 * cols.shape[1])))
+    out = None
+    # an empty time array still makes one (empty) slab, so out gets its shape
+    for start in range(0, max(ts.size, 1), step):
+        phase = np.outer(ts[start:start + step], freqs)
+        slab = np.empty((phase.shape[0], cols.shape[1]), dtype=complex)
+        slab.real = np.cos(phase) @ cols
+        slab.imag = -(np.sin(phase, out=phase) @ cols)
+        slab = slab.reshape((-1,) + coeffs.shape[1:])
+        res = slab if reduce is None else reduce(slab)
+        if out is None:
+            out = np.empty((ts.size,) + res.shape[1:], dtype=res.dtype)
+        out[start:start + step] = res
+    return out
 
 
 def survival_amplitude(modes: NormalModes, t):
     """s(t) = sum_nu |Phi_nu|^2 exp(-i alpha_nu t); s(0) = 1."""
     ts, scalar = _times_array(t)
-    s = _phase_matrix(modes, ts).sum(axis=1)
+    s = mode_sum(modes.alphas, modes.weights, ts)
     return complex(s[0]) if scalar else s
 
 
 def p_omega_omega(modes: NormalModes, t):
     """Survival probability |s(t)|^2."""
-    s = survival_amplitude(modes, t)
-    return abs(s) ** 2 if np.isscalar(s) or isinstance(s, complex) else np.abs(s) ** 2
+    return abs(survival_amplitude(modes, t)) ** 2
 
 
 def _check_index(modes: NormalModes, n: int) -> int:
@@ -121,14 +145,17 @@ def _check_index(modes: NormalModes, n: int) -> int:
     return n - 1
 
 
+def _probability(modes: NormalModes, amp: np.ndarray, t):
+    """|sum_nu amp_nu exp(-i alpha_nu t)|^2."""
+    ts, scalar = _times_array(t)
+    p = np.abs(mode_sum(modes.alphas, amp, ts)) ** 2
+    return float(p[0]) if scalar else p
+
+
 def p_omega_n(modes: NormalModes, n: int, t):
     """Transition probability between the subsystem state and bath state n."""
     j = _check_index(modes, n)
-    ts, scalar = _times_array(t)
-    k_col = modes.pole_ratios()[:, j]
-    amp = _phase_matrix(modes, ts) @ k_col
-    p = np.abs(amp) ** 2
-    return float(p[0]) if scalar else p
+    return _probability(modes, modes.weights * modes.pole_ratios()[:, j], t)
 
 
 def p_nm(modes: NormalModes, n: int, m: int, t):
@@ -136,72 +163,64 @@ def p_nm(modes: NormalModes, n: int, m: int, t):
     jn = _check_index(modes, n)
     jm = _check_index(modes, m)
     k = modes.pole_ratios()
+    return _probability(modes, modes.weights * (k[:, jn] * k[:, jm]), t)
+
+
+def _occupation_terms(modes: NormalModes, init: InitialState, amp: np.ndarray):
+    """Coefficients [amp, amp K] and quanta [kappa, nbar] of an occupation sum.
+
+    The occupation of the state whose mode amplitudes are ``amp`` is
+    kappa |sum amp e|^2 + sum_n nbar_n |sum amp K_n e|^2 with e = exp(-i alpha t).
+    """
+    coeffs = np.concatenate([amp[:, None], amp[:, None] * modes.pole_ratios()], axis=1)
+    quanta = np.concatenate([[init.kappa], init.bath_occupancies])
+    return coeffs, quanta
+
+
+def _occupation(modes: NormalModes, init: InitialState, amp: np.ndarray, t):
     ts, scalar = _times_array(t)
-    amp = _phase_matrix(modes, ts) @ (k[:, jn] * k[:, jm])
-    p = np.abs(amp) ** 2
-    return float(p[0]) if scalar else p
+    coeffs, quanta = _occupation_terms(modes, init, amp)
+    out = mode_sum(modes.alphas, coeffs, ts, reduce=lambda s: np.abs(s) ** 2 @ quanta)
+    return float(out[0]) if scalar else out
 
 
 def mean_subsystem_occupation(modes: NormalModes, init: InitialState, t):
     """<N_sub(t)> = kappa P_00(t) + sum_n P_0n(t) nbar_n, amplitude-factorized."""
-    ts, scalar = _times_array(t)
-    k = modes.pole_ratios()
-    out = np.empty(ts.size)
-    step = max(1, _TIME_CHUNK // modes.n_modes)
-    for i in range(0, ts.size, step):
-        sl = slice(i, min(i + step, ts.size))
-        e = _phase_matrix(modes, ts[sl])
-        surv = np.abs(e.sum(axis=1)) ** 2
-        bath = np.abs(e @ k) ** 2 @ init.bath_occupancies
-        out[sl] = init.kappa * surv + bath
-    return float(out[0]) if scalar else out
+    return _occupation(modes, init, modes.weights, t)
 
 
 def mean_bath_occupation(modes: NormalModes, init: InitialState, n: int, t):
     """<N_n(t)> = kappa P_n0(t) + sum_m P_nm(t) nbar_m."""
     j = _check_index(modes, n)
-    ts, scalar = _times_array(t)
-    k = modes.pole_ratios()
-    e_n = _phase_matrix(modes, ts) * k[:, j][None, :]
-    from_sub = np.abs(e_n.sum(axis=1)) ** 2
-    from_bath = np.abs(e_n @ k) ** 2 @ init.bath_occupancies
-    out = init.kappa * from_sub + from_bath
-    return float(out[0]) if scalar else out
+    return _occupation(modes, init, modes.weights * modes.pole_ratios()[:, j], t)
 
 
 def mean_bath_occupations(modes: NormalModes, init: InitialState, t) -> np.ndarray:
-    """All bath occupations at once; shape (T, N).  Cost O(N^2) per sample."""
+    """All bath occupations at once; shape (T, N).
+
+    Costs O(N^2) per sample and bath oscillator, O(T N^3) in all: this is the
+    oracle for quanta conservation, which evolve_series writes in closed form.
+    """
     ts, scalar = _times_array(t)
-    k = modes.pole_ratios()
-    e = _phase_matrix(modes, ts)
-    out = np.empty((ts.size, modes.model.n_osc))
-    for j in range(modes.model.n_osc):
-        e_n = e * k[:, j][None, :]
-        out[:, j] = (init.kappa * np.abs(e_n.sum(axis=1)) ** 2
-                     + np.abs(e_n @ k) ** 2 @ init.bath_occupancies)
+    out = np.stack([mean_bath_occupation(modes, init, n, ts)
+                    for n in range(1, modes.model.n_osc + 1)], axis=1)
     return out[0] if scalar else out
 
 
 def rotation_coefficients(modes: NormalModes, t):
     """Rotation kernels a(t) = sum w cos(alpha t), b(t) = sum w sin(alpha t)."""
-    ts, scalar = _times_array(t)
-    s = _phase_matrix(modes, ts).sum(axis=1)
-    a, b = s.real, -s.imag
-    if scalar:
-        return float(a[0]), float(b[0])
-    return a, b
+    s = survival_amplitude(modes, t)
+    return s.real, -s.imag
 
 
 def mean_position(modes: NormalModes, x0: float, p0: float, t):
     """<X(t)> for a thermal bath (bath first moments vanish)."""
-    a, b = rotation_coefficients(modes, t)
-    return a * x0 + b * p0
+    return (survival_amplitude(modes, t) * complex(x0, p0)).real
 
 
 def mean_momentum_tilde(modes: NormalModes, x0: float, p0: float, t):
     """<P(t)>/(M Omega), the momentum conjugate in rotation form."""
-    a, b = rotation_coefficients(modes, t)
-    return -b * x0 + a * p0
+    return (survival_amplitude(modes, t) * complex(x0, p0)).imag
 
 
 def theta_profile(modes: NormalModes) -> np.ndarray:
@@ -232,16 +251,6 @@ def asymptotic_mean_occupation(modes: NormalModes, init: InitialState) -> float:
     )
 
 
-def _series_x(modes, grid, x0, p0):
-    a, b = rotation_coefficients(modes, grid.times)
-    return a * x0 + b * p0
-
-
-def _series_p(modes, grid, x0, p0):
-    a, b = rotation_coefficients(modes, grid.times)
-    return -b * x0 + a * p0
-
-
 OBSERVABLES = ("P_surv", "N_omega", "N_total", "X_mean", "P_tilde_mean")
 
 
@@ -255,9 +264,11 @@ def evolve_series(
 ) -> TimeSeries:
     """Evaluate the requested observable columns over the grid.
 
-    Supported names: P_surv, N_omega, N_total, X_mean, P_tilde_mean.  N_total
-    sums all bath occupations and costs O(N^2) per sample; the lighter columns
-    cost O(N).  An empty selection returns an empty column set.
+    Supported names: P_surv, N_omega, N_total, X_mean, P_tilde_mean.  All
+    requested mode sums share one mode_sum pass over the grid: O(N) per sample
+    for the survival amplitude and the position columns, O(N^2) for N_omega.
+    N_total is the conserved total kappa + sum nbar, written in closed form.
+    An empty selection returns an empty column set.
     """
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
@@ -265,17 +276,21 @@ def evolve_series(
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
     ts = grid.times
     columns: dict[str, np.ndarray] = {}
+    if "N_omega" in names:
+        coeffs, quanta = _occupation_terms(modes, init, modes.weights)
+        both = mode_sum(modes.alphas, coeffs, ts,
+                        reduce=lambda e: np.column_stack([e[:, 0], np.abs(e) ** 2 @ quanta]))
+        s = both[:, 0]
+        columns["N_omega"] = both[:, 1].real
+    elif {"P_surv", "X_mean", "P_tilde_mean"} & set(names):
+        s = survival_amplitude(modes, ts)
     if "P_surv" in names:
-        columns["P_surv"] = p_omega_omega(modes, ts)
-    if "N_omega" in names or "N_total" in names:
-        n_omega = mean_subsystem_occupation(modes, init, ts)
-        if "N_omega" in names:
-            columns["N_omega"] = n_omega
-        if "N_total" in names:
-            columns["N_total"] = n_omega + mean_bath_occupations(modes, init, ts).sum(axis=1)
-    if "X_mean" in names:
-        columns["X_mean"] = _series_x(modes, grid, x0, p0)
-    if "P_tilde_mean" in names:
-        columns["P_tilde_mean"] = _series_p(modes, grid, x0, p0)
-    columns = {name: columns[name] for name in names if name in columns}
+        columns["P_surv"] = np.abs(s) ** 2
+    if "N_total" in names:
+        columns["N_total"] = np.full(grid.count, init.kappa + init.bath_occupancies.sum())
+    if "X_mean" in names or "P_tilde_mean" in names:
+        # thermal bath: the mean amplitude X + iP rotates as s(t) (x0 + i p0)
+        rotated = s * complex(x0, p0)
+        columns["X_mean"], columns["P_tilde_mean"] = rotated.real, rotated.imag
+    columns = {name: columns[name] for name in names}
     return TimeSeries(grid=grid, columns=columns)

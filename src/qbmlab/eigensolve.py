@@ -81,10 +81,6 @@ class NormalModes:
         """Bath coefficients phi[nu, n] = g_n Phi_nu / (alpha_nu - omega_n)."""
         return self.amplitudes[:, None] * self.pole_ratios()
 
-    def basis_matrix(self) -> np.ndarray:
-        """Orthogonal change of basis, columns ordered (subsystem, bath 1..N)."""
-        return np.concatenate([self.amplitudes[:, None], self.bath_matrix()], axis=1)
-
     def validate(self, rel_tol: float = 1e-10) -> None:
         """Assert the exact-solution invariants; raises EigensolveError."""
         w = self.model.bath_freqs
@@ -122,10 +118,20 @@ def secular_value(alpha: float, model: SpectralModel) -> float:
 
 
 def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
-                   g2: np.ndarray) -> np.ndarray:
-    d = alphas[:, None] - w[None, :]
+                   g2: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """f at each alpha; ``buf`` (rows >= alphas.size, N columns) is scratch.
+
+    Evaluating in place in a reused C-contiguous buffer avoids two temporaries
+    of size alphas.size x N per call and sums the same values in the same
+    order, so the result is bitwise the same as without it.
+    """
+    if buf is None:
+        buf = np.empty((alphas.size, w.size))
+    d = buf[: alphas.size]
+    np.subtract(alphas[:, None], w[None, :], out=d)
     with np.errstate(divide="ignore"):
-        return alphas - omega_sub - (g2[None, :] / d).sum(axis=1)
+        np.divide(g2[None, :], d, out=d)
+    return alphas - omega_sub - d.sum(axis=1)
 
 
 def _expand_exterior(omega_sub: float, w: np.ndarray, g2: np.ndarray,
@@ -181,11 +187,13 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
         )
 
     alphas = np.empty(n + 1)
+    residuals = np.empty(n + 1)
+    buf = np.empty((min(_CHUNK, n + 1), n))
     for start in range(0, n + 1, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n + 1))
-        alphas[sl] = _bisect_chunk(lo[sl].copy(), hi[sl].copy(), omega_sub, w, g2, rel_tol)
-
-    residuals = _secular_batch(alphas, omega_sub, w, g2)
+        alphas[sl] = _bisect_chunk(lo[sl].copy(), hi[sl].copy(), omega_sub, w, g2,
+                                   rel_tol, buf)
+        residuals[sl] = _secular_batch(alphas[sl], omega_sub, w, g2, buf)
 
     weights = np.empty(n + 1)
     min_gap = np.empty(n + 1)
@@ -211,7 +219,8 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
 
 
 def _bisect_chunk(lo: np.ndarray, hi: np.ndarray, omega_sub: float,
-                  w: np.ndarray, g2: np.ndarray, rel_tol: float) -> np.ndarray:
+                  w: np.ndarray, g2: np.ndarray, rel_tol: float,
+                  buf: np.ndarray) -> np.ndarray:
     """Bisection with freeze-on-convergence, then one bracketed secant step."""
     idx = np.arange(lo.size)
     cur_lo, cur_hi = lo, hi
@@ -222,13 +231,13 @@ def _bisect_chunk(lo: np.ndarray, hi: np.ndarray, omega_sub: float,
         if idx.size == 0:
             break
         mid = 0.5 * (cur_lo[idx] + cur_hi[idx])
-        f = _secular_batch(mid, omega_sub, w, g2)
+        f = _secular_batch(mid, omega_sub, w, g2, buf)
         neg = f < 0
         cur_lo[idx[neg]] = mid[neg]
         cur_hi[idx[~neg]] = mid[~neg]
 
-    f_lo = _secular_batch(cur_lo, omega_sub, w, g2)
-    f_hi = _secular_batch(cur_hi, omega_sub, w, g2)
+    f_lo = _secular_batch(cur_lo, omega_sub, w, g2, buf)
+    f_hi = _secular_batch(cur_hi, omega_sub, w, g2, buf)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         denom = f_hi - f_lo
         sec = cur_hi - f_hi * (cur_hi - cur_lo) / denom

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid, TimeSeries
+from .dynamics import TimeGrid, TimeSeries, mode_sum
 from .eigensolve import NormalModes
 
 __all__ = [
@@ -79,22 +79,15 @@ class OdeResidualReport:
 
 
 def kernel_arrays(modes: NormalModes, ts: np.ndarray):
-    """Arrays (a, b, da, db, dda, ddb) over the given times."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    """Arrays (a, b, da, db, dda, ddb) over the given times.
+
+    With S_j = sum w alpha^j exp(-i alpha t), the kernels are a - i b = S_0,
+    their first derivatives db + i da = S_1 and second -dda + i ddb = S_2.
+    """
     w = modes.weights
-    al = modes.alphas
-    phase = np.outer(ts, al)
-    c = np.cos(phase)
-    s = np.sin(phase)
-    a = c @ w
-    b = s @ w
-    wa = w * al
-    da = -(s @ wa)
-    db = c @ wa
-    wa2 = wa * al
-    dda = -(c @ wa2)
-    ddb = -(s @ wa2)
-    return a, b, da, db, dda, ddb
+    wa = w * modes.alphas
+    s = mode_sum(modes.alphas, np.column_stack([w, wa, wa * modes.alphas]), ts)
+    return s[:, 0].real, -s[:, 0].imag, s[:, 1].imag, s[:, 1].real, -s[:, 2].real, s[:, 2].imag
 
 
 def kernels(modes: NormalModes, t: float) -> KernelSample:

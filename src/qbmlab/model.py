@@ -92,6 +92,9 @@ class SpectralModel:
         object.__setattr__(self, "bath_freqs", freqs)
         object.__setattr__(self, "couplings", coups)
 
+        for name in ("omega_sub", "beta", "kappa", "mass", "bath_freqs", "couplings"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ModelError(f"{name} must be finite")
         if self.omega_sub <= 0:
             raise ModelError(f"omega_sub must be positive, got {self.omega_sub}")
         if self.beta <= 0:
@@ -154,6 +157,8 @@ class InitialState:
         occ = _as_float_array(self.bath_occupancies, "bath_occupancies")
         occ.setflags(write=False)
         object.__setattr__(self, "bath_occupancies", occ)
+        if not (math.isfinite(self.kappa) and np.all(np.isfinite(occ))):
+            raise ModelError("kappa and bath occupancies must be finite")
         if self.kappa < 0:
             raise ModelError(f"kappa must be nonnegative, got {self.kappa}")
         if np.any(occ < 0):

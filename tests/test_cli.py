@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qbmlab.cli import main
+import qbmlab
+from qbmlab.cli import _finite_float, _positive_int, _subparsers, build_parser, main
 
 
 def run(argv):
@@ -95,16 +100,6 @@ class TestEvolve:
         first = (tmp_path / "a" / "r_series.csv").read_bytes()
         second = (tmp_path / "b" / "r_series.csv").read_bytes()
         assert first == second
-
-    def test_rerun_from_manifest_argv(self, tmp_path):
-        run(["evolve", "--paper-defaults", "--n", 10, "--t-max", 120, "--points", 61,
-             "--out-dir", tmp_path / "a", "--prefix", "m"])
-        manifest = read_manifest(tmp_path / "a" / "m_manifest.json")
-        argv = list(manifest["argv_effective"])
-        argv[argv.index("--out-dir") + 1] = str(tmp_path / "b")
-        assert run(argv) == 0
-        assert ((tmp_path / "a" / "m_series.csv").read_bytes()
-                == (tmp_path / "b" / "m_series.csv").read_bytes())
 
     def test_unknown_observable_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -228,3 +223,92 @@ class TestValidate:
         cfg = tmp_path / "bad_model.txt"
         qbmlab.save_model(qbmlab.paper_default_model(32, d_over_a=20.0), cfg)
         assert run(["validate", "--config", cfg, "--out-dir", tmp_path]) == 1
+
+
+# one small run per subcommand that writes a manifest, and its manifest keys
+RERUNS = {
+    "solve": (["solve", "--paper-defaults", "--n", 10],
+              {"dissipation", "model", "derived"}),
+    "evolve": (["evolve", "--paper-defaults", "--n", 10, "--t-max", 120, "--points", 61,
+                "--obs", "N_omega,P_surv,X_mean", "--x0", 0.3, "--p0", -0.2],
+               {"model", "derived"}),
+    "langevin": (["langevin", "--paper-defaults", "--n", 10, "--t-max", 50, "--points", 41],
+                 {"model", "derived", "invalid_samples"}),
+    "recurrence": (["recurrence", "--paper-defaults", "--n", 10, "--points", 501,
+                    "--threshold", 0.4],
+                   {"model", "derived"}),
+    "continuum": (["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
+                   "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", 200,
+                   "--survival-points", 5],
+                  {"density", "band"}),
+    "sweep": (["sweep", "--n-list", "10,12", "--rescaled-series", "--points", 301,
+               "--beta", 2.0],
+              {"convention", "status", "failed_member"}),
+}
+COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "tolerances",
+               "outputs", "threads"}
+
+
+class TestManifest:
+    @pytest.mark.parametrize("command", sorted(RERUNS))
+    def test_rerun_from_manifest_argv(self, tmp_path, command):
+        argv, extra_keys = RERUNS[command]
+        assert run(argv + ["--out-dir", tmp_path / "a", "--prefix", "m"]) == 0
+        manifest = read_manifest(tmp_path / "a" / "m_manifest.json")
+        assert set(manifest) == COMMON_KEYS | extra_keys
+        assert manifest["command"] == command
+        rerun = list(manifest["argv_effective"])
+        rerun[rerun.index("--out-dir") + 1] = str(tmp_path / "b")
+        assert run(rerun) == 0
+        outputs = manifest["outputs"]
+        assert outputs == read_manifest(tmp_path / "b" / "m_manifest.json")["outputs"]
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(
+            outputs + ["m_manifest.json"])
+        for name in outputs:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+    def test_every_option_is_named_after_its_dest(self, command):
+        sub = _subparsers(build_parser())[command]
+        for action in sub._actions:
+            if action.option_strings and action.dest != "help":
+                assert "--" + action.dest.replace("_", "-") in action.option_strings
+
+
+def _typed_options():
+    """(subcommand, flag, nargs, type) for every typed option of every subcommand."""
+    for command, sub in _subparsers(build_parser()).items():
+        for action in sub._actions:
+            if action.type is not None:
+                yield command, action.option_strings[-1], action.nargs or 1, action.type
+
+
+class TestInputBoundary:
+    def test_every_numeric_flag_uses_a_checked_type(self):
+        types = {t for *_, t in _typed_options()}
+        assert types == {_finite_float, _positive_int}
+
+    @pytest.mark.parametrize("command,flag,nargs,kind", list(_typed_options()))
+    def test_invalid_numbers_are_usage_errors(self, tmp_path, capsys, command, flag,
+                                              nargs, kind):
+        bad_values = ("nan", "inf", "-inf") if kind is _finite_float else ("0", "-3", "2.5")
+        for bad in bad_values:
+            values = [bad] + ["1.5"] * (nargs - 1)
+            with pytest.raises(SystemExit) as exc:
+                run([command, flag, *values, "--out-dir", tmp_path])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"error: argument {flag}" in err
+            assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_model_file_is_an_error(self, tmp_path, capsys):
+        cfg = tmp_path / "model.txt"
+        cfg.write_text("omega_sub = 1.0\nbeta = nan\n[bath]\n0.9 0.05\n1.1 0.05\n")
+        assert run(["solve", "--config", cfg, "--out-dir", tmp_path]) == 1
+        assert "beta must be finite" in capsys.readouterr().err
+
+    def test_cli_import_defers_scipy_integrate(self):
+        code = "import sys, qbmlab.cli; sys.exit('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(qbmlab.__file__).parents[1]))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -53,6 +53,18 @@ class TestModelValidation:
                 omega_min=0.5, omega_max=1.5, omega_sub=1.0, beta=1.0,
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        good = dict(omega_min=0.5, omega_max=1.5, omega_sub=1.0, beta=1.0)
+        for name in good:
+            with pytest.raises(ContinuumError, match="finite"):
+                ContinuumModel(g_sq=lambda w: np.ones_like(np.asarray(w, float)),
+                               **(good | {name: bad}))
+        with pytest.raises(ContinuumError, match="finite"):
+            lorentzian_density(bad, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        with pytest.raises(ContinuumError, match="finite"):
+            ullersma_density(0.3, bad, omega_min=1e-3, omega_max=5.0)
+
 
 class TestPvShift:
     def test_symmetric_density_gives_zero(self, narrow):

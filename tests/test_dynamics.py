@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qbmlab import dynamics
 from qbmlab import (
     InitialState,
     NormalModes,
@@ -14,6 +17,7 @@ from qbmlab import (
     mean_momentum_tilde,
     mean_position,
     mean_subsystem_occupation,
+    mode_sum,
     p_nm,
     p_omega_n,
     p_omega_omega,
@@ -23,6 +27,7 @@ from qbmlab import (
     survival_amplitude,
     theta_profile,
 )
+from qbmlab.langevin import langevin_table
 from conftest import random_model
 
 
@@ -274,3 +279,51 @@ class TestEvolveSeries:
             TimeGrid(t0=0.0, dt=-1.0, count=5)
         with pytest.raises(ValueError):
             TimeGrid(t0=0.0, dt=1.0, count=0)
+
+
+class TestModeSum:
+    def direct(self, freqs, coeffs, ts):
+        return np.exp(-1j * np.outer(ts, freqs)) @ coeffs
+
+    def test_matches_direct_sum_across_slabs(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        freqs = rng.uniform(0.5, 1.5, 40)
+        coeffs = rng.normal(size=(40, 3))
+        ts = rng.uniform(-50.0, 50.0, 257)
+        whole = mode_sum(freqs, coeffs, ts)
+        np.testing.assert_allclose(whole, self.direct(freqs, coeffs, ts), rtol=0, atol=1e-13)
+        # a budget of a few rows per slab must not change the numbers
+        monkeypatch.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
+        np.testing.assert_allclose(mode_sum(freqs, coeffs, ts), whole, rtol=0, atol=1e-13)
+
+    def test_shapes_and_reduce(self):
+        freqs = np.array([1.0, 2.0])
+        assert mode_sum(freqs, np.array([0.5, 0.5]), np.linspace(0, 1, 5)).shape == (5,)
+        assert mode_sum(freqs, np.ones((2, 4)), [0.3]).shape == (1, 4)
+        assert mode_sum(freqs, np.ones((2, 4)), []).shape == (0, 4)
+        ts = np.linspace(0.0, 3.0, 11)
+        norms = mode_sum(freqs, np.eye(2), ts, reduce=lambda s: np.abs(s) ** 2 @ [1.0, 2.0])
+        np.testing.assert_allclose(norms, 3.0, rtol=1e-15)
+
+
+class TestMemoryBudget:
+    """The mode sums run in slabs: no (T, N+1) array at N+1 = 500, T = 20000."""
+
+    LIMIT = 96 * 2**20
+
+    def peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_evolve_series(self, modes_500, init_500):
+        grid = TimeGrid(t0=0.0, dt=1.0, count=20000)
+        names = ["N_omega", "P_surv", "X_mean", "P_tilde_mean"]
+        assert self.peak(lambda: evolve_series(modes_500, init_500, grid, names)) < self.LIMIT
+
+    def test_langevin_table(self, modes_500):
+        grid = TimeGrid(t0=0.0, dt=1.0, count=20000)
+        assert self.peak(lambda: langevin_table(modes_500, grid)) < self.LIMIT

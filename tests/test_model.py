@@ -126,6 +126,16 @@ class TestSpectralModelInvariants:
         with pytest.raises(ModelError):
             SpectralModel(1.0, 1.0, -0.5, [1.0], [0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        good = dict(omega_sub=1.0, beta=1.0, kappa=1.0, bath_freqs=[0.9, 1.1],
+                    couplings=[0.1, 0.1], mass=1.0)
+        for name in good:
+            fields = dict(good)
+            fields[name] = [0.9, bad] if name in ("bath_freqs", "couplings") else bad
+            with pytest.raises(ModelError, match=f"{name} must be finite"):
+                SpectralModel(**fields)
+
     def test_fractional_kappa_allowed(self):
         m = SpectralModel(1.0, 1.0, 0.75, [1.0], [0.1])
         assert m.kappa == 0.75
@@ -147,6 +157,12 @@ class TestInitialState:
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ModelError):
             InitialState(1.0, np.array([0.5, -0.1]))
+
+    def test_non_finite_values_rejected(self):
+        with pytest.raises(ModelError, match="finite"):
+            InitialState(math.nan, np.array([0.5]))
+        with pytest.raises(ModelError, match="finite"):
+            InitialState(1.0, np.array([0.5, math.inf]))
 
 
 class TestValidateDissipation:
