@@ -32,7 +32,7 @@ from .continuum import (
     width_from_discrete,
 )
 from .dynamics import OBSERVABLES, TimeGrid, evolve_series
-from .eigensolve import EigensolveError, solve_normal_modes
+from .eigensolve import _REL_TOL_MAX, _REL_TOL_MIN, EigensolveError, solve_normal_modes
 from .langevin import DEFAULT_WRONSKIAN_TOL, langevin_table
 from .model import (
     InitialState,
@@ -106,6 +106,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_float_rel_tol(text: str) -> float:
+    """argparse type of --rel-tol: the open interval solve_normal_modes accepts."""
+    value = _finite_float(text)
+    if not _REL_TOL_MIN < value < _REL_TOL_MAX:
+        raise argparse.ArgumentTypeError(
+            f"expected a value in ({_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}), got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     """argparse type of counts such as --n and --points."""
     try:
@@ -139,8 +148,8 @@ def _add_paper_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=_finite_float, default=None, help="inverse temperature")
     sub.add_argument("--kappa", type=_finite_float, default=None,
                      help="initial subsystem quanta")
-    sub.add_argument("--rel-tol", type=_finite_float, default=1e-13,
-                     help="root refinement tolerance")
+    sub.add_argument("--rel-tol", type=_finite_float_rel_tol, default=1e-13,
+                     help="root iteration stops at a relative model step this small")
 
 
 def _model_overrides(args) -> dict:
@@ -168,7 +177,7 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> SpectralModel:
 
 
 def _model_record(model: SpectralModel, modes, args) -> dict:
-    """Manifest fields of a discrete-model run: the model and derived scales."""
+    """Manifest fields of a discrete-model run: model, derived scales, solver effort."""
     tp = poincare_time(modes)
     derived = {
         "t_poincare": tp.t_poincare,
@@ -196,6 +205,11 @@ def _model_record(model: SpectralModel, modes, args) -> dict:
             "spacing": model.uniform_spacing(),
         },
         "derived": derived,
+        "diagnostics": {
+            "secular_evaluations": modes.secular_evaluations,
+            "safeguard_fallbacks": modes.safeguard_fallbacks,
+            "min_pole_offset": modes.min_pole_offset,
+        },
     }
 
 

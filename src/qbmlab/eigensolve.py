@@ -6,16 +6,25 @@ The normal frequencies are the roots of the secular function
 
 which is strictly increasing between consecutive poles, so exactly one root
 lies in each open interval (omega_n, omega_{n+1}) and one more on each side of
-the bath band.  Roots are found by safeguarded bisection on those brackets
-(guaranteed convergence), polished by one secant step, and the mode weights
-follow from the analytic normalization formula rather than from eigenvector
-components.  Total cost O(N^2); evaluation is vectorized over disjoint
-brackets in fixed-size chunks, which leaves the result independent of the
-chunking (each bracket's iteration history depends only on itself).
+the bath band.  Each root is found by a safeguarded rational iteration on its
+bracket, after Li's "middle way" (LAPACK Working Note 89, the method of
+LAPACK's dlaed4): at the iterate x one pass over the bath gives f(x), the
+derivative sums over the poles below and above x, and sum |g_n^2/(x-omega_n)|,
+which bounds the rounding error of f.  The next iterate is the root of a
+rational model that matches f and f' at x (two poles for interior roots, one
+pole plus the linear term for the two exterior roots).  The sign of f shrinks
+the bracket at every iterate, and an iterate that leaves the bracket is
+replaced by its midpoint, so bisection survives only as the safeguard.  A
+root takes about 3-5 evaluations of f.  The mode weights follow from the
+analytic normalization formula rather than from eigenvector components.
+Total cost O(N^2); evaluation is vectorized over disjoint brackets in chunks
+sized to fit in cache, which leaves the result independent of the chunking
+(each bracket's iteration history depends only on itself).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,8 +43,13 @@ __all__ = [
     "verify_closure",
 ]
 
-_CHUNK = 512
-_MAX_BISECT = 300
+# each of the two chunk x N scratch buffers of the root iteration stays within
+# this budget, so the passes over them run from cache: at N = 4096 on a 2-core
+# Xeon with 2 MiB L2 per core, 16-64 rows measured equally fast, and 256 rows
+# or 4 rows 1.5-2x slower
+_SCRATCH_BYTES = 1 << 20
+_MAX_ITER = 300
+_REL_TOL_MIN, _REL_TOL_MAX = 1e-16, 1e-6
 _DENSE_CAP = 4096
 
 
@@ -54,13 +68,20 @@ class NormalModes:
     ``weights`` holds |Phi_nu|^2; the bath-mode coefficients phi_{nu,n} are not
     stored but generated on demand (O(N) memory for survival-only work).
     ``residuals`` holds the secular value at each accepted root so downstream
-    code can judge conditioning.  Immutable by convention after solve.
+    code can judge conditioning.  The solver's effort is recorded with it:
+    ``secular_evaluations`` counts evaluations of f in the root iteration (not
+    the residual pass), ``safeguard_fallbacks`` the iterates replaced by a
+    bracket midpoint, and ``min_pole_offset`` is the smallest |alpha - omega_n|.
+    Immutable by convention after solve.
     """
 
     model: SpectralModel
     alphas: np.ndarray
     weights: np.ndarray
     residuals: np.ndarray
+    secular_evaluations: int = 0
+    safeguard_fallbacks: int = 0
+    min_pole_offset: float = math.nan
 
     @property
     def n_modes(self) -> int:
@@ -159,16 +180,22 @@ def _expand_exterior(omega_sub: float, w: np.ndarray, g2: np.ndarray,
 def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalModes:
     """Find all N+1 roots and weights of the secular equation.
 
-    Each root is refined to relative tolerance ``rel_tol`` (bracket width), then
-    polished with one bracketed secant step.  Emits ConditioningWarning when a
-    root lies within 1e-13 * omega_sub of a bath pole, where the weight formula
-    loses digits.
+    Each root is found by a safeguarded rational iteration inside its pole
+    bracket (see the module docstring).  It stops when f is exactly zero, when
+    |f| is within its rounding-error bound, or when a model step is at most
+    ``rel_tol * |x|``; the last model iterate is then returned.  Iterates that
+    leave the bracket are replaced by its midpoint.  Raises EigensolveError
+    when a root has not converged after ``_MAX_ITER`` evaluations.  Emits
+    ConditioningWarning when a root lies within 1e-13 * omega_sub of a bath
+    pole, where the weight formula loses digits.
     """
-    if not (1e-16 < rel_tol < 1e-6):
-        raise ValueError(f"rel_tol must lie in (1e-16, 1e-6), got {rel_tol}")
+    if not (_REL_TOL_MIN < rel_tol < _REL_TOL_MAX):
+        raise ValueError(
+            f"rel_tol must lie in ({_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}), got {rel_tol}")
     omega_sub = model.omega_sub
     w = model.bath_freqs
-    g2 = model.couplings**2
+    g = model.couplings
+    g2 = g**2
     n = w.size
 
     lo = np.empty(n + 1)
@@ -186,25 +213,30 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
             f"({lo[bad]!r} >= {hi[bad]!r})"
         )
 
+    rows = max(1, _SCRATCH_BYTES // (8 * n))
+    buf = np.empty((min(rows, n + 1), n))
+    aux = np.empty_like(buf)
     alphas = np.empty(n + 1)
     residuals = np.empty(n + 1)
-    buf = np.empty((min(_CHUNK, n + 1), n))
-    for start in range(0, n + 1, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n + 1))
-        alphas[sl] = _bisect_chunk(lo[sl].copy(), hi[sl].copy(), omega_sub, w, g2,
-                                   rel_tol, buf)
-        residuals[sl] = _secular_batch(alphas[sl], omega_sub, w, g2, buf)
-
     weights = np.empty(n + 1)
-    min_gap = np.empty(n + 1)
-    g = model.couplings
-    for start in range(0, n + 1, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n + 1))
-        d = alphas[sl, None] - w[None, :]
-        weights[sl] = 1.0 / (1.0 + ((g[None, :] / d) ** 2).sum(axis=1))
-        min_gap[sl] = np.abs(d).min(axis=1)
+    evaluations = fallbacks = 0
+    for start in range(0, n + 1, rows):
+        sl = slice(start, min(start + rows, n + 1))
+        alphas[sl], steps, falls = _iterate_chunk(
+            np.arange(sl.start, sl.stop), lo[sl].copy(), hi[sl].copy(),
+            omega_sub, w, g2, rel_tol, buf, aux)
+        evaluations += steps
+        fallbacks += falls
+        residuals[sl] = _secular_batch(alphas[sl], omega_sub, w, g2, buf)
+        d = buf[: sl.stop - sl.start]
+        np.subtract(alphas[sl, None], w, out=d)
+        ratio = aux[: d.shape[0]]
+        np.divide(g, d, out=ratio)
+        np.square(ratio, out=ratio)
+        weights[sl] = 1.0 / (1.0 + ratio.sum(axis=1))
 
-    worst = float(min_gap.min())
+    # with interlacing roots the closest pole of each root is a bracketing one
+    worst = float(min(np.abs(alphas[1:] - w).min(), np.abs(w - alphas[:-1]).min()))
     if worst < 1e-13 * omega_sub:
         warnings.warn(
             f"normal frequency within {worst:.3e} of a bath pole "
@@ -213,36 +245,122 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
             stacklevel=2,
         )
 
-    modes = NormalModes(model=model, alphas=alphas, weights=weights, residuals=residuals)
+    modes = NormalModes(model=model, alphas=alphas, weights=weights, residuals=residuals,
+                        secular_evaluations=evaluations, safeguard_fallbacks=fallbacks,
+                        min_pole_offset=worst)
     modes.validate()
     return modes
 
 
-def _bisect_chunk(lo: np.ndarray, hi: np.ndarray, omega_sub: float,
-                  w: np.ndarray, g2: np.ndarray, rel_tol: float,
-                  buf: np.ndarray) -> np.ndarray:
-    """Bisection with freeze-on-convergence, then one bracketed secant step."""
-    idx = np.arange(lo.size)
-    cur_lo, cur_hi = lo, hi
-    for _ in range(_MAX_BISECT):
-        scale = np.maximum(np.abs(cur_lo[idx]), np.abs(cur_hi[idx]))
-        live = (cur_hi[idx] - cur_lo[idx]) > rel_tol * scale
-        idx = idx[live]
-        if idx.size == 0:
-            break
-        mid = 0.5 * (cur_lo[idx] + cur_hi[idx])
-        f = _secular_batch(mid, omega_sub, w, g2, buf)
-        neg = f < 0
-        cur_lo[idx[neg]] = mid[neg]
-        cur_hi[idx[~neg]] = mid[~neg]
+def _secular_parts(x: np.ndarray, split: np.ndarray, omega_sub: float, w: np.ndarray,
+                   g2: np.ndarray, buf: np.ndarray, aux: np.ndarray):
+    """f(x), the derivative sums over poles below and above x, and sum |g^2/(x-w)|.
 
-    f_lo = _secular_batch(cur_lo, omega_sub, w, g2, buf)
-    f_hi = _secular_batch(cur_hi, omega_sub, w, g2, buf)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        denom = f_hi - f_lo
-        sec = cur_hi - f_hi * (cur_hi - cur_lo) / denom
-        ok = np.isfinite(sec) & (sec > cur_lo) & (sec < cur_hi)
-    return np.where(ok, sec, 0.5 * (cur_lo + cur_hi))
+    ``split[i]`` is the number of poles below ``x[i]``; ``buf`` and ``aux`` are
+    scratch (rows >= x.size, N columns).  One subtraction and two divisions
+    per element; each row's sums are split at its own pole index.
+    """
+    k, n = x.size, w.size
+    d = buf[:k]
+    t = aux[:k]
+    np.subtract(x[:, None], w, out=d)
+    np.divide(g2, d, out=t)
+    cut = np.minimum(split, n - 1)
+    offsets = np.empty(2 * k, dtype=np.intp)
+    offsets[0::2] = np.arange(k) * n
+    offsets[1::2] = offsets[0::2] + cut
+    flat = t.reshape(-1)
+    terms = np.add.reduceat(flat, offsets)
+    np.divide(t, d, out=t)
+    slopes = np.add.reduceat(flat, offsets)
+    # reduceat gives an empty left part the value of its first element; a row
+    # with no pole above x has its last column in the right part
+    for sums in (terms, slopes):
+        left, right = sums[0::2], sums[1::2]
+        left[cut == 0] = 0.0
+        top = split == n
+        left[top] += right[top]
+        right[top] = 0.0
+    f = x - omega_sub - (terms[0::2] + terms[1::2])
+    return f, slopes[0::2], slopes[1::2], terms[0::2] - terms[1::2]
+
+
+def _model_step(x: np.ndarray, split: np.ndarray, f: np.ndarray, left: np.ndarray,
+                right: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Step from x to the root of a rational model that matches f and f' at x.
+
+    Interior roots: f ~ c - s_a/(y-a) - s_b/(y-b) with a, b the bracketing
+    poles, s_a = (x-a)^2 (left + 1/2) and s_b = (x-b)^2 (right + 1/2).
+    Exterior roots: f ~ c + y - s/(y-p) with p the nearest pole and
+    s = (x-p)^2 (left + right), which is exact for a single bath oscillator
+    and stays fast when the linear term dominates far from the band.  Each
+    model root is a quadratic root, taken in the form without cancellation.
+    """
+    n = w.size
+    slope = 1.0 + left + right
+    inner = (split > 0) & (split < n)
+    da = w[np.maximum(split - 1, 0)] - x     # < 0 where a pole lies below
+    db = w[np.minimum(split, n - 1)] - x     # > 0 where a pole lies above
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # interior: c eta^2 - b eta + c0 = 0 for the step eta = y - x
+        prod = -da * db
+        c = f - da * (left + 0.5) - db * (right + 0.5)
+        b = f * (da + db) + prod * slope
+        c0 = -f * prod
+        root = np.sqrt(b * b - 4.0 * c * c0)
+        two_pole = np.where(b > 0, 2.0 * c0 / (b + root), (b - root) / (2.0 * c))
+        # exterior: eta^2 - e eta - f p = 0 with p the nearest pole minus x
+        p = np.where(split == 0, db, da)
+        sign = np.sign(p)
+        e = p * slope - f
+        root = sign * np.sqrt(e * e + 4.0 * f * p)
+        one_pole = np.where(sign * e < 0, 0.5 * (e - root), -2.0 * f * p / (e + root))
+    return np.where(inner, two_pole, one_pole)
+
+
+def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: float,
+                   w: np.ndarray, g2: np.ndarray, rel_tol: float, buf: np.ndarray,
+                   aux: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """Roots ``nus`` from their brackets; returns roots, evaluations, fallbacks.
+
+    Every row's history depends only on its own bracket, so the result does
+    not depend on how roots are grouped into chunks.
+    """
+    eps = np.finfo(float).eps
+    roots = np.empty(nus.size)
+    live = np.arange(nus.size)
+    x = 0.5 * (lo + hi)
+    evaluations = fallbacks = 0
+    for _ in range(_MAX_ITER):
+        nu = nus[live]
+        f, left, right, abs_sum = _secular_parts(x, nu, omega_sub, w, g2, buf, aux)
+        evaluations += live.size
+        neg = f < 0
+        lo[live[neg]] = x[neg]
+        hi[live[~neg]] = x[~neg]
+        step = _model_step(x, nu, f, left, right, w)
+        y = x + step
+        in_noise = np.abs(f) <= 8.0 * eps * (np.abs(x) + abs(omega_sub) + abs_sum)
+        a, b = lo[live], hi[live]
+        converged = ((y >= a) & (y <= b)
+                     & ((np.abs(step) <= rel_tol * np.abs(x)) | (y == x)))
+        inside = (y > a) & (y < b)
+        mid = 0.5 * (a + b)
+        # no float lies strictly inside the bracket: x is as close as it gets
+        stuck = ~inside & ~((mid > a) & (mid < b))
+        done = in_noise | converged | stuck
+        roots[live[done]] = np.where(converged, y, x)[done]
+        fallbacks += int(np.count_nonzero(~inside & ~done))
+        keep = ~done
+        live = live[keep]
+        if live.size == 0:
+            return roots, evaluations, fallbacks
+        x = np.where(inside, y, mid)[keep]
+    bad = int(live[0])
+    raise EigensolveError(
+        f"root {int(nus[bad])} did not converge in {_MAX_ITER} secular evaluations; "
+        f"last bracket [{lo[bad]!r}, {hi[bad]!r}]"
+    )
 
 
 def dense_oracle(model: SpectralModel) -> NormalModes:

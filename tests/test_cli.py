@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import qbmlab
-from qbmlab.cli import _finite_float, _positive_int, _subparsers, build_parser, main
+from qbmlab.cli import (
+    _finite_float,
+    _finite_float_rel_tol,
+    _positive_int,
+    _subparsers,
+    build_parser,
+    main,
+)
 
 
 def run(argv):
@@ -35,6 +42,16 @@ class TestSolve:
         # both band-width conventions recorded
         assert manifest["derived"]["spacing_prose"] == pytest.approx(0.018 / 29)
         assert manifest["derived"]["spacing_formula"] == pytest.approx(0.018 / 30)
+        # solver effort and the closest root to a pole
+        modes = qbmlab.solve_normal_modes(qbmlab.paper_default_model(32))
+        assert manifest["diagnostics"] == {
+            "secular_evaluations": modes.secular_evaluations,
+            "safeguard_fallbacks": modes.safeguard_fallbacks,
+            "min_pole_offset": modes.min_pole_offset,
+        }
+        assert 32 <= modes.secular_evaluations <= 6 * 32
+        assert modes.min_pole_offset == np.abs(
+            modes.alphas[:, None] - modes.model.bath_freqs).min()
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         run(["solve", "--paper-defaults", "--n", 10, "--out-dir", tmp_path,
@@ -228,15 +245,15 @@ class TestValidate:
 # one small run per subcommand that writes a manifest, and its manifest keys
 RERUNS = {
     "solve": (["solve", "--paper-defaults", "--n", 10],
-              {"dissipation", "model", "derived"}),
+              {"dissipation", "model", "derived", "diagnostics"}),
     "evolve": (["evolve", "--paper-defaults", "--n", 10, "--t-max", 120, "--points", 61,
                 "--obs", "N_omega,P_surv,X_mean", "--x0", 0.3, "--p0", -0.2],
-               {"model", "derived"}),
+               {"model", "derived", "diagnostics"}),
     "langevin": (["langevin", "--paper-defaults", "--n", 10, "--t-max", 50, "--points", 41],
-                 {"model", "derived", "invalid_samples"}),
+                 {"model", "derived", "diagnostics", "invalid_samples"}),
     "recurrence": (["recurrence", "--paper-defaults", "--n", 10, "--points", 501,
                     "--threshold", 0.4],
-                   {"model", "derived"}),
+                   {"model", "derived", "diagnostics"}),
     "continuum": (["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
                    "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", 200,
                    "--survival-points", 5],
@@ -283,16 +300,23 @@ def _typed_options():
                 yield command, action.option_strings[-1], action.nargs or 1, action.type
 
 
+# values each checked type must refuse; --rel-tol takes only (1e-16, 1e-6)
+BAD_VALUES = {
+    _finite_float: ("nan", "inf", "-inf"),
+    _finite_float_rel_tol: ("nan", "inf", "-inf", "1", "0", "1e-17"),
+    _positive_int: ("0", "-3", "2.5"),
+}
+
+
 class TestInputBoundary:
     def test_every_numeric_flag_uses_a_checked_type(self):
         types = {t for *_, t in _typed_options()}
-        assert types == {_finite_float, _positive_int}
+        assert types == set(BAD_VALUES)
 
     @pytest.mark.parametrize("command,flag,nargs,kind", list(_typed_options()))
     def test_invalid_numbers_are_usage_errors(self, tmp_path, capsys, command, flag,
                                               nargs, kind):
-        bad_values = ("nan", "inf", "-inf") if kind is _finite_float else ("0", "-3", "2.5")
-        for bad in bad_values:
+        for bad in BAD_VALUES[kind]:
             values = [bad] + ["1.5"] * (nargs - 1)
             with pytest.raises(SystemExit) as exc:
                 run([command, flag, *values, "--out-dir", tmp_path])

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from qbmlab import (
     ConditioningWarning,
+    eigensolve,
     EigensolveError,
     NormalModes,
     SpectralModel,
@@ -13,6 +15,7 @@ from qbmlab import (
     solve_normal_modes,
     verify_closure,
 )
+from qbmlab.model import lorentzian_coupling
 from conftest import random_model
 
 
@@ -172,12 +175,103 @@ class TestClosure:
         assert max(rep.cross_max, rep.bath_orth_max) > 1e-8
 
 
+def lorentzian_tail_model():
+    """Couplings falling to ~2.5e-8 in the band tails: roots hug the poles there."""
+    w = np.linspace(0.9, 1.1, 64)
+    return make(1.0, w, 1e-3 / (1.0 + ((w - 1.0) / 5e-4) ** 2))
+
+
+def mp_oracle(model, alphas):
+    """50-digit roots, polished from ``alphas`` by 4 Newton steps, and their weights."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        w = [mpmath.mpf(float(v)) for v in model.bath_freqs]
+        g2 = [mpmath.mpf(float(v)) ** 2 for v in model.couplings]
+        omega = mpmath.mpf(model.omega_sub)
+        roots, weights = [], []
+        for alpha in alphas:
+            x = mpmath.mpf(float(alpha))
+            for _ in range(4):
+                terms = [gn / (x - wn) for gn, wn in zip(g2, w)]
+                f = x - omega - mpmath.fsum(terms)
+                slope = 1 + mpmath.fsum(t / (x - wn) for t, wn in zip(terms, w))
+                x -= f / slope
+            roots.append(x)
+            norm = 1 + mpmath.fsum(gn / (x - wn) ** 2 for gn, wn in zip(g2, w))
+            weights.append(1 / norm)
+        return roots, weights
+
+
+ORACLE_MODELS = {
+    "random0": lambda: random_model(np.random.default_rng(0), 64),
+    "random1": lambda: random_model(np.random.default_rng(1), 64),
+    "random2": lambda: random_model(np.random.default_rng(2), 64),
+    "lorentzian_tail": lorentzian_tail_model,
+}
+
+
+class TestHighPrecisionOracle:
+    """Float64 roots within 2 ulp and weights within 1e-13 of a 50-digit solution.
+
+    The dense oracle agrees with the solver only to ~1e-10.  Roots of the
+    Lorentzian tail sit as close as 6e-15 to their poles, where a root a few
+    hundred ulp off already moves the weight by ~1e-11.
+    """
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_MODELS))
+    def test_roots_and_weights(self, case):
+        m = ORACLE_MODELS[case]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConditioningWarning)
+            modes = solve_normal_modes(m)
+        roots, weights = mp_oracle(m, modes.alphas)
+        root_err = np.array([float(abs(r - float(a))) for r, a in zip(roots, modes.alphas)])
+        weight_err = np.array([float(abs(v - float(u)))
+                               for v, u in zip(weights, modes.weights)])
+        assert np.all(root_err <= 2.0 * np.spacing(modes.alphas))
+        assert weight_err.max() <= 1e-13
+
+
+def criterion_10_model(jitter_seed=None):
+    n = 4096
+    spacing = 1.0 / (n - 1)
+    freqs = 0.5 + spacing * np.arange(n)
+    couplings = lorentzian_coupling(freqs, 1.0, d_amp=spacing, a_width=0.25)
+    if jitter_seed is not None:
+        rng = np.random.default_rng(jitter_seed)
+        freqs = freqs + rng.uniform(-0.25, 0.25, n) * spacing
+        couplings = couplings * rng.uniform(0.8, 1.2, n)
+    return make(1.0, freqs, couplings)
+
+
+class TestSolverEffort:
+    @pytest.mark.parametrize("jitter_seed", [None, 1])
+    def test_evaluations_per_root(self, jitter_seed):
+        modes = solve_normal_modes(criterion_10_model(jitter_seed))
+        assert modes.secular_evaluations <= 4 * modes.n_modes
+        assert modes.safeguard_fallbacks == 0
+
+    def test_exterior_roots_of_a_small_scale_model(self):
+        # the exterior brackets span O(1) while the roots sit near 1e-6; a
+        # one-pole model without the linear term needs ~20 evaluations a root
+        m = make(1e-6, [0.9e-6, 1.2e-6], [1e-8, 2e-8])
+        modes = solve_normal_modes(m)
+        assert modes.secular_evaluations <= 5 * modes.n_modes
+        np.testing.assert_allclose(modes.alphas, dense_oracle(m).alphas, rtol=1e-13)
+
+
 class TestSolverBehavior:
     def test_rel_tol_domain(self, model_32):
         with pytest.raises(ValueError):
             solve_normal_modes(model_32, rel_tol=1e-5)
         with pytest.raises(ValueError):
             solve_normal_modes(model_32, rel_tol=1e-17)
+
+    def test_iteration_cap_is_an_error(self, model_32, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_MAX_ITER", 2)
+        with pytest.raises(EigensolveError,
+                           match=r"root \d+ did not converge in 2 .* last bracket \["):
+            solve_normal_modes(model_32)
 
     def test_conditioning_warning_for_feeble_coupling(self):
         m = make(1.0, [0.9, 1.0, 1.1], [1e-8, 1e-8, 1e-8])
