@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
@@ -93,6 +94,20 @@ def _threads() -> int:
     except ValueError:
         n = 0
     return n if n > 0 else (os.cpu_count() or 1)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent form as a value.
+
+    Python 3.11's argparse takes only -5 and -0.5 as negative numbers, so
+    ``--p0 -1e-05``, the form repr() and argv_effective write, ended the
+    option's arguments with "expected one argument".  Subparsers are built
+    from the same class, so the one pattern serves every subcommand.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _finite_float(text: str) -> float:
@@ -534,7 +549,7 @@ def _cmd_validate(args, parser) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qbmlab",
         description="Exact oscillator-bath relaxation laboratory",
     )

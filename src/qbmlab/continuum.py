@@ -9,8 +9,15 @@ logarithm carrying the entire principal value.
 
 Oscillatory time integrals use a fixed-panel Gauss rule whose panel width is
 tied to 1/t.  Panel node values of the resolvent are precomputed once per
-scheme (a WeightTable), so evaluating the amplitude at many times is a cheap
-matrix product.
+scheme (a WeightTable).  Every panel carries the same Gauss offsets h*x_q
+around its centre m_p, so the phase factors as
+exp(-i (m_p + h x_q) t) = exp(-i m_p t) exp(-i h x_q t): the amplitude at many
+times is one mode sum over the panel centres with one coefficient column per
+Gauss offset, followed by a weighted sum over the offsets.
+
+The work of a scheme (weight-table node pairs plus time-sum terms) is
+predicted before anything is allocated, and a scheme beyond ``_MAX_WORK`` is
+refused with a ContinuumError instead of running without bound.
 """
 
 from __future__ import annotations
@@ -48,6 +55,15 @@ __all__ = [
 
 _GAUSS_ORDER = 12
 _PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
+_PV_PANELS, _PV_ORDER = 401, 8
+# each of the two row-block scratch buffers of the principal-value table stays
+# within this budget, so its passes run from cache: with 3,208 PV nodes on a
+# 2-core Xeon (2 MiB L2 per core), 128-512 KiB (5-20 rows) measured fastest
+_TABLE_BLOCK_BYTES = 256 * 2**10
+# refusal bound on table node pairs plus time-sum terms (one multiply-add each,
+# a few seconds per 1e9 on 2 cores); the largest scheme in the tests builds
+# 4.3e8 (11,249 panels), the README and benchmark continuum runs 1.0e8
+_MAX_WORK = 5e9
 
 
 class ContinuumError(RuntimeError):
@@ -272,20 +288,24 @@ def pole_estimate(cm: ContinuumModel, quad_tol: float = 1e-10) -> PoleEstimate:
 
 
 def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
+    """Composite Gauss-Legendre rule on [lo, hi]: nodes, weights, centres, offsets.
+
+    Node p*order + q is centres[p] + offsets[q] up to rounding of the panel
+    half-widths, which all equal (hi - lo) / (2 n_panels).
+    """
     x, w = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return nodes, weights, mid, (0.5 * (hi - lo) / n_panels) * x
 
 
 def _self_energy_complex(cm: ContinuumModel, z: complex, n_panels: int = 2048) -> complex:
     """Integral of g^2(w)/(z - w) over the band for z off the real axis."""
     g2z = cm.g_sq_complex(z)
-    nodes, wq = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, 8)
+    nodes, wq, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, 8)
     vals = (cm.g_sq(nodes) - g2z) / (z - nodes)
     log_term = g2z * (np.log(z - cm.omega_min) - np.log(z - cm.omega_max))
     return complex(vals @ wq + log_term)
@@ -342,7 +362,9 @@ class WeightTable:
 
     ``density[i]`` is g^2(a_i)/|Rinv(a_i + i0)|^2 at node a_i; integrating it
     against ``quad_weights`` gives the completeness norm, which must be 1 for
-    a density with no bound states outside the band.
+    a density with no bound states outside the band.  Node p*Q + q lies at
+    ``centres[p] + offsets[q]`` (Q = offsets.size), the factorization the
+    time sum uses.
     """
 
     nodes: np.ndarray
@@ -350,41 +372,76 @@ class WeightTable:
     density: np.ndarray
     panel_width: float
     completeness: float
+    centres: np.ndarray
+    offsets: np.ndarray
 
 
-def _peak_panels(cm: ContinuumModel) -> int:
+def _peak_panels(cm: ContinuumModel) -> float:
     gamma_half = math.pi * float(cm.g_sq(np.asarray(cm.omega_sub)))
-    return int(math.ceil(2.0 * cm.band / gamma_half))
+    return np.ceil(2.0 * cm.band / gamma_half)
 
 
-def _auto_panels(cm: ContinuumModel, t_max: float) -> int:
-    n_phase = int(math.ceil(cm.band * max(t_max, 0.0) / 0.4)) + 1
-    return max(64, _peak_panels(cm), n_phase)
+def _auto_panels(cm: ContinuumModel, t_max: float) -> float:
+    """Panels resolving the resonance peak and the phase at t_max.
+
+    A float, so that a count too large for any scheme reaches _check_work
+    instead of overflowing an int conversion.
+    """
+    n_phase = np.ceil(cm.band * max(t_max, 0.0) / 0.4) + 1.0
+    return max(64.0, _peak_panels(cm), n_phase)
+
+
+def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
+    """Refuse a scheme whose table node pairs plus time-sum terms exceed _MAX_WORK."""
+    work = n_nodes * (pv_nodes + n_times)
+    if not work <= _MAX_WORK:
+        raise ContinuumError(
+            f"the quadrature needs {work:.3g} multiply-adds ({n_nodes:.4g} nodes, "
+            f"{pv_nodes} PV nodes, {n_times} times), more than the bound of "
+            f"{_MAX_WORK:.3g}; ask for a shorter time span or fewer times"
+        )
 
 
 def build_weight_table(
     cm: ContinuumModel,
     n_panels: int,
     order: int = _GAUSS_ORDER,
-    pv_panels: int = 401,
-    pv_order: int = 8,
+    pv_panels: int = _PV_PANELS,
+    pv_order: int = _PV_ORDER,
 ) -> WeightTable:
-    """Evaluate the weight density on all panel nodes in one vectorized pass."""
-    nodes, wq = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
-    pv_nodes, pv_w = _panel_nodes(cm.omega_min, cm.omega_max, pv_panels, pv_order)
+    """Evaluate the weight density on all panel nodes.
+
+    The principal value at node a is the PV-rule sum of the difference
+    quotient (g^2(w) - g^2(a))/(a - w), with the terms at |a - w| below
+    1e-14 of the band dropped, plus the analytic edge logarithm.  The
+    node x PV-node matrix is never formed: it is filled a block of rows at a
+    time into two reused scratch buffers of ``_TABLE_BLOCK_BYTES`` each and
+    reduced against the PV weights.  A scheme whose node pairs exceed
+    ``_MAX_WORK`` is refused before anything is allocated.
+    """
+    _check_work(n_panels * order, pv_panels * pv_order)
+    n_panels = int(n_panels)
+    nodes, wq, centres, offsets = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, pv_panels, pv_order)
     g2_pv = cm.g_sq(pv_nodes)
     g2_nodes = cm.g_sq(nodes)
 
     pv_vals = np.empty(nodes.size)
-    chunk = max(1, 2_000_000 // pv_nodes.size)
+    rows = max(1, _TABLE_BLOCK_BYTES // (8 * pv_nodes.size))
+    d = np.empty((min(rows, nodes.size), pv_nodes.size))
+    ratio = np.empty_like(d)
     tiny = 1e-14 * cm.band
-    for i in range(0, nodes.size, chunk):
-        sl = slice(i, min(i + chunk, nodes.size))
-        d = nodes[sl, None] - pv_nodes[None, :]
+    for i in range(0, nodes.size, rows):
+        n = min(rows, nodes.size - i)
+        db, rb = d[:n], ratio[:n]
+        np.subtract(nodes[i:i + n, None], pv_nodes, out=db)
+        np.subtract(g2_pv, g2_nodes[i:i + n, None], out=rb)
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (g2_pv[None, :] - g2_nodes[sl, None]) / d
-        ratio = np.where(np.abs(d) < tiny, 0.0, ratio)
-        pv_vals[sl] = ratio @ pv_w
+            np.divide(rb, db, out=rb)
+        np.abs(db, out=db)
+        if db.min() < tiny:
+            rb[db < tiny] = 0.0
+        pv_vals[i:i + n] = rb @ pv_w
     pv_vals += g2_nodes * np.log((nodes - cm.omega_min) / (cm.omega_max - nodes))
 
     re = nodes - cm.omega_sub - pv_vals
@@ -397,6 +454,8 @@ def build_weight_table(
         density=density,
         panel_width=cm.band / n_panels,
         completeness=completeness,
+        centres=centres,
+        offsets=offsets,
     )
 
 
@@ -413,18 +472,27 @@ def survival_amplitude_continuum(
     Panels are auto-sized from the largest requested time unless a scheme is
     supplied; a supplied scheme whose panels cannot resolve the phase
     (panel_width * t > 0.5) is refused rather than silently inaccurate.  The
-    completeness norm of the scheme is checked before use.
+    completeness norm of the scheme is checked before use, and a scheme whose
+    predicted work exceeds ``_MAX_WORK`` is refused before it is built.
+
+    The sum over the P*Q nodes is evaluated in factored form:
+    s(t) = sum_q exp(-i offsets_q t) sum_p c_pq exp(-i centres_p t), one
+    ``mode_sum`` over the P panel centres with Q coefficient columns.
     """
     _check_quad_tol(quad_tol)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.asarray(t).ndim == 0
-    if np.any(ts < 0):
-        raise ContinuumError("survival amplitude is defined for t >= 0")
+    if not np.all(np.isfinite(ts) & (ts >= 0)):
+        raise ContinuumError("survival amplitude is defined for finite t >= 0")
     t_max = float(ts.max()) if ts.size else 0.0
 
     explicit = table is not None or n_panels is not None
     if table is None:
-        table = build_weight_table(cm, n_panels if n_panels else _auto_panels(cm, t_max))
+        panels = n_panels if n_panels else _auto_panels(cm, t_max)
+        _check_work(panels * _GAUSS_ORDER, _PV_PANELS * _PV_ORDER, ts.size)
+        table = build_weight_table(cm, panels)
+    else:
+        _check_work(table.nodes.size, 0, ts.size)
     if explicit and table.panel_width * t_max > _PANEL_PHASE_LIMIT:
         raise ContinuumError(
             f"panel width {table.panel_width:.3e} cannot resolve the phase at "
@@ -435,7 +503,12 @@ def survival_amplitude_continuum(
             f"weight density integrates to {table.completeness!r}, not 1: "
             "the scheme is under-resolved or the model has bound states"
         )
-    s = mode_sum(table.nodes, table.density * table.quad_weights, ts)
+    coeffs = (table.density * table.quad_weights).reshape(table.centres.size, -1)
+
+    def over_offsets(slab, t_slab):
+        return (slab * np.exp(-1j * np.outer(t_slab, table.offsets))).sum(axis=1)
+
+    s = mode_sum(table.centres, coeffs, ts, reduce=over_offsets)
     return complex(s[0]) if scalar else s
 
 
@@ -483,7 +556,7 @@ def asymptotic_occupation(
     _check_quad_tol(quad_tol)
     if weak_coupling:
         return thermal_occupancy(cm.beta, cm.omega_sub)
-    table = build_weight_table(cm, max(64, _peak_panels(cm)))
+    table = build_weight_table(cm, max(64.0, _peak_panels(cm)))
     if abs(table.completeness - 1.0) > 1e-4:
         raise ContinuumError(
             f"weight density integrates to {table.completeness!r}; "

@@ -104,8 +104,8 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     The phase matrix is formed one time slab at a time, within a fixed memory
     budget, and multiplied as cos(phase) @ C and sin(phase) @ C: two real
     GEMMs instead of one complex-by-real product.  ``reduce``, when given,
-    maps each complex slab to its per-time result, so a caller that needs
-    only, say, |S|^2 @ q never holds the full (T, J) sum.
+    maps each complex slab and its times to the per-time result, so a caller
+    that needs only, say, |S|^2 @ q never holds the full (T, J) sum.
     """
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -120,7 +120,7 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
         slab.real = np.cos(phase) @ cols
         slab.imag = -(np.sin(phase, out=phase) @ cols)
         slab = slab.reshape((-1,) + coeffs.shape[1:])
-        res = slab if reduce is None else reduce(slab)
+        res = slab if reduce is None else reduce(slab, ts[start:start + step])
         if out is None:
             out = np.empty((ts.size,) + res.shape[1:], dtype=res.dtype)
         out[start:start + step] = res
@@ -180,7 +180,7 @@ def _occupation_terms(modes: NormalModes, init: InitialState, amp: np.ndarray):
 def _occupation(modes: NormalModes, init: InitialState, amp: np.ndarray, t):
     ts, scalar = _times_array(t)
     coeffs, quanta = _occupation_terms(modes, init, amp)
-    out = mode_sum(modes.alphas, coeffs, ts, reduce=lambda s: np.abs(s) ** 2 @ quanta)
+    out = mode_sum(modes.alphas, coeffs, ts, reduce=lambda s, _: np.abs(s) ** 2 @ quanta)
     return float(out[0]) if scalar else out
 
 
@@ -279,7 +279,7 @@ def evolve_series(
     if "N_omega" in names:
         coeffs, quanta = _occupation_terms(modes, init, modes.weights)
         both = mode_sum(modes.alphas, coeffs, ts,
-                        reduce=lambda e: np.column_stack([e[:, 0], np.abs(e) ** 2 @ quanta]))
+                        reduce=lambda e, _: np.column_stack([e[:, 0], np.abs(e) ** 2 @ quanta]))
         s = both[:, 0]
         columns["N_omega"] = both[:, 1].real
     elif {"P_surv", "X_mean", "P_tilde_mean"} & set(names):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +178,19 @@ class TestContinuum:
         g2 = 0.3**2 / 2.0  # c1^2 W^2/(c2^2+W^2) at W = c2 = 1
         assert payload["gamma"] == pytest.approx(2 * np.pi * g2, rel=1e-12)
 
+    def test_unbounded_survival_span_is_refused(self, tmp_path, capsys):
+        # 2.5e6 panels at t_max = 1e6: the weight table alone would need 1e11 node pairs
+        start = time.perf_counter()
+        code = run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
+                    "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", 1e6,
+                    "--out-dir", tmp_path, "--prefix", "c"])
+        assert time.perf_counter() - start < 20.0
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bound" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "c_survival.csv").exists()
+
     def test_missing_density_parameters(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
@@ -242,7 +256,7 @@ class TestValidate:
         assert run(["validate", "--config", cfg, "--out-dir", tmp_path]) == 1
 
 
-# one small run per subcommand that writes a manifest, and its manifest keys
+# one small run per subcommand that writes a manifest (argv[0]), and its manifest keys
 RERUNS = {
     "solve": (["solve", "--paper-defaults", "--n", 10],
               {"dissipation", "model", "derived", "diagnostics"}),
@@ -258,6 +272,10 @@ RERUNS = {
                    "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", 200,
                    "--survival-points", 5],
                   {"density", "band"}),
+    # a negative value in exponent form, as argv_effective writes it, parses back
+    "evolve-negative-p0": (["evolve", "--paper-defaults", "--n", 10, "--t-max", 50,
+                            "--points", 11, "--obs", "X_mean", "--p0", -1e-05],
+                           {"model", "derived", "diagnostics"}),
     "sweep": (["sweep", "--n-list", "10,12", "--rescaled-series", "--points", 301,
                "--beta", 2.0],
               {"convention", "status", "failed_member"}),
@@ -273,7 +291,7 @@ class TestManifest:
         assert run(argv + ["--out-dir", tmp_path / "a", "--prefix", "m"]) == 0
         manifest = read_manifest(tmp_path / "a" / "m_manifest.json")
         assert set(manifest) == COMMON_KEYS | extra_keys
-        assert manifest["command"] == command
+        assert manifest["command"] == argv[0]
         rerun = list(manifest["argv_effective"])
         rerun[rerun.index("--out-dir") + 1] = str(tmp_path / "b")
         assert run(rerun) == 0

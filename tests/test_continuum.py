@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from qbmlab import (
     solve_normal_modes,
 )
 from qbmlab.continuum import (
+    _panel_nodes,
     _self_energy_complex,
     asymptotic_occupation,
     build_weight_table,
@@ -26,6 +28,7 @@ from qbmlab.continuum import (
     width,
     width_from_discrete,
 )
+from qbmlab.dynamics import mode_sum
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +314,119 @@ class TestDiscreteContinuumConsistency:
         m = SpectralModel(1.0, 1.0, 1.0, [0.8, 1.0, 1.3], [0.1, 0.1, 0.1])
         with pytest.raises(ContinuumError, match="equidistant"):
             density_from_discrete(m)
+
+
+def chunked_density(cm, n_panels, order=12, pv_panels=401, pv_order=8):
+    """Reference weight density: the whole node x PV-node ratio matrix in
+    2M-element chunks, with coincident pairs masked by np.where."""
+    nodes, _, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, pv_panels, pv_order)
+    g2_pv = cm.g_sq(pv_nodes)
+    g2_nodes = cm.g_sq(nodes)
+    pv_vals = np.empty(nodes.size)
+    chunk = max(1, 2_000_000 // pv_nodes.size)
+    for i in range(0, nodes.size, chunk):
+        sl = slice(i, min(i + chunk, nodes.size))
+        d = nodes[sl, None] - pv_nodes[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = (g2_pv[None, :] - g2_nodes[sl, None]) / d
+        ratio = np.where(np.abs(d) < 1e-14 * cm.band, 0.0, ratio)
+        pv_vals[sl] = ratio @ pv_w
+    pv_vals += g2_nodes * np.log((nodes - cm.omega_min) / (cm.omega_max - nodes))
+    re = nodes - cm.omega_sub - pv_vals
+    im = math.pi * g2_nodes
+    return g2_nodes / (re * re + im * im)
+
+
+DENSITIES = {
+    "lorentzian": lambda: lorentzian_density(5e-4, 0.05, omega_sub=1.0,
+                                             omega_min=0.5, omega_max=1.5),
+    "ullersma": lambda: ullersma_density(c1=0.3, c2=1.0, omega_min=1e-3, omega_max=5.0),
+    "discrete": lambda: density_from_discrete(paper_default_model(32)),
+}
+
+
+class TestBlockedTable:
+    """The cache-blocked table and the factored time sum against their references."""
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_density_matches_chunked_reference(self, name):
+        cm = DENSITIES[name]()
+        table = build_weight_table(cm, 300)
+        np.testing.assert_allclose(table.density, chunked_density(cm, 300), rtol=1e-14, atol=0)
+
+    def test_coincident_nodes_are_dropped_as_in_reference(self, narrow):
+        # table nodes equal to the PV nodes: every row has a pair with d = 0
+        table = build_weight_table(narrow, 401, order=8)
+        assert np.all(np.isfinite(table.density))
+        np.testing.assert_allclose(table.density, chunked_density(narrow, 401, order=8),
+                                   rtol=1e-14, atol=0)
+
+    # both sums round each phase alpha*t to ~alpha*t*eps; the panel counts keep
+    # alpha*t below ~3000 at the phase limit, where 1e-13 separates them
+    @pytest.mark.parametrize("name,n_panels", [("discrete", 100), ("lorentzian", 400),
+                                               ("ullersma", 400)])
+    def test_factored_sum_matches_direct_node_sum(self, name, n_panels):
+        cm = DENSITIES[name]()
+        table = build_weight_table(cm, n_panels)
+        n_q = table.offsets.size
+        nodes = table.nodes.reshape(table.centres.size, n_q)
+        spacing = np.spacing(np.abs(nodes).max())
+        assert np.abs(table.centres[:, None] + table.offsets - nodes).max() <= 4 * spacing
+        ts = np.linspace(0.0, 0.5 / table.panel_width, 97)  # up to the phase limit
+        direct = mode_sum(table.nodes, table.density * table.quad_weights, ts)
+        s = survival_amplitude_continuum(cm, ts, table=table)
+        np.testing.assert_allclose(s, direct, rtol=0, atol=1e-13)
+
+
+class TestWorkBound:
+    def test_unbounded_scheme_is_refused_before_building(self, narrow):
+        with pytest.raises(ContinuumError, match="bound"):
+            survival_amplitude_continuum(narrow, np.linspace(0.0, 1e6, 401))
+        with pytest.raises(ContinuumError, match="bound"):
+            build_weight_table(narrow, 10**7)
+
+    def test_overflowing_panel_count_is_refused(self, narrow):
+        # both panel counts overflow to inf: the phase at t = 1e308, the peak at g^2 = 1e-320
+        with pytest.raises(ContinuumError, match="bound"):
+            survival_amplitude_continuum(narrow, [0.0, 1e308])
+        faint = lorentzian_density(1e-320, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        with pytest.raises(ContinuumError, match="bound"):
+            survival_amplitude_continuum(faint, [0.0, 10.0])
+        with pytest.raises(ContinuumError, match="bound"):
+            asymptotic_occupation(faint)
+
+    def test_many_times_on_a_given_table_are_refused(self, narrow, narrow_table):
+        with pytest.raises(ContinuumError, match="bound"):
+            survival_amplitude_continuum(narrow, np.zeros(2 * 10**5), table=narrow_table)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, narrow, bad):
+        with pytest.raises(ContinuumError, match="finite"):
+            survival_amplitude_continuum(narrow, [0.0, bad])
+
+
+def peak_mib(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestContinuumMemory:
+    """Benchmark size: 2,501 panels (30,012 nodes x 3,208 PV nodes), 401 times."""
+
+    @pytest.fixture(scope="class")
+    def cm(self):
+        return lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+
+    def test_weight_table_peak(self, cm):
+        # measured 2.6 MiB (49 MiB with the chunked ratio matrix)
+        assert peak_mib(lambda: build_weight_table(cm, 2501)) < 4.0
+
+    def test_survival_amplitude_peak(self, cm):
+        # measured 16.4 MiB, table included (50 MiB with the direct node sum)
+        ts = np.linspace(0.0, 1000.0, 401)
+        assert peak_mib(lambda: survival_amplitude_continuum(cm, ts)) < 25.0

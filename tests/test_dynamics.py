@@ -302,8 +302,15 @@ class TestModeSum:
         assert mode_sum(freqs, np.ones((2, 4)), [0.3]).shape == (1, 4)
         assert mode_sum(freqs, np.ones((2, 4)), []).shape == (0, 4)
         ts = np.linspace(0.0, 3.0, 11)
-        norms = mode_sum(freqs, np.eye(2), ts, reduce=lambda s: np.abs(s) ** 2 @ [1.0, 2.0])
+        norms = mode_sum(freqs, np.eye(2), ts, reduce=lambda s, _: np.abs(s) ** 2 @ [1.0, 2.0])
         np.testing.assert_allclose(norms, 3.0, rtol=1e-15)
+
+    def test_reduce_gets_each_slab_with_its_times(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_SLAB_BYTES", 3 * 8 * (2 * 2 + 4 * 2))  # 3 rows
+        ts = np.linspace(0.0, 3.0, 11)
+        # column 0 is exp(-i t): undoing it with the slab's own times leaves 1
+        ones = mode_sum([1.0, 2.0], np.eye(2), ts, reduce=lambda s, t: s[:, 0] * np.exp(1j * t))
+        np.testing.assert_allclose(ones, 1.0, rtol=0, atol=1e-15)
 
 
 class TestMemoryBudget:
