@@ -233,10 +233,10 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
                 if isinstance(a, argparse._SubParsersAction))
 
 
-def _argv_effective(args, parser: argparse.ArgumentParser) -> list[str]:
-    """Subcommand plus every option that has a value, as --dest-with-dashes flags."""
+def _argv_effective(args, sub: argparse.ArgumentParser) -> list[str]:
+    """Subcommand plus every option of ``sub`` that has a value, as --dest-with-dashes."""
     argv = [args.command]
-    for action in _subparsers(parser)[args.command]._actions:
+    for action in sub._actions:
         value = getattr(args, action.dest, None)
         if not action.option_strings or value is None or value is False:
             continue
@@ -437,7 +437,7 @@ def _cmd_continuum(args, parser) -> int:
     outputs = []
     if args.survival_t_max is not None:
         ts = np.linspace(0.0, args.survival_t_max, args.survival_points)
-        s = survival_amplitude_continuum(cm, ts, quad_tol=args.quad_tol)
+        s = survival_amplitude_continuum(cm, ts)
         csv_path = _out(args, "_survival.csv")
         _write_csv(csv_path, ["t", "p_survival"],
                    ((ts[i], abs(s[i]) ** 2) for i in range(ts.size)))
@@ -630,8 +630,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args, parser)
+    try:  # handlers get their subcommand's parser, so usage errors print its usage
+        return _COMMANDS[args.command](args, _subparsers(parser)[args.command])
     except _KNOWN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

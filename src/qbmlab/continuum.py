@@ -7,6 +7,11 @@ by singularity subtraction: the integrand is split into a smooth part (the
 difference quotient, which has a removable singularity) plus an analytic
 logarithm carrying the entire principal value.
 
+Every integral is a sum over one composite Gauss-Legendre rule (_panel_nodes).
+The shift and the dissipation integrals double its panel count until three
+successive values agree within quad_tol * max(1, |I|) (absolute below |I| = 1,
+relative above), or raise a ContinuumError at _MAX_PANELS panels.
+
 Oscillatory time integrals use a fixed-panel Gauss rule whose panel width is
 tied to 1/t.  Panel node values of the resolvent are precomputed once per
 scheme (a WeightTable).  Every panel carries the same Gauss offsets h*x_q
@@ -54,6 +59,7 @@ __all__ = [
 ]
 
 _GAUSS_ORDER = 12
+_MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
 _PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
 _PV_PANELS, _PV_ORDER = 401, 8
 # each of the two row-block scratch buffers of the principal-value table stays
@@ -74,10 +80,11 @@ class ContinuumError(RuntimeError):
 class ContinuumModel:
     """Spectral density g^2(omega) >= 0 on a finite band around omega_sub.
 
-    ``g_sq`` must accept numpy arrays.  ``g_sq_complex``, when given, is the
-    analytic continuation of the density used for second-sheet pole polishing;
-    it is optional because a purely numerical density has no canonical
-    continuation.
+    ``g_sq`` must accept numpy arrays and be continuous on the band (the shift
+    and dissipation integrals of a density with a jump are refused).
+    ``g_sq_complex``, when given, is the analytic continuation of the density
+    used for second-sheet pole polishing; it is optional because a purely
+    numerical density has no canonical continuation.
     """
 
     g_sq: Callable[[np.ndarray], np.ndarray]
@@ -221,33 +228,40 @@ def _check_quad_tol(quad_tol: float) -> None:
         raise ContinuumError(f"quad_tol must lie in (1e-14, 1e-6), got {quad_tol}")
 
 
-def _pv_value(cm: ContinuumModel, alpha: float, quad_tol: float) -> float:
-    """PV integral of g^2(w)/(alpha - w) over the band, split at alpha."""
-    from scipy.integrate import quad  # deferred: costs most of the CLI's import time
+def _gauss_integral(f, lo: float, hi: float, quad_tol: float, what: str) -> float:
+    """Integral of the vectorized f over [lo, hi], doubling the panel count from 8
+    until three successive values agree within quad_tol * max(1, |I|); two agreed
+    by chance 10x quad_tol off on the kinked density_from_discrete."""
+    n_panels, values = 8, []
+    while n_panels <= _MAX_PANELS:
+        nodes, weights, _, _ = _panel_nodes(lo, hi, n_panels, _GAUSS_ORDER)
+        values.append(float(f(nodes) @ weights))
+        if not math.isfinite(values[-1]):
+            raise ContinuumError(f"{what} is not finite")
+        spread = np.ptp(values[-3:]) if len(values) >= 3 else math.inf
+        if spread <= quad_tol * max(1.0, abs(values[-1])):
+            return values[-1]
+        n_panels *= 2
+    raise ContinuumError(f"{what} did not converge in {_MAX_PANELS} panels "
+                         f"(last three values spread over {spread:.3e})")
 
+
+def _pv_value(cm: ContinuumModel, alpha: float, quad_tol: float) -> float:
+    """PV integral of g^2(w)/(alpha - w) over the band, split at alpha: no Gauss
+    node lands on alpha, and the log term carries the PV."""
     g2a = float(cm.g_sq(np.asarray(alpha)))
-    h = 1e-7 * cm.band
 
     def smooth(w):
-        d = alpha - w
-        if abs(d) < 1e-12 * cm.band:
-            return -(float(cm.g_sq(np.asarray(alpha + h)))
-                     - float(cm.g_sq(np.asarray(alpha - h)))) / (2.0 * h)
-        return (float(cm.g_sq(np.asarray(w))) - g2a) / d
+        return (cm.g_sq(w) - g2a) / (alpha - w)
 
-    i1, e1 = quad(smooth, cm.omega_min, alpha, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    i2, e2 = quad(smooth, alpha, cm.omega_max, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-    achieved = e1 + e2
-    value = i1 + i2 + g2a * math.log((alpha - cm.omega_min) / (cm.omega_max - alpha))
-    if achieved > 50.0 * quad_tol * max(1.0, abs(value)):
-        raise ContinuumError(
-            f"principal-value quadrature did not converge: error estimate {achieved:.3e}"
-        )
-    return value
+    value = sum(_gauss_integral(smooth, lo, hi, quad_tol, "principal-value quadrature")
+                for lo, hi in ((cm.omega_min, alpha), (alpha, cm.omega_max)))
+    return value + g2a * math.log((alpha - cm.omega_min) / (cm.omega_max - alpha))
 
 
 def pv_shift(cm: ContinuumModel, quad_tol: float = 1e-10) -> float:
-    """Frequency shift: PV integral of g^2(w)/(omega_sub - w) over the band."""
+    """Frequency shift: PV integral of g^2(w)/(omega_sub - w) over the band,
+    converged to quad_tol * max(1, |I|) on each side, quad_tol in (1e-14, 1e-6)."""
     _check_quad_tol(quad_tol)
     return _pv_value(cm, cm.omega_sub, quad_tol)
 
@@ -462,7 +476,6 @@ def build_weight_table(
 def survival_amplitude_continuum(
     cm: ContinuumModel,
     t,
-    quad_tol: float = 1e-10,
     n_panels: int | None = None,
     table: WeightTable | None = None,
     norm_tol: float = 1e-6,
@@ -479,7 +492,6 @@ def survival_amplitude_continuum(
     s(t) = sum_q exp(-i offsets_q t) sum_p c_pq exp(-i centres_p t), one
     ``mode_sum`` over the P panel centres with Q coefficient columns.
     """
-    _check_quad_tol(quad_tol)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     scalar = np.asarray(t).ndim == 0
     if not np.all(np.isfinite(ts) & (ts >= 0)):
@@ -516,7 +528,6 @@ def khalfin_tail(
     cm: ContinuumModel,
     t_range: tuple[float, float],
     n_times: int = 48,
-    quad_tol: float = 1e-10,
 ) -> float:
     """Log-log slope of the survival probability over a late-time window.
 
@@ -535,7 +546,7 @@ def khalfin_tail(
             f"[{5.0 / cm.omega_max:g}, {1.0 / cm.omega_min:g}]"
         )
     ts = np.geomspace(t_lo, t_hi, n_times)
-    s = survival_amplitude_continuum(cm, ts, quad_tol=quad_tol)
+    s = survival_amplitude_continuum(cm, ts)
     p = np.abs(s) ** 2
     if np.any(p <= 0):
         raise ContinuumError("survival probability underflowed in the fit window")
@@ -543,9 +554,7 @@ def khalfin_tail(
     return float(slope)
 
 
-def asymptotic_occupation(
-    cm: ContinuumModel, weak_coupling: bool = False, quad_tol: float = 1e-10
-) -> float:
+def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> float:
     """Long-time subsystem occupation.
 
     In the vanishing-coupling limit the weight density contracts to a delta at
@@ -553,7 +562,6 @@ def asymptotic_occupation(
     at finite coupling it is the thermal occupancy averaged over the weight
     density.
     """
-    _check_quad_tol(quad_tol)
     if weak_coupling:
         return thermal_occupancy(cm.beta, cm.omega_sub)
     table = build_weight_table(cm, max(64.0, _peak_panels(cm)))
@@ -572,21 +580,13 @@ def _edge_regular_integral(cm: ContinuumModel, side: str, margin: float,
 
     Uses the substitution u = log(distance), which removes the edge steepness.
     """
-    from scipy.integrate import quad  # deferred, as in _pv_value
-
-    band = cm.band
-    eta = margin * band
-    sign = 1.0 if side == "left" else -1.0
-    edge = cm.omega_min if side == "left" else cm.omega_max
+    sign, edge = (1.0, cm.omega_min) if side == "left" else (-1.0, cm.omega_max)
 
     def f(u):
-        return float(cm.g_sq(np.asarray(edge + sign * math.exp(u))))
+        return cm.g_sq(edge + sign * np.exp(u))
 
-    val, err = quad(f, math.log(eta), math.log(band),
-                    epsabs=quad_tol, epsrel=1e-9, limit=400)
-    if not math.isfinite(val):
-        raise ContinuumError(f"{side} dissipation integral is not finite")
-    return val
+    return _gauss_integral(f, math.log(margin * cm.band), math.log(cm.band), quad_tol,
+                           f"{side} dissipation integral")
 
 
 def validate_continuum(cm: ContinuumModel, quad_tol: float = 1e-10,
@@ -596,7 +596,7 @@ def validate_continuum(cm: ContinuumModel, quad_tol: float = 1e-10,
     The band-edge singularity is regularized with a relative margin (the
     continuum analogue of the discrete spacing regulator); an integral whose
     value keeps growing as the margin shrinks is reported as divergent, which
-    counts as a condition failure.
+    counts as a condition failure.  quad_tol is used as in ``pv_shift``.
     """
     _check_quad_tol(quad_tol)
     left_bound = cm.omega_sub - cm.omega_min

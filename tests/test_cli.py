@@ -119,11 +119,13 @@ class TestEvolve:
         second = (tmp_path / "b" / "r_series.csv").read_bytes()
         assert first == second
 
-    def test_unknown_observable_is_usage_error(self, tmp_path):
+    def test_unknown_observable_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evolve", "--paper-defaults", "--n", 10, "--obs", "energy",
                  "--out-dir", tmp_path])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qbmlab evolve" in err and "qbmlab evolve: error:" in err
 
 
 class TestLangevin:
@@ -191,11 +193,27 @@ class TestContinuum:
         assert "Traceback" not in err
         assert not (tmp_path / "c_survival.csv").exists()
 
-    def test_missing_density_parameters(self, tmp_path):
+    def test_missing_density_parameters(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
                  "--out-dir", tmp_path])
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qbmlab continuum" in err and "qbmlab continuum: error:" in err
+
+    def test_readme_command_runs_without_scipy(self, tmp_path):
+        # the package needs numpy only: the README continuum command with scipy blocked
+        argv = ["continuum", "--density", "lorentzian", "--band", "0.5", "1.5",
+                "--peak", "5e-4", "--half-width", "0.05", "--survival-t-max", "1000",
+                "--out-dir", str(tmp_path)]
+        code = ("import sys; sys.modules['scipy'] = None; "
+                f"from qbmlab.cli import main; sys.exit(main({argv!r}))")
+        env = dict(os.environ, PYTHONPATH=str(Path(qbmlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "continuum_survival.csv").read_text().splitlines()
+        assert rows[0] == "t,p_survival" and len(rows) == 402
 
 
 class TestSweep:
@@ -349,8 +367,3 @@ class TestInputBoundary:
         cfg.write_text("omega_sub = 1.0\nbeta = nan\n[bath]\n0.9 0.05\n1.1 0.05\n")
         assert run(["solve", "--config", cfg, "--out-dir", tmp_path]) == 1
         assert "beta must be finite" in capsys.readouterr().err
-
-    def test_cli_import_defers_scipy_integrate(self):
-        code = "import sys, qbmlab.cli; sys.exit('scipy.integrate' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=str(Path(qbmlab.__file__).parents[1]))
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -42,4 +42,4 @@ def test_finite_float_flag_round_trip(command, flag, dest, nargs, value):
     assert repr(parsed) == repr([value] * nargs if nargs else value)
     if nargs is None:
         assert _parse(base + [f"{flag}={value!r}"]) == repr(vars(args))
-    assert _parse(_argv_effective(args, PARSER)) == repr(vars(args))
+    assert _parse(_argv_effective(args, _subparsers(PARSER)[command])) == repr(vars(args))

@@ -1,4 +1,6 @@
+import bisect
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ from qbmlab import (
 )
 from qbmlab.continuum import (
     _panel_nodes,
+    _pv_value,
     _self_energy_complex,
     asymptotic_occupation,
     build_weight_table,
@@ -287,6 +290,76 @@ class TestValidateContinuum:
         report = validate_continuum(cm)
         assert report.all_pass
         assert report.left_value < 1e-25 and report.right_value < 1e-25
+
+
+class TestKinkedDensityOracle:
+    """The shift and the edge integrals of density_from_discrete(paper_default_model(32)),
+    a piecewise-linear density, against 30-digit mpmath.quad split at its kinks."""
+
+    @pytest.fixture(scope="class")
+    def kinked(self):
+        mpmath = pytest.importorskip("mpmath")
+        model = paper_default_model(32)
+        xs = [mpmath.mpf(float(v)) for v in model.bath_freqs]
+        ys = [mpmath.mpf(float(v)) for v in model.couplings**2 / model.uniform_spacing()]
+
+        def segment(x):
+            return min(max(bisect.bisect_right(xs, x) - 1, 0), len(xs) - 2)
+
+        def slope(x):
+            k = segment(x)
+            return (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+
+        def g(x):
+            k = segment(x)
+            return ys[k] + (x - xs[k]) * slope(x)
+
+        return mpmath, density_from_discrete(model), xs, g, slope
+
+    # (10, 0.37): two successive values agree there by chance 4.7e-10 off;
+    # (25, 0.8): scipy's adaptive quad was 2.8e-9 off
+    @pytest.mark.parametrize("k,frac", [(10, 0.37), (25, 0.8)])
+    def test_pv_at_interior_alpha(self, kinked, k, frac):
+        mpmath, cm, xs, g, slope = kinked
+        alpha = float(xs[k] + frac * (xs[k + 1] - xs[k]))
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            ga = g(a)
+
+            def quotient(x):
+                return -slope(a) if x == a else (g(x) - ga) / (a - x)
+
+            ref = (mpmath.quad(quotient, sorted(xs + [a]))
+                   + ga * mpmath.log((a - xs[0]) / (xs[-1] - a)))
+        assert abs(_pv_value(cm, alpha, 1e-10) - float(ref)) < 1e-10
+
+    def test_edge_integrals(self, kinked):
+        mpmath, cm, xs, g, _ = kinked
+        report = validate_continuum(cm)
+        eta = mpmath.mpf(1e-8 * cm.band)  # the default edge margin
+        with mpmath.workdps(30):
+            left = mpmath.quad(lambda x: g(x) / (x - xs[0]), [xs[0] + eta] + xs[1:])
+            right = mpmath.quad(lambda x: g(x) / (xs[-1] - x), xs[:-1] + [xs[-1] - eta])
+        assert abs(report.left_value - float(left)) < 1e-10
+        assert abs(report.right_value - float(right)) < 1e-10
+
+
+class TestJumpRefusal:
+    """A density with a jump inside the band breaks the continuity contract."""
+
+    @pytest.fixture(scope="class")
+    def stepped(self):
+        return ContinuumModel(
+            g_sq=lambda w: np.where(np.asarray(w, float) < 1.2, 0.01, 0.02),
+            omega_min=0.5, omega_max=1.5, omega_sub=1.0, beta=1.0,
+        )
+
+    @pytest.mark.parametrize("fn", [pv_shift, validate_continuum])
+    def test_refused_within_a_second(self, stepped, fn):
+        start = time.perf_counter()
+        with pytest.raises(ContinuumError, match="did not converge"):
+            fn(stepped)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDiscreteContinuumConsistency:
