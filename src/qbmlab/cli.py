@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,20 +47,19 @@ from .recurrence import RecurrenceError, analyze, poincare_time
 _KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError)
 
 
-def _fmt(value) -> str:
+def _fmt(value: float) -> str:
     """17 significant digits; non-finite values become empty fields."""
-    if value is None:
-        return ""
-    v = float(value)
-    if not math.isfinite(v):
-        return ""
-    return format(v, ".17g")
+    return format(value, ".17g") if math.isfinite(value) else ""
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if not isinstance(v, str) else v for v in row))
+def _write_csv(path: Path, columns: dict) -> None:
+    """One CSV column per entry of ``columns``, all of equal length.
+
+    Every column is written as floats: ints and bools print as integers, and
+    None (NaN as a float) prints as an empty field, like any non-finite value.
+    """
+    cells = [map(_fmt, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -85,15 +83,6 @@ def _write_plot_script(path: Path, csv_name: str, columns: list[str], title: str
         f"plot {plots}\n",
         encoding="utf-8",
     )
-
-
-def _threads() -> int:
-    raw = os.environ.get("QBM_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return n if n > 0 else (os.cpu_count() or 1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,7 +247,7 @@ def _write_manifest(args, parser, outputs: list[str], tolerances: dict, **fields
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "tolerances": tolerances,
         "outputs": outputs,
-        "threads": _threads(),
+        "threads": os.cpu_count() or 1,
         **fields,
     }
     _write_json(_out(args, "_manifest.json"), payload)
@@ -298,14 +287,8 @@ def _cmd_solve(args, parser) -> int:
     model = _resolve_model(args, parser)
     modes = solve_normal_modes(model, rel_tol=args.rel_tol)
     csv_path = _out(args, "_modes.csv")
-    _write_csv(
-        csv_path,
-        ["nu", "alpha", "weight", "residual"],
-        (
-            (str(nu), modes.alphas[nu], modes.weights[nu], modes.residuals[nu])
-            for nu in range(modes.n_modes)
-        ),
-    )
+    _write_csv(csv_path, {"nu": np.arange(modes.n_modes), "alpha": modes.alphas,
+                          "weight": modes.weights, "residual": modes.residuals})
     validity = validate_dissipation(model)
     _write_manifest(
         args, parser, [csv_path.name], {"rel_tol": args.rel_tol},
@@ -324,7 +307,7 @@ def _cmd_evolve(args, parser) -> int:
     model = _resolve_model(args, parser)
     modes = solve_normal_modes(model, rel_tol=args.rel_tol)
     init = InitialState.thermal(model)
-    observables = [o.strip() for o in args.obs.split(",") if o.strip()]
+    observables = list(dict.fromkeys(o.strip() for o in args.obs.split(",") if o.strip()))
     unknown = [o for o in observables if o not in OBSERVABLES]
     if unknown:
         parser.error(f"unknown observables {unknown}; choose from {OBSERVABLES}")
@@ -332,13 +315,7 @@ def _cmd_evolve(args, parser) -> int:
     series = evolve_series(modes, init, grid, observables, x0=args.x0, p0=args.p0)
 
     csv_path = _out(args, "_series.csv")
-    ts = series.times
-    cols = [series.column(name) for name in observables]
-    _write_csv(
-        csv_path,
-        ["t"] + observables,
-        ((ts[i], *(c[i] for c in cols)) for i in range(grid.count)),
-    )
+    _write_csv(csv_path, {"t": series.times, **series.columns})
     plot_path = _out(args, "_series.gp")
     _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
     _write_manifest(args, parser, [csv_path.name, plot_path.name],
@@ -353,16 +330,7 @@ def _cmd_langevin(args, parser) -> int:
     grid = _make_grid(args, fallback_t_max=500.0 / model.omega_sub)
     table = langevin_table(modes, grid, wronskian_tol=args.wronskian_tol)
     csv_path = _out(args, "_langevin.csv")
-    ts = table.times
-    cols = [table.column(n) for n in ("a", "b", "delta", "omega_sq", "gamma")]
-    _write_csv(
-        csv_path,
-        ["t", "a", "b", "delta", "omega_sq", "gamma", "valid"],
-        (
-            (ts[i], *(c[i] for c in cols), str(int(table.valid[i])))
-            for i in range(grid.count)
-        ),
-    )
+    _write_csv(csv_path, {"t": table.times, **table.columns, "valid": table.valid})
     _write_manifest(
         args, parser, [csv_path.name],
         {"rel_tol": args.rel_tol, "wronskian_tol": args.wronskian_tol},
@@ -439,8 +407,9 @@ def _cmd_continuum(args, parser) -> int:
         ts = np.linspace(0.0, args.survival_t_max, args.survival_points)
         s = survival_amplitude_continuum(cm, ts)
         csv_path = _out(args, "_survival.csv")
-        _write_csv(csv_path, ["t", "p_survival"],
-                   ((ts[i], abs(s[i]) ** 2) for i in range(ts.size)))
+        # Python's complex abs and float ** round differently from numpy's in the
+        # last bit; they are the arithmetic the survival CSVs have always used
+        _write_csv(csv_path, {"t": ts, "p_survival": [abs(v) ** 2 for v in s.tolist()]})
         outputs.append(csv_path.name)
         payload["survival_csv"] = csv_path.name
 
@@ -486,34 +455,22 @@ def _cmd_sweep(args, parser) -> int:
 
     rows = []
     failed = None
-    with ThreadPoolExecutor(max_workers=min(_threads(), len(n_values))) as pool:
-        futures = [pool.submit(_sweep_member, n, args) for n in n_values]
-        for n, fut in zip(n_values, futures):
-            try:
-                rows.append(fut.result())
-            except Exception as exc:  # abort but keep earlier rows
-                failed = {"n_plus_1": n, "error": str(exc)}
-                for later in futures:
-                    later.cancel()
-                break
+    for n in n_values:
+        try:
+            rows.append(_sweep_member(n, args))
+        except Exception as exc:  # abort but keep earlier rows
+            failed = {"n_plus_1": n, "error": str(exc)}
+            break
 
     csv_path = _out(args, "_sweep.csv")
-    _write_csv(
-        csv_path,
-        ["n_plus_1", "t_poincare", "min_gap", "plateau", "gamma_fit", "gamma_width"],
-        (
-            (str(r["n_plus_1"]), r["t_poincare"], r["min_gap"], r["plateau"],
-             r["gamma_fit"], r["gamma_width"])
-            for r in rows
-        ),
-    )
+    header = ["n_plus_1", "t_poincare", "min_gap", "plateau", "gamma_fit", "gamma_width"]
+    _write_csv(csv_path, {name: [r[name] for r in rows] for name in header})
     outputs = [csv_path.name]
     if args.rescaled_series:
         for r in rows:
             ts_scaled, values = r["rescaled"]
             member_path = _out(args, f"_n{r['n_plus_1']}_rescaled.csv")
-            _write_csv(member_path, ["t_over_tp", "N_omega"],
-                       ((ts_scaled[i], values[i]) for i in range(ts_scaled.size)))
+            _write_csv(member_path, {"t_over_tp": ts_scaled, "N_omega": values})
             outputs.append(member_path.name)
     plot_path = _out(args, "_sweep.gp")
     _write_plot_script(plot_path, csv_path.name, ["t_poincare"], "recurrence time sweep")

@@ -62,6 +62,7 @@ _GAUSS_ORDER = 12
 _MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
 _PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
 _PV_PANELS, _PV_ORDER = 401, 8
+_NORM_TOL = 1e-6  # refusal bound on |completeness - 1| of a survival-sum scheme
 # each of the two row-block scratch buffers of the principal-value table stays
 # within this budget, so its passes run from cache: with 3,208 PV nodes on a
 # 2-core Xeon (2 MiB L2 per core), 128-512 KiB (5-20 rows) measured fastest
@@ -105,7 +106,8 @@ class ContinuumModel:
             )
         if self.beta <= 0:
             raise ContinuumError(f"beta must be positive, got {self.beta}")
-        g_sub = float(self.g_sq(np.asarray(self.omega_sub)))
+        with np.errstate(all="ignore"):  # an overflowed density is refused just below
+            g_sub = float(self.g_sq(np.asarray(self.omega_sub)))
         if not 0 < g_sub < math.inf:
             raise ContinuumError(f"spectral density must be positive and finite at "
                                  f"omega_sub, got {g_sub}")
@@ -147,6 +149,14 @@ class ContinuumValidityReport:
         return all(self.passes)
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where Python's float power would raise OverflowError."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def lorentzian_density(
     peak: float,
     half_width: float,
@@ -159,8 +169,10 @@ def lorentzian_density(
     if peak <= 0 or half_width <= 0:
         raise ContinuumError("peak and half_width must be positive")
 
+    a_sq = _square(half_width)
+
     def g_sq(w):
-        return peak * half_width**2 / (half_width**2 + (w - omega_sub) ** 2)
+        return peak * a_sq / (a_sq + (w - omega_sub) ** 2)
 
     return ContinuumModel(
         g_sq=g_sq, omega_min=omega_min, omega_max=omega_max,
@@ -184,8 +196,10 @@ def ullersma_density(
     if c1 <= 0 or c2 <= 0:
         raise ContinuumError("c1 and c2 must be positive")
 
+    c1_sq, c2_sq = _square(c1), _square(c2)
+
     def g_sq(w):
-        return c1**2 * w**2 / (c2**2 + w**2)
+        return c1_sq * w**2 / (c2_sq + w**2)
 
     return ContinuumModel(
         g_sq=g_sq, omega_min=omega_min, omega_max=omega_max,
@@ -390,19 +404,16 @@ class WeightTable:
     offsets: np.ndarray
 
 
-def _peak_panels(cm: ContinuumModel) -> float:
-    gamma_half = math.pi * float(cm.g_sq(np.asarray(cm.omega_sub)))
-    return np.ceil(2.0 * cm.band / gamma_half)
-
-
 def _auto_panels(cm: ContinuumModel, t_max: float) -> float:
     """Panels resolving the resonance peak and the phase at t_max.
 
     A float, so that a count too large for any scheme reaches _check_work
     instead of overflowing an int conversion.
     """
+    gamma_half = math.pi * float(cm.g_sq(np.asarray(cm.omega_sub)))
+    n_peak = np.ceil(2.0 * cm.band / gamma_half)
     n_phase = np.ceil(cm.band * max(t_max, 0.0) / 0.4) + 1.0
-    return max(64.0, _peak_panels(cm), n_phase)
+    return max(64.0, n_peak, n_phase)
 
 
 def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
@@ -420,8 +431,6 @@ def build_weight_table(
     cm: ContinuumModel,
     n_panels: int,
     order: int = _GAUSS_ORDER,
-    pv_panels: int = _PV_PANELS,
-    pv_order: int = _PV_ORDER,
 ) -> WeightTable:
     """Evaluate the weight density on all panel nodes.
 
@@ -433,10 +442,10 @@ def build_weight_table(
     reduced against the PV weights.  A scheme whose node pairs exceed
     ``_MAX_WORK`` is refused before anything is allocated.
     """
-    _check_work(n_panels * order, pv_panels * pv_order)
+    _check_work(n_panels * order, _PV_PANELS * _PV_ORDER)
     n_panels = int(n_panels)
     nodes, wq, centres, offsets = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, pv_panels, pv_order)
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
     g2_pv = cm.g_sq(pv_nodes)
     g2_nodes = cm.g_sq(nodes)
 
@@ -476,9 +485,7 @@ def build_weight_table(
 def survival_amplitude_continuum(
     cm: ContinuumModel,
     t,
-    n_panels: int | None = None,
     table: WeightTable | None = None,
-    norm_tol: float = 1e-6,
 ):
     """Oscillatory quadrature of the weight density times exp(-i*alpha*t).
 
@@ -498,19 +505,19 @@ def survival_amplitude_continuum(
         raise ContinuumError("survival amplitude is defined for finite t >= 0")
     t_max = float(ts.max()) if ts.size else 0.0
 
-    explicit = table is not None or n_panels is not None
     if table is None:
-        panels = n_panels if n_panels else _auto_panels(cm, t_max)
+        panels = _auto_panels(cm, t_max)
         _check_work(panels * _GAUSS_ORDER, _PV_PANELS * _PV_ORDER, ts.size)
         table = build_weight_table(cm, panels)
     else:
         _check_work(table.nodes.size, 0, ts.size)
-    if explicit and table.panel_width * t_max > _PANEL_PHASE_LIMIT:
-        raise ContinuumError(
-            f"panel width {table.panel_width:.3e} cannot resolve the phase at "
-            f"t = {t_max:g} (limit {_PANEL_PHASE_LIMIT} per panel); increase the panel count"
-        )
-    if abs(table.completeness - 1.0) > norm_tol:
+        if table.panel_width * t_max > _PANEL_PHASE_LIMIT:
+            raise ContinuumError(
+                f"panel width {table.panel_width:.3e} cannot resolve the phase at "
+                f"t = {t_max:g} (limit {_PANEL_PHASE_LIMIT} per panel); "
+                "increase the panel count"
+            )
+    if abs(table.completeness - 1.0) > _NORM_TOL:
         raise ContinuumError(
             f"weight density integrates to {table.completeness!r}, not 1: "
             "the scheme is under-resolved or the model has bound states"
@@ -564,7 +571,7 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
     """
     if weak_coupling:
         return thermal_occupancy(cm.beta, cm.omega_sub)
-    table = build_weight_table(cm, max(64.0, _peak_panels(cm)))
+    table = build_weight_table(cm, _auto_panels(cm, 0.0))
     if abs(table.completeness - 1.0) > 1e-4:
         raise ContinuumError(
             f"weight density integrates to {table.completeness!r}; "

@@ -32,7 +32,6 @@ __all__ = [
     "mean_bath_occupations",
     "mean_position",
     "mean_momentum_tilde",
-    "rotation_coefficients",
     "theta_profile",
     "long_time_average_survival",
     "asymptotic_mean_occupation",
@@ -205,12 +204,6 @@ def mean_bath_occupations(modes: NormalModes, init: InitialState, t) -> np.ndarr
     out = np.stack([mean_bath_occupation(modes, init, n, ts)
                     for n in range(1, modes.model.n_osc + 1)], axis=1)
     return out[0] if scalar else out
-
-
-def rotation_coefficients(modes: NormalModes, t):
-    """Rotation kernels a(t) = sum w cos(alpha t), b(t) = sum w sin(alpha t)."""
-    s = survival_amplitude(modes, t)
-    return s.real, -s.imag
 
 
 def mean_position(modes: NormalModes, x0: float, p0: float, t):

@@ -155,28 +155,6 @@ def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
     return alphas - omega_sub - d.sum(axis=1)
 
 
-def _expand_exterior(omega_sub: float, w: np.ndarray, g2: np.ndarray,
-                     side: str) -> float:
-    """Geometrically expand an exterior bracket endpoint until f changes sign."""
-    span = g2.sum() + abs(omega_sub - (w[0] if side == "left" else w[-1])) + 1.0
-    for _ in range(200):
-        if side == "left":
-            x = w[0] - span
-            f = x - omega_sub - float(np.sum(g2 / (x - w)))
-            if f < 0:
-                return x
-        else:
-            x = w[-1] + span
-            f = x - omega_sub - float(np.sum(g2 / (x - w)))
-            if f > 0:
-                return x
-        span *= 2.0
-    raise EigensolveError(
-        f"could not bracket the {side} exterior root after expansion to span {span:g} "
-        f"(omega_sub={omega_sub:g}, band=[{w[0]:g}, {w[-1]:g}], sum g^2={g2.sum():g})"
-    )
-
-
 def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalModes:
     """Find all N+1 roots and weights of the secular equation.
 
@@ -204,8 +182,16 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
     # interior endpoints sit just off the poles; f -> -inf / +inf there
     lo[1:] = np.maximum(np.nextafter(w, np.inf), w * (1.0 + 4.0 * eps))
     hi[:n] = np.minimum(np.nextafter(w, -np.inf), w * (1.0 - 4.0 * eps))
-    lo[0] = _expand_exterior(omega_sub, w, g2, "left")
-    hi[n] = _expand_exterior(omega_sub, w, g2, "right")
+    # Weyl: every root lies within ||g||_2 of diag(omega_sub, w); pad for rounding
+    g_norm = math.sqrt(g2.sum())
+    low, high = min(omega_sub, w[0]), max(omega_sub, w[-1])
+    lo[0] = low - g_norm - 4.0 * eps * (abs(low) + g_norm)
+    hi[n] = high + g_norm + 4.0 * eps * (abs(high) + g_norm)
+    f_ends = _secular_batch(np.array([lo[0], hi[n]]), omega_sub, w, g2)
+    if not (f_ends[0] < 0 < f_ends[1]):
+        raise EigensolveError(
+            f"exterior brackets [{lo[0]!r}, {hi[n]!r}] do not enclose the roots "
+            f"(f = {f_ends[0]!r}, {f_ends[1]!r})")
     if np.any(lo >= hi):
         bad = int(np.flatnonzero(lo >= hi)[0])
         raise EigensolveError(

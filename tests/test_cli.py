@@ -201,6 +201,18 @@ class TestContinuum:
         err = capsys.readouterr().err
         assert "usage: qbmlab continuum" in err and "qbmlab continuum: error:" in err
 
+    @pytest.mark.parametrize("flags", [
+        ["--density", "lorentzian", "--peak", 5e-4, "--half-width", 1e300],
+        ["--density", "ullersma", "--c1", 1e200],
+    ])
+    def test_overflowing_density_is_refused(self, tmp_path, capsys, flags):
+        # the squared parameter overflows; the density check refuses it
+        code = run(["continuum", "--band", 0.5, 1.5, *flags, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "spectral density" in err
+        assert "Traceback" not in err
+
     def test_readme_command_runs_without_scipy(self, tmp_path):
         # the package needs numpy only: the README continuum command with scipy blocked
         argv = ["continuum", "--density", "lorentzian", "--band", "0.5", "1.5",

@@ -208,7 +208,7 @@ class TestSurvivalAmplitude:
         with pytest.raises(ContinuumError, match="panel"):
             survival_amplitude_continuum(narrow, t_bad, table=narrow_table)
         with pytest.raises(ContinuumError, match="panel"):
-            survival_amplitude_continuum(narrow, 500.0, n_panels=100)
+            survival_amplitude_continuum(narrow, 500.0, table=build_weight_table(narrow, 100))
 
     def test_negative_time_rejected(self, narrow, narrow_table):
         with pytest.raises(ContinuumError):

@@ -293,5 +293,8 @@ class TestSolverBehavior:
         m = make(50.0, [0.5, 1.0, 1.5], [0.2, 0.2, 0.2])
         modes = solve_normal_modes(m)
         assert modes.alphas[-1] > 49.9
-        slow = dense_oracle(m)
-        np.testing.assert_allclose(modes.alphas, slow.alphas, rtol=1e-12)
+        # couplings larger than the band put both exterior roots far outside it
+        strong = make(1.0, [0.5, 2.0], [3.0, 0.1])
+        for model in (m, strong):
+            np.testing.assert_allclose(solve_normal_modes(model).alphas,
+                                       dense_oracle(model).alphas, rtol=1e-12)
