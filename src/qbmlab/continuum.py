@@ -20,9 +20,19 @@ exp(-i (m_p + h x_q) t) = exp(-i m_p t) exp(-i h x_q t): the amplitude at many
 times is one mode sum over the panel centres with one coefficient column per
 Gauss offset, followed by a weighted sum over the offsets.
 
+The weight table needs the principal value at every panel node, a sum over
+the fixed PV rule.  Its panels are grouped into clusters of eight; the PV
+nodes in a node's own cluster and its two neighbours enter as exact
+difference quotients, and the rest, smooth across the cluster, through a
+Chebyshev interpolant per cluster (a single-level version of the fast
+Cauchy-sum evaluation of Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996,
+in the barycentric form of Berrut & Trefethen, SIAM Rev. 46, 2004).
+
 The work of a scheme (weight-table node pairs plus time-sum terms) is
 predicted before anything is allocated, and a scheme beyond ``_MAX_WORK`` is
-refused with a ContinuumError instead of running without bound.
+refused with a ContinuumError instead of running without bound.  The
+predicted table work is nodes x PV nodes, an upper bound since the near/far
+split evaluates about a tenth of those pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import mode_sum
-from .model import SpectralModel, thermal_occupancy
+from .model import SpectralModel, _bose_occupancies, thermal_occupancy
 
 __all__ = [
     "ContinuumError",
@@ -62,10 +72,14 @@ _GAUSS_ORDER = 12
 _MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
 _PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
 _PV_PANELS, _PV_ORDER = 401, 8
+# the PV sums split at clusters of PV panels: far PV nodes lie at least one
+# cluster width outside a cluster, so their smooth sum is interpolated on it by
+# Chebyshev points with error ~(3 + sqrt 8)^-n, below 1e-17 at n = 24
+_CLUSTER_PANELS, _CHEB_POINTS = 8, 24
 _NORM_TOL = 1e-6  # refusal bound on |completeness - 1| of a survival-sum scheme
-# each of the two row-block scratch buffers of the principal-value table stays
-# within this budget, so its passes run from cache: with 3,208 PV nodes on a
-# 2-core Xeon (2 MiB L2 per core), 128-512 KiB (5-20 rows) measured fastest
+# each scratch buffer of the principal-value sums stays within this budget, so
+# their passes run from cache: on a 2-core Xeon (2 MiB L2 per core) the
+# 2,501-panel table took 57, 45 and 42 ms at 64, 256 and 512 KiB
 _TABLE_BLOCK_BYTES = 256 * 2**10
 # refusal bound on table node pairs plus time-sum terms (one multiply-add each,
 # a few seconds per 1e9 on 2 cores); the largest scheme in the tests builds
@@ -427,6 +441,94 @@ def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
         )
 
 
+def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.ndarray:
+    """PV-rule sums sum_q w_q (g^2(x_q) - g^2(a)) / (a - x_q) at ascending nodes a
+    inside the band, terms with |a - x_q| below 1e-14 of the band dropped.
+
+    The PV panels are grouped into clusters of ``_CLUSTER_PANELS`` and each
+    node is assigned to the cluster containing it.  The near field (the
+    node's own cluster and its two neighbours) is summed term by term.  The
+    far field is smooth across a cluster: it is summed at ``_CHEB_POINTS``
+    Chebyshev points as G = sum w (g_q - g_c)/(t - x_q) and F = sum w/(t - x_q),
+    g_c = g^2 at the cluster centre, interpolated to the nodes by the
+    barycentric formula and combined as G - (g^2(a) - g_c) F; subtracting g_c
+    keeps the combination free of the cancellation of sum w g_q/(a - x_q) -
+    g^2(a) sum w/(a - x_q).  Every scratch buffer holds at most
+    ``_TABLE_BLOCK_BYTES``.
+    """
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
+    g2_pv = cm.g_sq(pv_nodes)
+    first_panel = np.r_[0:_PV_PANELS:_CLUSTER_PANELS, _PV_PANELS]
+    edges = np.linspace(cm.omega_min, cm.omega_max, _PV_PANELS + 1)[first_panel]
+    pv_start = first_panel * _PV_ORDER
+    node_start = np.searchsorted(nodes, edges)
+    node_start[[0, -1]] = 0, nodes.size
+    centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    g2_centres = cm.g_sq(centres)
+    theta = (2 * np.arange(_CHEB_POINTS) + 1) * (0.5 * math.pi / _CHEB_POINTS)
+    cheb, lam = np.cos(theta), np.sin(theta) * (-1.0) ** np.arange(_CHEB_POINTS)
+
+    budget = _TABLE_BLOCK_BYTES // 8
+    buf, ratio = np.empty(budget), np.empty(budget)
+    v = np.empty((pv_nodes.size, 2))
+    v[:, 1] = pv_w
+    tiny = 1e-14 * cm.band
+    sums = np.empty(nodes.size)
+    n_clusters = edges.size - 1
+    for k in range(n_clusters):
+        i0, i1 = node_start[k], node_start[k + 1]
+        if i0 == i1:
+            continue
+        lo, hi = pv_start[max(k - 1, 0)], pv_start[min(k + 2, n_clusters)]
+        g_c = g2_centres[k]
+
+        # far field at the Chebyshev points of the cluster: columns (G, F)
+        t = centres[k] + halves[k] * cheb
+        np.multiply(pv_w, g2_pv - g_c, out=v[:, 0])
+        gf = np.zeros((_CHEB_POINTS, 2))
+        for c0, c1 in ((0, lo), (hi, pv_nodes.size)):
+            if c0 == c1:
+                continue
+            rows = max(1, budget // (c1 - c0))
+            for j in range(0, _CHEB_POINTS, rows):
+                db = buf[:min(rows, _CHEB_POINTS - j) * (c1 - c0)].reshape(-1, c1 - c0)
+                np.subtract(t[j:j + rows, None], pv_nodes[c0:c1], out=db)
+                np.divide(1.0, db, out=db)
+                gf[j:j + rows] += db @ v[c0:c1]
+
+        # near field: the exact difference quotient
+        rows = max(1, budget // (hi - lo))
+        for i in range(i0, i1, rows):
+            n = min(rows, i1 - i)
+            a = nodes[i:i + n]
+            db = buf[:n * (hi - lo)].reshape(n, hi - lo)
+            rb = ratio[:n * (hi - lo)].reshape(n, hi - lo)
+            np.subtract(a[:, None], pv_nodes[lo:hi], out=db)
+            np.subtract(g2_pv[lo:hi], g2_nodes[i:i + n, None], out=rb)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(rb, db, out=rb)
+            # a PV node closer than tiny is one of the two sorted neighbours
+            pos = np.searchsorted(pv_nodes, a).clip(1, pv_nodes.size - 1)
+            gap = np.minimum(np.abs(a - pv_nodes[pos - 1]), np.abs(a - pv_nodes[pos]))
+            if gap.min() < tiny:
+                rb[np.abs(db) < tiny] = 0.0
+            sums[i:i + n] = rb @ pv_w[lo:hi]
+
+        # far field: barycentric interpolation, exact at a Chebyshev point
+        rows = budget // _CHEB_POINTS
+        for i in range(i0, i1, rows):
+            n = min(rows, i1 - i)
+            diff = buf[:n * _CHEB_POINTS].reshape(n, -1)
+            np.subtract(nodes[i:i + n, None], t, out=diff)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = np.divide(lam, diff, out=ratio[:n * _CHEB_POINTS].reshape(n, -1))
+                far = (q @ gf) / q.sum(axis=1)[:, None]
+            hit_row, hit_col = np.nonzero(diff == 0)
+            far[hit_row] = gf[hit_col]
+            sums[i:i + n] += far[:, 0] - (g2_nodes[i:i + n] - g_c) * far[:, 1]
+    return sums
+
+
 def build_weight_table(
     cm: ContinuumModel,
     n_panels: int,
@@ -436,35 +538,19 @@ def build_weight_table(
 
     The principal value at node a is the PV-rule sum of the difference
     quotient (g^2(w) - g^2(a))/(a - w), with the terms at |a - w| below
-    1e-14 of the band dropped, plus the analytic edge logarithm.  The
-    node x PV-node matrix is never formed: it is filled a block of rows at a
-    time into two reused scratch buffers of ``_TABLE_BLOCK_BYTES`` each and
-    reduced against the PV weights.  A scheme whose node pairs exceed
-    ``_MAX_WORK`` is refused before anything is allocated.
+    1e-14 of the band dropped, plus the analytic edge logarithm.  The sum is
+    split into near and far fields (``_pv_sums``): PV nodes in the clusters
+    next to a node enter term by term, in row blocks of ``_TABLE_BLOCK_BYTES``,
+    and the rest through a Chebyshev interpolant per cluster, about a tenth of
+    the node pairs at the benchmark size.  A scheme whose node pairs exceed
+    ``_MAX_WORK`` is refused before anything is allocated; the count is
+    nodes x PV nodes, an upper bound on the work now done.
     """
     _check_work(n_panels * order, _PV_PANELS * _PV_ORDER)
     n_panels = int(n_panels)
     nodes, wq, centres, offsets = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
-    g2_pv = cm.g_sq(pv_nodes)
     g2_nodes = cm.g_sq(nodes)
-
-    pv_vals = np.empty(nodes.size)
-    rows = max(1, _TABLE_BLOCK_BYTES // (8 * pv_nodes.size))
-    d = np.empty((min(rows, nodes.size), pv_nodes.size))
-    ratio = np.empty_like(d)
-    tiny = 1e-14 * cm.band
-    for i in range(0, nodes.size, rows):
-        n = min(rows, nodes.size - i)
-        db, rb = d[:n], ratio[:n]
-        np.subtract(nodes[i:i + n, None], pv_nodes, out=db)
-        np.subtract(g2_pv, g2_nodes[i:i + n, None], out=rb)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(rb, db, out=rb)
-        np.abs(db, out=db)
-        if db.min() < tiny:
-            rb[db < tiny] = 0.0
-        pv_vals[i:i + n] = rb @ pv_w
+    pv_vals = _pv_sums(cm, nodes, g2_nodes)
     pv_vals += g2_nodes * np.log((nodes - cm.omega_min) / (cm.omega_max - nodes))
 
     re = nodes - cm.omega_sub - pv_vals
@@ -577,7 +663,7 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
             f"weight density integrates to {table.completeness!r}; "
             "cannot form the thermal average"
         )
-    occ = 1.0 / np.expm1(cm.beta * table.nodes)
+    occ = _bose_occupancies(cm.beta * table.nodes)
     return float((table.density * occ) @ table.quad_weights)
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eigensolve import NormalModes
-from .model import InitialState
+from .model import InitialState, ModelError
 
 __all__ = [
     "TimeGrid",
@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _SLAB_BYTES = 32 * 2**20  # memory budget of one time slab in mode_sum
+# refusal bound on eps * max|freq| * max|t|, the rounding of the largest phase
+# in radians: 1e-8 is a phase of ~4.5e7 rad, beyond which the cos/sin values
+# carry little of the sum's information
+_PHASE_ROUNDING_LIMIT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,20 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     GEMMs instead of one complex-by-real product.  ``reduce``, when given,
     maps each complex slab and its times to the per-time result, so a caller
     that needs only, say, |S|^2 @ q never holds the full (T, J) sum.
+
+    A sum whose largest phase rounds by more than ``_PHASE_ROUNDING_LIMIT``
+    rad (eps * max|freq| * max|t|) is refused with a ModelError.
     """
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if freqs.size and ts.size:
+        max_phase = np.abs(freqs).max() * np.abs(ts).max()
+        if np.finfo(float).eps * max_phase > _PHASE_ROUNDING_LIMIT:
+            raise ModelError(
+                f"phases up to {max_phase:.3g} rad round by more than "
+                f"{_PHASE_ROUNDING_LIMIT:g} rad; ask for a shorter time span"
+            )
     cols = coeffs.reshape(freqs.size, -1)
     step = max(1, _SLAB_BYTES // (8 * (2 * freqs.size + 4 * cols.shape[1])))
     out = None

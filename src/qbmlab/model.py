@@ -31,6 +31,10 @@ __all__ = [
     "save_model",
 ]
 
+# above this beta*omega exp would overflow; the occupancy exp(-x)/(1 - exp(-x))
+# underflows smoothly to 0
+_EXP_OVERFLOW_ARG = 700.0
+
 
 class ModelError(ValueError):
     """Invalid model parameters."""
@@ -167,7 +171,7 @@ class InitialState:
     @classmethod
     def thermal(cls, model: SpectralModel) -> "InitialState":
         """Bath in equilibrium at the model's beta, subsystem at kappa quanta."""
-        occ = 1.0 / np.expm1(model.beta * model.bath_freqs)
+        occ = _bose_occupancies(model.beta * model.bath_freqs)
         return cls(kappa=model.kappa, bath_occupancies=occ)
 
 
@@ -194,6 +198,16 @@ class ValidityReport:
         return all(self.passes)
 
 
+def _bose_occupancies(x: np.ndarray) -> np.ndarray:
+    """1/(exp(x) - 1) elementwise, as exp(-x)/(1 - exp(-x)) where exp(x) overflows."""
+    large = x > _EXP_OVERFLOW_ARG
+    occ = np.empty_like(x)
+    occ[~large] = 1.0 / np.expm1(x[~large])
+    tail = np.exp(-x[large])
+    occ[large] = tail / (1.0 - tail)
+    return occ
+
+
 def thermal_occupancy(beta: float, omega: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(beta*omega) - 1)."""
     if beta <= 0:
@@ -201,7 +215,7 @@ def thermal_occupancy(beta: float, omega: float) -> float:
     if omega <= 0:
         raise ModelError(f"omega must be positive, got {omega}")
     x = beta * omega
-    if x > 700.0:  # exp would overflow; occupancy underflows smoothly to 0
+    if x > _EXP_OVERFLOW_ARG:
         return math.exp(-x) / (1.0 - math.exp(-x))
     value = 1.0 / math.expm1(x)
     if not math.isfinite(value):

@@ -119,6 +119,26 @@ class TestEvolve:
         second = (tmp_path / "b" / "r_series.csv").read_bytes()
         assert first == second
 
+    def test_unresolvable_phases_are_refused(self, tmp_path, capsys):
+        # phases of ~1e300 rad leave no information in the mode sums
+        code = run(["evolve", "--paper-defaults", "--n", 32, "--t-max", 1e300,
+                    "--points", 5, "--out-dir", tmp_path, "--prefix", "e"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "phases" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "e_series.csv").exists()
+
+    def test_huge_beta_runs_without_warnings(self, tmp_path):
+        argv = ["evolve", "--paper-defaults", "--n", "10", "--beta", "1e300",
+                "--out-dir", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(qbmlab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "qbmlab.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert (tmp_path / "evolve_series.csv").exists()
+
     def test_unknown_observable_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evolve", "--paper-defaults", "--n", 10, "--obs", "energy",

@@ -2,6 +2,7 @@ import bisect
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from qbmlab import (
     solve_normal_modes,
 )
 from qbmlab.continuum import (
+    _CHEB_POINTS,
+    _CLUSTER_PANELS,
     _panel_nodes,
+    _pv_sums,
     _pv_value,
     _self_energy_complex,
     asymptotic_occupation,
@@ -252,6 +256,12 @@ class TestAsymptoticOccupation:
             omega_min=0.5, omega_max=1.5, beta=1e4,
         )
         assert asymptotic_occupation(cold, weak_coupling=True) < 1e-30
+        # finite coupling where exp(beta * omega) overflows: exactly 0, no warning
+        frozen = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5,
+                                    omega_max=1.5, beta=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert asymptotic_occupation(frozen) == 0.0
 
     def test_finite_coupling_converges_monotonically_to_weak_limit(self):
         weak_value = 1.0 / (math.e - 1.0)
@@ -450,6 +460,65 @@ class TestBlockedTable:
         direct = mode_sum(table.nodes, table.density * table.quad_weights, ts)
         s = survival_amplitude_continuum(cm, ts, table=table)
         np.testing.assert_allclose(s, direct, rtol=0, atol=1e-13)
+
+
+def fsum_pv_sums(cm, nodes):
+    """Reference PV-rule sums: math.fsum of every difference-quotient term at each
+    node (terms within 1e-14 of the band dropped), and the sum of their magnitudes."""
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, 401, 8)
+    g2_pv = cm.g_sq(pv_nodes)
+    ref, scale = [], []
+    for i in range(0, nodes.size, 500):
+        d = nodes[i:i + 500, None] - pv_nodes
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = pv_w * (g2_pv - cm.g_sq(nodes[i:i + 500, None])) / d
+        terms[np.abs(d) < 1e-14 * cm.band] = 0.0
+        ref += [math.fsum(row) for row in terms.tolist()]
+        scale.append(np.abs(terms).sum(axis=1))
+    return np.array(ref), np.concatenate(scale)
+
+
+def cluster_edges(cm):
+    """Edges of the clusters of PV panels that split the near and far fields."""
+    first = np.r_[0:401:_CLUSTER_PANELS, 401]
+    return np.linspace(cm.omega_min, cm.omega_max, 402)[first]
+
+
+class TestNearFarSums:
+    """The near/far PV-rule sums against math.fsum of all their terms, to 1e-14
+    of the sum of the terms' magnitudes (measured: 1.7e-15)."""
+
+    def check(self, cm, nodes, stride=1):
+        """Every stride-th node and the nodes on either side of each cluster edge."""
+        sums = _pv_sums(cm, nodes, cm.g_sq(nodes))
+        at_edges = np.searchsorted(nodes, cluster_edges(cm)[1:-1])
+        sample = np.union1d(np.arange(0, nodes.size, stride),
+                            np.clip(np.r_[at_edges - 1, at_edges], 0, nodes.size - 1))
+        ref, scale = fsum_pv_sums(cm, nodes[sample])
+        assert np.all(np.abs(sums[sample] - ref) <= 1e-14 * scale)
+
+    # (401, 8): every node is a PV node; (3, 4): 39 of the 51 clusters hold no node
+    @pytest.mark.parametrize("n_panels,order", [(300, 12), (64, 12), (401, 8), (3, 4)])
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_panel_schemes(self, name, n_panels, order):
+        cm = DENSITIES[name]()
+        self.check(cm, _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)[0], stride=7)
+
+    def test_benchmark_scheme(self):
+        cm = DENSITIES["lorentzian"]()  # 2,501 panels, 30,012 nodes
+        self.check(cm, _panel_nodes(cm.omega_min, cm.omega_max, 2501, 12)[0], stride=41)
+
+    @pytest.mark.parametrize("name", sorted(DENSITIES))
+    def test_nodes_on_cluster_edges_and_chebyshev_points(self, name):
+        cm = DENSITIES[name]()
+        edges = cluster_edges(cm)
+        inner = edges[1:-1]
+        centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+        theta = (2 * np.arange(_CHEB_POINTS) + 1) * (0.5 * math.pi / _CHEB_POINTS)
+        cheb = np.concatenate([centres[k] + halves[k] * np.cos(theta) for k in (0, 10, 50)])
+        nodes = np.unique(np.concatenate([inner, np.nextafter(inner, -np.inf),
+                                          np.nextafter(inner, np.inf), cheb]))
+        self.check(cm, nodes)
 
 
 class TestWorkBound:

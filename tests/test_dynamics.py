@@ -6,6 +6,7 @@ import pytest
 from qbmlab import dynamics
 from qbmlab import (
     InitialState,
+    ModelError,
     NormalModes,
     SpectralModel,
     TimeGrid,
@@ -295,6 +296,12 @@ class TestModeSum:
         # a budget of a few rows per slab must not change the numbers
         monkeypatch.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
         np.testing.assert_allclose(mode_sum(freqs, coeffs, ts), whole, rtol=0, atol=1e-13)
+
+    def test_unresolvable_phases_are_refused(self):
+        # eps * max|freq| * max|t| > 1e-8: a phase of ~4.5e7 rad at frequency 1
+        assert mode_sum([1.0], [1.0], [4e7]).shape == (1,)
+        with pytest.raises(ModelError, match="phases"):
+            mode_sum([1.0, 2.0], [1.0, 1.0], [0.0, 2.5e7])
 
     def test_shapes_and_reduce(self):
         freqs = np.array([1.0, 2.0])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,13 @@ class TestInitialState:
         expected = 1.0 / np.expm1(model_32.beta * model_32.bath_freqs)
         np.testing.assert_allclose(init.bath_occupancies, expected, rtol=1e-15)
         assert np.all(np.diff(init.bath_occupancies) < 0)
+
+    def test_huge_beta_gives_zero_occupancies_without_overflow(self):
+        # beta * omega far above the exp range: exp(-x)/(1 - exp(-x)), not 1/expm1(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            init = InitialState.thermal(paper_default_model(10, beta=1e300))
+        assert np.all(init.bath_occupancies == 0.0)
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ModelError):
