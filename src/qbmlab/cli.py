@@ -57,9 +57,15 @@ def _write_csv(path: Path, columns: dict) -> None:
 
     Every column is written as floats: ints and bools print as integers, and
     None (NaN as a float) prints as an empty field, like any non-finite value.
+    A row of finite values is formatted by one %-operation, the same digits
+    as ``_fmt``; only rows holding a non-finite value go through ``_fmt``.
     """
-    cells = [map(_fmt, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
-    lines = [",".join(columns), *map(",".join, zip(*cells, strict=True))]
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns.values()])
+    row_fmt = ",".join(["%.17g"] * table.shape[1])
+    finite = np.isfinite(table).all(axis=1).tolist()
+    lines = [",".join(columns)]
+    lines += [row_fmt % tuple(row) if ok else ",".join(map(_fmt, row))
+              for row, ok in zip(table.tolist(), finite)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

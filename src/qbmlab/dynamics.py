@@ -1,8 +1,11 @@
 """Closed-form time evolution of mean observables and transition probabilities.
 
 Everything here is a finite mode sum over the solved normal frequencies; no
-time stepping is involved, so samples at different times are independent and
-may be evaluated in any order (or in parallel) with identical results.
+time stepping is involved, so samples are independent, and a sample's value
+does not depend on which other samples share its evaluation.  On a uniform
+``TimeGrid`` the phase factors come from anchored rotations instead of one
+cos/sin call per mode and sample (see ``mode_sum``); they reproduce the direct
+kernel's phases fl(t * omega) to a few ulp.
 
 All probability evaluations use the amplitude form: a single sum over modes
 followed by a modulus squared.  It is algebraically identical to the
@@ -12,6 +15,7 @@ conditioned.  Bath indices n, m are 1-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +48,12 @@ _SLAB_BYTES = 32 * 2**20  # memory budget of one time slab in mode_sum
 # in radians: 1e-8 is a phase of ~4.5e7 rad, beyond which the cos/sin values
 # carry little of the sum's information
 _PHASE_ROUNDING_LIMIT = 1e-8
+# grid phases: the B samples k = jB + r of block j share the anchor phase of
+# sample jB; B is the larger of these rows and these phases over the modes
+_PHASE_BLOCK_ROWS = 64
+_PHASE_BLOCK_PHASES = 2**15
+# row cap of a grid slab, whose cos and sin slabs are alive at once
+_GRID_SLAB_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -55,6 +65,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
+            raise ValueError(f"t0 and dt must be finite, got {self.t0}, {self.dt}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.count < 1:
@@ -101,37 +113,120 @@ def _times_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(ts), scalar
 
 
+def _direct_trig(ts, freqs):
+    """Slab source of cos and sin of the phases fl(ts[k] * freqs), all from libm."""
+
+    def trig(start, stop):
+        phase = np.outer(ts[start:stop], freqs)
+        return np.cos(phase), np.sin(phase, out=phase)
+
+    return trig
+
+
+def _grid_trig(ts, dt, freqs, rows):
+    """Slab source of the same cos and sin on a uniform grid, with few libm calls.
+
+    Sample k = jB + r has the direct kernel's phase p = fl(ts[k] * freqs).
+    Its cos and sin are rotated from two phases that go through libm: the
+    anchor g = fl(ts[jB] * freqs) of its block, the direct phase of sample
+    jB, and b = fl(fl(r dt) * freqs), shared by all blocks.  With
+    cos(g + b) = cos g cos b - sin g sin b (and likewise sin), the remainder
+    d = (p - g) - b is applied to first order.  When the block's times lie
+    within a factor 2 of its anchor time, or that time is 0, p - g is exact
+    (Sterbenz) and d carries only a relative rounding; |d| is a few eps |p|,
+    at most ~3e-8 rad under the phase refusal bound, so each value is within
+    a few ulp of cos(p), sin(p).  The few blocks that miss the factor 2, all
+    next to t = 0, take cos(p) and sin(p) from libm.  Blocks are fixed by k,
+    so a sample's value does not depend on the slab it falls in.  The
+    returned arrays are views of two buffers of ``rows`` rows, reused for
+    every slab.
+    """
+    block = max(_PHASE_BLOCK_ROWS, _PHASE_BLOCK_PHASES // max(freqs.size, 1))
+    base = np.multiply.outer(dt * np.arange(min(block, ts.size)), freqs)
+    base_cos, base_sin = np.cos(base), np.sin(base)
+    d, tmp = np.empty_like(base), np.empty_like(base)
+    cos_buf = np.empty((rows, freqs.size))
+    sin_buf = np.empty((rows, freqs.size))
+
+    def trig(start, stop):
+        stop = min(stop, ts.size)
+        cos, sin = cos_buf[:stop - start], sin_buf[:stop - start]
+        for a in range(start - start % block, stop, block):
+            lo, hi = max(a, start), min(a + block, stop)
+            c, s = cos[lo - start:hi - start], sin[lo - start:hi - start]
+            phase, t = d[:hi - lo], tmp[:hi - lo]
+            np.multiply.outer(ts[lo:hi], freqs, out=phase)
+            ta, tl = ts[a], ts[min(a + block, ts.size) - 1]
+            if not (ta == 0 or 0 < ta and tl <= 2 * ta or tl < 0 and 2 * tl <= ta):
+                np.cos(phase, out=c)
+                np.sin(phase, out=s)
+                continue
+            anchor = ta * freqs
+            gc, gs = np.cos(anchor), np.sin(anchor)
+            bc, bs = base_cos[lo - a:hi - a], base_sin[lo - a:hi - a]
+            phase -= anchor
+            phase -= base[lo - a:hi - a]      # d, exact to a relative rounding
+            np.multiply(bc, gc, out=c)
+            c -= np.multiply(bs, gs, out=t)   # cos(g + b)
+            np.multiply(bc, gs, out=s)
+            s += np.multiply(bs, gc, out=t)   # sin(g + b)
+            np.multiply(s, phase, out=t)
+            phase *= c
+            c -= t                            # cos(g + b) - d sin(g + b)
+            s += phase                        # sin(g + b) + d cos(g + b)
+        return cos, sin
+
+    return trig
+
+
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
-    The phase matrix is formed one time slab at a time, within a fixed memory
-    budget, and multiplied as cos(phase) @ C and sin(phase) @ C: two real
-    GEMMs instead of one complex-by-real product.  ``reduce``, when given,
-    maps each complex slab and its times to the per-time result, so a caller
-    that needs only, say, |S|^2 @ q never holds the full (T, J) sum.
+    ``ts`` is an array of times or a ``TimeGrid``.  The phase matrix is formed
+    one time slab at a time, within a fixed memory budget, and multiplied as
+    cos(phase) @ C and sin(phase) @ C: two real GEMMs instead of one
+    complex-by-real product.  ``reduce``, when given, maps each complex slab
+    and its times to the per-time result, so a caller that needs only, say,
+    |S|^2 @ q never holds the full (T, J) sum.
+
+    For an array every cos and sin comes from libm.  For a grid they are
+    rotated from (T/B + B) N libm values, B >= 64 (``_grid_trig``), and stay
+    within a few ulp of the array path's values: both round the phases to
+    fl(t * freqs) with t = grid.times.
 
     A sum whose largest phase rounds by more than ``_PHASE_ROUNDING_LIMIT``
-    rad (eps * max|freq| * max|t|) is refused with a ModelError.
+    rad (eps * max|freq| * max|t|), or is not finite, is refused with a
+    ModelError.
     """
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    grid = ts if isinstance(ts, TimeGrid) else None
+    ts = grid.times if grid is not None else np.atleast_1d(np.asarray(ts, dtype=float))
     if freqs.size and ts.size:
-        max_phase = np.abs(freqs).max() * np.abs(ts).max()
-        if np.finfo(float).eps * max_phase > _PHASE_ROUNDING_LIMIT:
+        with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and refused below
+            max_phase = np.abs(freqs).max() * np.abs(ts).max()
+        if not (np.finfo(float).eps * max_phase <= _PHASE_ROUNDING_LIMIT):
+            if not np.isfinite(max_phase):
+                raise ModelError("phases are not finite: frequencies and times must be")
             raise ModelError(
                 f"phases up to {max_phase:.3g} rad round by more than "
                 f"{_PHASE_ROUNDING_LIMIT:g} rad; ask for a shorter time span"
             )
     cols = coeffs.reshape(freqs.size, -1)
     step = max(1, _SLAB_BYTES // (8 * (2 * freqs.size + 4 * cols.shape[1])))
+    if grid is not None:
+        step = min(step, _GRID_SLAB_ROWS)
+        trig = _grid_trig(ts, grid.dt, freqs, min(step, ts.size))
+    else:
+        trig = _direct_trig(ts, freqs)
     out = None
     # an empty time array still makes one (empty) slab, so out gets its shape
     for start in range(0, max(ts.size, 1), step):
-        phase = np.outer(ts[start:start + step], freqs)
-        slab = np.empty((phase.shape[0], cols.shape[1]), dtype=complex)
-        slab.real = np.cos(phase) @ cols
-        slab.imag = -(np.sin(phase, out=phase) @ cols)
+        cos, sin = trig(start, start + step)
+        slab = np.empty((cos.shape[0], cols.shape[1]), dtype=complex)
+        slab.real = cos @ cols
+        slab.imag = -(sin @ cols)
+        del cos, sin  # a direct slab's arrays are freed before the next are made
         slab = slab.reshape((-1,) + coeffs.shape[1:])
         res = slab if reduce is None else reduce(slab, ts[start:start + step])
         if out is None:
@@ -281,16 +376,15 @@ def evolve_series(
     unknown = [n for n in names if n not in OBSERVABLES]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
-    ts = grid.times
     columns: dict[str, np.ndarray] = {}
     if "N_omega" in names:
         coeffs, quanta = _occupation_terms(modes, init, modes.weights)
-        both = mode_sum(modes.alphas, coeffs, ts,
+        both = mode_sum(modes.alphas, coeffs, grid,
                         reduce=lambda e, _: np.column_stack([e[:, 0], np.abs(e) ** 2 @ quanta]))
         s = both[:, 0]
         columns["N_omega"] = both[:, 1].real
     elif {"P_surv", "X_mean", "P_tilde_mean"} & set(names):
-        s = survival_amplitude(modes, ts)
+        s = mode_sum(modes.alphas, modes.weights, grid)
     if "P_surv" in names:
         columns["P_surv"] = np.abs(s) ** 2
     if "N_total" in names:

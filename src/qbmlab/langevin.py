@@ -78,8 +78,8 @@ class OdeResidualReport:
     n_invalid: int
 
 
-def kernel_arrays(modes: NormalModes, ts: np.ndarray):
-    """Arrays (a, b, da, db, dda, ddb) over the given times.
+def kernel_arrays(modes: NormalModes, ts: np.ndarray | TimeGrid):
+    """Arrays (a, b, da, db, dda, ddb) over the given times (an array or a TimeGrid).
 
     With S_j = sum w alpha^j exp(-i alpha t), the kernels are a - i b = S_0,
     their first derivatives db + i da = S_1 and second -dda + i ddb = S_2.
@@ -127,8 +127,7 @@ def langevin_table(
     modes: NormalModes, grid: TimeGrid, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL
 ) -> TimeSeries:
     """Kernel and coefficient columns over a grid: a, b, delta, omega_sq, gamma."""
-    ts = grid.times
-    a, b, da, db, dda, ddb = kernel_arrays(modes, ts)
+    a, b, da, db, dda, ddb = kernel_arrays(modes, grid)
     omega_sq, gamma, valid = _coefficients(
         a, b, da, db, dda, ddb, modes.model.omega_sub, wronskian_tol
     )
@@ -156,8 +155,7 @@ def verify_langevin_ode(
     inconsistency between kernels and coefficients.  Invalid (singular)
     samples are excluded and counted.
     """
-    ts = grid.times
-    a, b, da, db, dda, ddb = kernel_arrays(modes, ts)
+    a, b, da, db, dda, ddb = kernel_arrays(modes, grid)
     omega_sq, gamma, valid = _coefficients(
         a, b, da, db, dda, ddb, modes.model.omega_sub, wronskian_tol
     )
@@ -177,6 +175,6 @@ def verify_langevin_ode(
     return OdeResidualReport(
         max_residual=worst,
         x_scale=x_scale,
-        n_samples=int(ts.size * n_trials),
+        n_samples=grid.count * n_trials,
         n_invalid=int(np.count_nonzero(~valid)) * n_trials,
     )

@@ -12,8 +12,10 @@ import qbmlab
 from qbmlab.cli import (
     _finite_float,
     _finite_float_rel_tol,
+    _fmt,
     _positive_int,
     _subparsers,
+    _write_csv,
     build_parser,
     main,
 )
@@ -26,6 +28,23 @@ def run(argv):
 def read_manifest(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+class TestCsvWriter:
+    def test_matches_per_value_formatting(self, tmp_path):
+        # rows 0, 1 and 5 are finite; each other row holds one non-finite value
+        columns = {
+            "ints": [0, 1, -7, 2**53 + 1, 3, 42],
+            "bools": [True, False, True, False, True, False],
+            "mixed": [-0.0, 0.5, None, float("nan"), float("inf"), float("-inf")],
+            "floats": np.array([0.1, -1e-300, 1e300, 5e-324, 2.0 / 3.0, -0.0]),
+        }
+        path = tmp_path / "t.csv"
+        _write_csv(path, columns)
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns.values()))
+        expected = [",".join(columns), *(",".join(map(_fmt, row)) for row in rows)]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode("utf-8")
+        assert path.read_text().splitlines()[1] == "0,1,-0,0.10000000000000001"
 
 
 class TestSolve:

@@ -280,6 +280,9 @@ class TestEvolveSeries:
             TimeGrid(t0=0.0, dt=-1.0, count=5)
         with pytest.raises(ValueError):
             TimeGrid(t0=0.0, dt=1.0, count=0)
+        for t0, dt in [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)]:
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(t0=t0, dt=dt, count=3)
 
 
 class TestModeSum:
@@ -302,6 +305,83 @@ class TestModeSum:
         assert mode_sum([1.0], [1.0], [4e7]).shape == (1,)
         with pytest.raises(ModelError, match="phases"):
             mode_sum([1.0, 2.0], [1.0, 1.0], [0.0, 2.5e7])
+        # NaN or inf in either factor, including inf * 0
+        for freqs, ts in [([np.nan, 1.0], [0.0, 1.0]), ([1.0], [0.0, np.nan]),
+                          ([np.inf], [1.0]), ([1.0, 2.0], [-np.inf]), ([np.inf], [0.0])]:
+            with pytest.raises(ModelError, match="not finite"):
+                mode_sum(freqs, np.ones(len(freqs)), ts)
+
+    # t0 = 0; t0 > 0 inside the first block; t0 < 0 with the grid crossing 0,
+    # with and without a sample at t = 0; phases up to just under the refusal
+    # bound (4.5e7 rad at frequency 1)
+    GRIDS = [TimeGrid(0.0, 1.0, 3000), TimeGrid(7.3, 1.0, 3000), TimeGrid(7.3, 0.37, 2000),
+             TimeGrid(-100.3, 0.77, 1000), TimeGrid(-64.0, 1.0, 300),
+             TimeGrid(0.0, 4.4e7 / 2999, 3000), TimeGrid(3.0, 4.4e7 / 4999, 5000),
+             TimeGrid(-2.2e7, 4.4e7 / 4000, 4001)]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"t0={g.t0:g},dt={g.dt:g}")
+    def test_grid_phases_match_libm(self, grid):
+        # identity coefficients make each column one phase factor exp(-i f t)
+        rng = np.random.default_rng(5)
+        freqs = rng.uniform(0.5, 1.0, 40) * rng.choice([-1.0, 1.0], 40)
+        factors = mode_sum(freqs, np.eye(40), grid)
+        expected = np.exp(-1j * np.outer(grid.times, freqs))
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(factors.real, expected.real, rtol=0, atol=4 * eps)
+        np.testing.assert_allclose(factors.imag, expected.imag, rtol=0, atol=4 * eps)
+
+    def test_grid_matches_array_path_across_slabs(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        freqs = rng.uniform(0.5, 1.5, 40)
+        coeffs = rng.normal(size=(40, 3))
+        tol = 8 * np.finfo(float).eps * np.abs(coeffs).sum(axis=0)
+        for grid in (TimeGrid(0.0, 0.9, 257), TimeGrid(-50.2, 0.41, 257)):
+            whole = mode_sum(freqs, coeffs, grid.times)
+            assert np.all(np.abs(mode_sum(freqs, coeffs, grid) - whole) <= tol)
+            # 7-row slabs across 5-row blocks: no slab starts on a block
+            with monkeypatch.context() as mp:
+                mp.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
+                mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", 5)
+                mp.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
+                assert np.all(np.abs(mode_sum(freqs, coeffs, grid) - whole) <= tol)
+
+    def test_grid_matches_array_path_property(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+        eps = np.finfo(float).eps
+
+        @hyp.settings(max_examples=150, deadline=None)
+        @hyp.given(st.data())
+        def check(data):
+            n = data.draw(st.integers(1, 40), label="modes")
+            block = data.draw(st.sampled_from([None, 1, 3, 8]), label="block rows")
+            slab = data.draw(st.sampled_from([None, 1, 5, 7, 16]), label="slab rows")
+            b = block or max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // n)
+            count = data.draw(st.one_of(st.sampled_from([1, b - 1, b, b + 1, 2 * b + 3]),
+                                        st.integers(1, 300)).filter(lambda c: c >= 1),
+                              label="count")
+            # t0 in units of the grid span: 0, past 0, or before 0 with the grid crossing it
+            t0_units = data.draw(st.one_of(st.just(0.0), st.floats(1e-3, 1.5),
+                                           st.floats(-1.0, -1e-3)), label="t0/span")
+            log_phase = data.draw(st.floats(-1.0, np.log10(0.99e-8 / eps)), label="log10 max phase")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            freqs = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            coeffs = rng.normal(size=(n, 2))
+            span = max(count - 1, 1)
+            unit_max = max(abs(t0_units * span), abs(t0_units * span + count - 1), 1.0)
+            dt = 10.0**log_phase / (np.abs(freqs).max() * unit_max)
+            grid = TimeGrid(t0_units * span * dt, dt, count)
+            with pytest.MonkeyPatch.context() as mp:
+                if block:
+                    mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", block)
+                    mp.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
+                if slab:
+                    mp.setattr(dynamics, "_SLAB_BYTES", slab * 8 * (2 * n + 4 * 2))
+                got = mode_sum(freqs, coeffs, grid)
+            want = mode_sum(freqs, coeffs, grid.times)
+            assert np.all(np.abs(got - want) <= 8 * eps * np.abs(coeffs).sum(axis=0))
+
+        check()
 
     def test_shapes_and_reduce(self):
         freqs = np.array([1.0, 2.0])
