@@ -31,7 +31,7 @@ from .continuum import (
     validate_continuum,
     width_from_discrete,
 )
-from .dynamics import OBSERVABLES, TimeGrid, evolve_series
+from .dynamics import OBSERVABLES, TimeGrid, _certified_form, evolve_series
 from .eigensolve import _REL_TOL_MAX, _REL_TOL_MIN, EigensolveError, solve_normal_modes
 from .langevin import DEFAULT_WRONSKIAN_TOL, langevin_table
 from .model import (
@@ -223,6 +223,19 @@ def _model_record(model: SpectralModel, modes, args) -> dict:
     }
 
 
+def _occupation_diagnostics(modes, init, with_form: bool) -> dict:
+    """Closure of the weights and, with ``with_form``, how <N_sub(t)> was summed."""
+    out = {"weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0)}
+    if with_form:
+        # the certificate alone tells which form ran; the dense sum is not rebuilt
+        form = _certified_form(modes, init, modes.weights)
+        record = {"kind": "dense", "degree": None, "fit_residual": None, "error_bound": None}
+        if form is not None:
+            record = {key: getattr(form, key) for key in record}
+        out["occupation_form"] = record
+    return out
+
+
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
     return next(a.choices for a in parser._actions
                 if isinstance(a, argparse._SubParsersAction))
@@ -324,8 +337,11 @@ def _cmd_evolve(args, parser) -> int:
     _write_csv(csv_path, {"t": series.times, **series.columns})
     plot_path = _out(args, "_series.gp")
     _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
+    record = _model_record(model, modes, args)
+    record["diagnostics"].update(
+        _occupation_diagnostics(modes, init, with_form="N_omega" in observables))
     _write_manifest(args, parser, [csv_path.name, plot_path.name],
-                    {"rel_tol": args.rel_tol}, **_model_record(model, modes, args))
+                    {"rel_tol": args.rel_tol}, **record)
     print(f"wrote {csv_path}")
     return 0
 
@@ -369,9 +385,10 @@ def _cmd_recurrence(args, parser) -> int:
     }
     json_path = _out(args, "_recurrence.json")
     _write_json(json_path, payload)
+    record = _model_record(model, modes, args)
+    record["diagnostics"].update(_occupation_diagnostics(modes, init, with_form=True))
     _write_manifest(args, parser, [json_path.name],
-                    {"rel_tol": args.rel_tol, "threshold": args.threshold},
-                    **_model_record(model, modes, args))
+                    {"rel_tol": args.rel_tol, "threshold": args.threshold}, **record)
     print(f"wrote {json_path}")
     return 0
 
@@ -448,6 +465,8 @@ def _sweep_member(n_plus_1: int, args):
         "gamma_fit": report.gamma_fit,
         "gamma_width": gamma,
         "rescaled": rescaled,
+        "diagnostics": {"n_plus_1": n_plus_1,
+                        **_occupation_diagnostics(modes, init, with_form=True)},
     }
 
 
@@ -484,7 +503,8 @@ def _cmd_sweep(args, parser) -> int:
 
     _write_manifest(args, parser, outputs, {"rel_tol": args.rel_tol},
                     convention=args.convention,
-                    status="failed" if failed else "ok", failed_member=failed)
+                    status="failed" if failed else "ok", failed_member=failed,
+                    diagnostics=[r["diagnostics"] for r in rows])
     if failed:
         print(f"sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
               file=sys.stderr)

@@ -394,7 +394,7 @@ def refine_pole(
         if abs(step) < tol * scale:
             break
     if z.imag >= 0:
-        raise ContinuumError(f"pole refinement left the lower half plane: {z!r}")
+        raise ContinuumError(f"pole refinement left the lower half plane: {complex(z)!r}")
     return z
 
 
@@ -605,7 +605,7 @@ def survival_amplitude_continuum(
             )
     if abs(table.completeness - 1.0) > _NORM_TOL:
         raise ContinuumError(
-            f"weight density integrates to {table.completeness!r}, not 1: "
+            f"weight density integrates to {float(table.completeness)!r}, not 1: "
             "the scheme is under-resolved or the model has bound states"
         )
     coeffs = (table.density * table.quad_weights).reshape(table.centres.size, -1)
@@ -660,7 +660,7 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
     table = build_weight_table(cm, _auto_panels(cm, 0.0))
     if abs(table.completeness - 1.0) > 1e-4:
         raise ContinuumError(
-            f"weight density integrates to {table.completeness!r}; "
+            f"weight density integrates to {float(table.completeness)!r}; "
             "cannot form the thermal average"
         )
     occ = _bose_occupancies(cm.beta * table.nodes)

@@ -11,6 +11,13 @@ All probability evaluations use the amplitude form: a single sum over modes
 followed by a modulus squared.  It is algebraically identical to the
 double-cosine sums but costs O(N) per channel instead of O(N^2) and is better
 conditioned.  Bath indices n, m are 1-based.
+
+Occupation sums, kappa |sum a e|^2 + sum_n nbar_n |sum a K_n e|^2, would need
+one channel per bath oscillator.  Where the occupancies are a low-degree
+polynomial of the frequency to within 1e-14 of their scale, the secular
+equation folds them into a constant plus a small Hermitian form in K+1
+Chebyshev-weighted mode sums (``_chebyshev_form``), O(N K) per sample; other
+occupancies keep the N+1 dense channels (``_occupation_form``).
 """
 
 from __future__ import annotations
@@ -54,6 +61,10 @@ _PHASE_BLOCK_ROWS = 64
 _PHASE_BLOCK_PHASES = 2**15
 # row cap of a grid slab, whose cos and sin slabs are alive at once
 _GRID_SLAB_ROWS = 1024
+# occupation sums as a Chebyshev form (``_occupation_form``): the degree cap,
+# and the error bound it must meet, relative to max(kappa, max nbar)
+_FORM_MAX_DEGREE = 24
+_FORM_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -274,21 +285,175 @@ def p_nm(modes: NormalModes, n: int, m: int, t):
     return _probability(modes, modes.weights * (k[:, jn] * k[:, jm]), t)
 
 
-def _occupation_terms(modes: NormalModes, init: InitialState, amp: np.ndarray):
-    """Coefficients [amp, amp K] and quanta [kappa, nbar] of an occupation sum.
+@dataclass(frozen=True)
+class _OccupationForm:
+    """Occupation sum N(t) = offset + Re sum_ij H_ij conj(S_i(t)) S_j(t).
 
-    The occupation of the state whose mode amplitudes are ``amp`` is
-    kappa |sum amp e|^2 + sum_n nbar_n |sum amp K_n e|^2 with e = exp(-i alpha t).
+    S = mode_sum(alphas, coeffs, t).  ``hermitian`` holds H, or its diagonal
+    when it is 1-D.  ``kind`` is "dense" (coefficients [a, a K], H =
+    diag(kappa, nbar), offset 0) or "chebyshev" (see ``_chebyshev_form``).
+    For the Chebyshev form, ``fit_residual`` is max_n |p(omega_n) - nbar_n|
+    of its polynomial occupancies, and ``error_bound`` adds the rounding
+    bound of the reduce; the dense sum has neither.
     """
+
+    coeffs: np.ndarray
+    hermitian: np.ndarray
+    offset: float
+    kind: str
+    degree: int | None
+    fit_residual: float | None
+    error_bound: float | None
+
+    def __call__(self, s: np.ndarray) -> np.ndarray:
+        """N at each row of a slab of S."""
+        h = self.hermitian
+        if h.ndim == 1:
+            return np.abs(s) ** 2 @ h + self.offset
+        return (s.conj() * (s @ h)).real.sum(axis=1) + self.offset
+
+
+def _rounding_bound(coeffs, hermitian, abs_offset: float) -> float:
+    """eps (sum |offset terms| + sum_ij |H_ij| |A_i|_1 |A_j|_1): rounding of the reduce."""
+    norms = np.abs(coeffs).sum(axis=0)
+    return float(np.finfo(float).eps * (abs_offset + norms @ np.abs(hermitian) @ norms))
+
+
+def _dense_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _OccupationForm:
+    """The occupation sum as written: kappa |sum a e|^2 + sum_n nbar_n |sum a K_n e|^2."""
     coeffs = np.concatenate([amp[:, None], amp[:, None] * modes.pole_ratios()], axis=1)
     quanta = np.concatenate([[init.kappa], init.bath_occupancies])
-    return coeffs, quanta
+    return _OccupationForm(coeffs, quanta, 0.0, "dense", None, None, None)
+
+
+def _chebyshev_vander(x: np.ndarray, degree: int) -> np.ndarray:
+    """V[i, k] = T_k(x_i) for k = 0..degree."""
+    v = np.empty((x.size, degree + 1))
+    v[:, 0] = 1.0
+    if degree > 0:
+        v[:, 1] = x
+    for k in range(2, degree + 1):
+        v[:, k] = 2.0 * x * v[:, k - 1] - v[:, k - 2]
+    return v
+
+
+def _divided_differences(degree: int) -> np.ndarray:
+    """D[k, i, j]: (T_k(x) - T_k(y)) / (x - y) = sum_ij D[k, i, j] T_i(x) T_j(y).
+
+    k = 0..degree+1.  From D_0 = 0, D_1 = 1 and
+    D_{k+1} = 2x D_k + 2 T_k(y) - D_{k-1}; 2x T_0 = 2 T_1 and
+    2x T_i = T_{i+1} + T_{i-1} act on the row index.
+    """
+    size = degree + 1
+    times_2x = np.eye(size, k=1) + np.eye(size, k=-1)
+    if size > 1:
+        times_2x[1, 0] = 2.0
+    d = np.zeros((degree + 2, size, size))
+    d[1, 0, 0] = 1.0
+    for k in range(1, degree + 1):
+        d[k + 1] = times_2x @ d[k] - d[k - 1]
+        d[k + 1, 0, k] += 2.0
+    return d
+
+
+def _chebyshev_map(modes: NormalModes) -> tuple[float, float]:
+    """Centre and half-width of the hull of the roots and the bath frequencies."""
+    bath = modes.model.bath_freqs
+    lo, hi = min(modes.alphas[0], bath[0]), max(modes.alphas[-1], bath[-1])
+    return 0.5 * (lo + hi), 0.5 * (hi - lo)
+
+
+def _chebyshev_form(modes: NormalModes, kappa: float, amp: np.ndarray, b: np.ndarray,
+                    fit_residual: float) -> _OccupationForm:
+    """Occupation sum with occupancies p(omega_n), p = sum_k b_k T_k(xi).
+
+    xi = (omega - centre)/half maps the hull of the roots and the bath onto
+    [-1, 1] (``_chebyshev_map``), K = b.size - 1 is the degree of p.  Partial
+    fractions in omega_n, the secular equation
+    sum_n g_n^2/(alpha - omega_n) = alpha - omega_sub and
+    w = 1/(1 + sum_n K_n^2) give, for every |x_nu| = 1,
+
+        sum_n p(omega_n) |sum_nu a_nu K_nun x_nu|^2
+            = sum_nu p(alpha_nu) a_nu^2 / w_nu - sum_ij G_ij conj(S_i) S_j,
+
+    S_i = sum_nu T_i(xi_nu) a_nu x_nu, where G is the Chebyshev coefficient
+    matrix of the divided difference of P(z) = p(z)(z - omega_sub) - r(z),
+    r(z) = sum_n g_n^2 (p(z) - p(omega_n))/(z - omega_n), a polynomial of
+    degree K+1.  So N(t) needs K+1 mode-sum columns instead of N+1.  At
+    computed roots the secular equation holds only to its residual f_nu,
+    and the form then differs from the dense sum by
+    sum a_nu a_mu conj(x_nu) x_mu (p_nu f_nu - p_mu f_mu)/(alpha_nu - alpha_mu).
+    """
+    model = modes.model
+    centre, half = _chebyshev_map(modes)
+    degree = b.size - 1
+    at_bath = _chebyshev_vander((model.bath_freqs - centre) / half, degree)
+    d = _divided_differences(degree)
+    # chebyshev coefficients of P = half xi p + (centre - omega_sub) p - r
+    poly = np.zeros(degree + 2)
+    poly[1] += half * b[0]
+    poly[:degree] += 0.5 * half * b[1:]
+    poly[2:] += 0.5 * half * b[1:]
+    poly[:degree + 1] += (centre - model.omega_sub) * b
+    moments = model.couplings**2 @ at_bath
+    poly[:degree + 1] -= np.einsum("k,kij,j->i", b, d[:degree + 1], moments) / half
+    hermitian = -np.einsum("k,kij->ij", poly, d) / half
+    hermitian[0, 0] += kappa
+    at_roots = _chebyshev_vander((modes.alphas - centre) / half, degree)
+    coeffs = at_roots * amp[:, None]
+    diag_terms = (at_roots @ b) * amp**2 / modes.weights
+    rounding = _rounding_bound(coeffs, hermitian, float(np.abs(diag_terms).sum()))
+    return _OccupationForm(coeffs, hermitian, float(diag_terms.sum()), "chebyshev",
+                           degree, fit_residual, fit_residual + rounding)
+
+
+def _certified_form(modes: NormalModes, init: InitialState,
+                    amp: np.ndarray) -> _OccupationForm | None:
+    """The cheapest certified Chebyshev form of an occupation sum, or None.
+
+    The degree K of the least-squares Chebyshev fit p to nbar rises from 0
+    until the form's error bound, the fit residual plus the rounding bound
+    of the reduce, is within ``_FORM_TOL`` of max(kappa, max nbar), while
+    K+1 < N+1 and K <= ``_FORM_MAX_DEGREE``.  Amplitudes of a state, a = w
+    or a = w K_j, keep sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the fit
+    residual bounds the error of replacing nbar by p.  The fit is done in
+    units of max(kappa, max nbar), so huge occupancies do not overflow.
+    Occupancies that no low-degree polynomial resolves (a wide or cold bath,
+    irregular values) have none.
+    """
+    kappa, nbar = init.kappa, init.bath_occupancies
+    scale = max(kappa, float(nbar.max()))
+    tol = _FORM_TOL * scale
+    top = min(_FORM_MAX_DEGREE, nbar.size - 1)
+    centre, half = _chebyshev_map(modes)
+    vander = _chebyshev_vander((modes.model.bath_freqs - centre) / half, top)
+    for degree in range(top + 1):
+        at_bath = vander[:, :degree + 1]
+        b = (np.linalg.lstsq(at_bath, nbar / scale, rcond=None)[0] * scale if scale > 0
+             else np.zeros(degree + 1))
+        fit_residual = float(np.abs(at_bath @ b - nbar).max())
+        if fit_residual <= tol:
+            form = _chebyshev_form(modes, kappa, amp, b, fit_residual)
+            if form.error_bound <= tol:
+                return form
+    return None
+
+
+def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _OccupationForm:
+    """The occupation sum with mode amplitudes ``amp``: certified form, else dense."""
+    form = _certified_form(modes, init, amp)
+    return form if form is not None else _dense_form(modes, init, amp)
 
 
 def _occupation(modes: NormalModes, init: InitialState, amp: np.ndarray, t):
+    """kappa |sum amp e|^2 + sum_n nbar_n |sum amp K_n e|^2 with e = exp(-i alpha t).
+
+    The occupation of the state whose mode amplitudes are ``amp``, summed by
+    its certified Chebyshev form where there is one, else densely.
+    """
     ts, scalar = _times_array(t)
-    coeffs, quanta = _occupation_terms(modes, init, amp)
-    out = mode_sum(modes.alphas, coeffs, ts, reduce=lambda s, _: np.abs(s) ** 2 @ quanta)
+    form = _occupation_form(modes, init, amp)
+    out = mode_sum(modes.alphas, form.coeffs, ts, reduce=lambda s, _: form(s))
     return float(out[0]) if scalar else out
 
 
@@ -345,12 +510,17 @@ def asymptotic_mean_occupation(modes: NormalModes, init: InitialState) -> float:
 
     This is the non-oscillating diagonal part of the occupation double sum:
     kappa sum_nu |Phi_nu|^4 + sum_n theta_N(omega_n) nbar_n.  For a dense bath
-    the first term vanishes and only the bath-transfer term survives.
+    the first term vanishes and only the bath-transfer term survives.  With
+    a certified Chebyshev form it is offset + sum_nu A_nu H A_nu^T over the
+    rows A_nu of the form's coefficients, O(N K^2), and the pole-ratio
+    matrix is not built.
     """
-    return float(
-        init.kappa * long_time_average_survival(modes)
-        + theta_profile(modes) @ init.bath_occupancies
-    )
+    form = _certified_form(modes, init, modes.weights)
+    if form is None:
+        return float(init.kappa * long_time_average_survival(modes)
+                     + theta_profile(modes) @ init.bath_occupancies)
+    a = form.coeffs
+    return float(np.sum((a @ form.hermitian) * a) + form.offset)
 
 
 OBSERVABLES = ("P_surv", "N_omega", "N_total", "X_mean", "P_tilde_mean")
@@ -368,9 +538,11 @@ def evolve_series(
 
     Supported names: P_surv, N_omega, N_total, X_mean, P_tilde_mean.  All
     requested mode sums share one mode_sum pass over the grid: O(N) per sample
-    for the survival amplitude and the position columns, O(N^2) for N_omega.
-    N_total is the conserved total kappa + sum nbar, written in closed form.
-    An empty selection returns an empty column set.
+    for the survival amplitude and the position columns, O(N K) for N_omega
+    with its K+1 Chebyshev columns, whose first column is s(t) itself (O(N^2)
+    where N_omega falls back to the dense sum).  N_total is the conserved
+    total kappa + sum nbar, written in closed form.  An empty selection
+    returns an empty column set.
     """
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
@@ -378,9 +550,9 @@ def evolve_series(
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
     columns: dict[str, np.ndarray] = {}
     if "N_omega" in names:
-        coeffs, quanta = _occupation_terms(modes, init, modes.weights)
-        both = mode_sum(modes.alphas, coeffs, grid,
-                        reduce=lambda e, _: np.column_stack([e[:, 0], np.abs(e) ** 2 @ quanta]))
+        form = _occupation_form(modes, init, modes.weights)  # column 0 is w: s(t)
+        both = mode_sum(modes.alphas, form.coeffs, grid,
+                        reduce=lambda e, _: np.column_stack([e[:, 0], form(e)]))
         s = both[:, 0]
         columns["N_omega"] = both[:, 1].real
     elif {"P_surv", "X_mean", "P_tilde_mean"} & set(names):

@@ -114,7 +114,7 @@ class NormalModes:
         if np.any(self.weights <= 0) or np.any(self.weights > 1.0 + 1e-12):
             raise EigensolveError("weights must lie in (0, 1]")
         if abs(self.weights.sum() - 1.0) > 1e-8:
-            raise EigensolveError(f"weights sum to {self.weights.sum()!r}, not 1")
+            raise EigensolveError(f"weights sum to {float(self.weights.sum())!r}, not 1")
         trace = self.model.omega_sub + w.sum()
         if abs(a.sum() - trace) > rel_tol * abs(trace):
             raise EigensolveError("eigenvalue sum does not match matrix trace")
@@ -133,7 +133,7 @@ def secular_value(alpha: float, model: SpectralModel) -> float:
     """Evaluate f(alpha); O(N) with pairwise summation in ascending n."""
     w = model.bath_freqs
     if np.any(alpha == w):
-        raise EigensolveError(f"alpha = {alpha!r} is a pole of the secular function")
+        raise EigensolveError(f"alpha = {float(alpha)!r} is a pole of the secular function")
     g2 = model.couplings**2
     return float(alpha - model.omega_sub - np.sum(g2 / (alpha - w)))
 
@@ -190,13 +190,13 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
     f_ends = _secular_batch(np.array([lo[0], hi[n]]), omega_sub, w, g2)
     if not (f_ends[0] < 0 < f_ends[1]):
         raise EigensolveError(
-            f"exterior brackets [{lo[0]!r}, {hi[n]!r}] do not enclose the roots "
-            f"(f = {f_ends[0]!r}, {f_ends[1]!r})")
+            f"exterior brackets [{float(lo[0])!r}, {float(hi[n])!r}] do not enclose "
+            f"the roots (f = {float(f_ends[0])!r}, {float(f_ends[1])!r})")
     if np.any(lo >= hi):
         bad = int(np.flatnonzero(lo >= hi)[0])
         raise EigensolveError(
             f"degenerate bracket for root {bad}: bath frequencies too close "
-            f"({lo[bad]!r} >= {hi[bad]!r})"
+            f"({float(lo[bad])!r} >= {float(hi[bad])!r})"
         )
 
     rows = max(1, _SCRATCH_BYTES // (8 * n))
@@ -345,7 +345,7 @@ def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: f
     bad = int(live[0])
     raise EigensolveError(
         f"root {int(nus[bad])} did not converge in {_MAX_ITER} secular evaluations; "
-        f"last bracket [{lo[bad]!r}, {hi[bad]!r}]"
+        f"last bracket [{float(lo[bad])!r}, {float(hi[bad])!r}]"
     )
 
 

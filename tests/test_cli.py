@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -158,6 +161,33 @@ class TestEvolve:
         assert proc.stderr == ""
         assert (tmp_path / "evolve_series.csv").exists()
 
+    def test_error_line_prints_plain_floats(self, tmp_path, capsys):
+        # omega_sub far above a narrow band: the weights miss closure at 1e-8
+        code = run(["evolve", "--paper-defaults", "--n", 32, "--obs", "N_omega",
+                    "--omega", 1e6, "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: weights sum to 0.99")
+        assert "np.float64(" not in err and "Traceback" not in err
+
+    def test_occupation_diagnostics(self, tmp_path):
+        run(["evolve", "--paper-defaults", "--n", 32, "--points", 11, "--obs", "N_omega",
+             "--out-dir", tmp_path, "--prefix", "n"])
+        run(["evolve", "--paper-defaults", "--n", 32, "--points", 11, "--obs", "P_surv",
+             "--out-dir", tmp_path, "--prefix", "p"])
+        modes = qbmlab.solve_normal_modes(qbmlab.paper_default_model(32))
+        closure = abs(math.fsum(modes.weights.tolist()) - 1.0)
+        diagnostics = read_manifest(tmp_path / "n_manifest.json")["diagnostics"]
+        assert diagnostics["weight_sum_error"] == closure
+        form = diagnostics["occupation_form"]
+        assert set(form) == {"kind", "degree", "fit_residual", "error_bound"}
+        assert form["kind"] == "chebyshev" and 0 <= form["degree"] < 31
+        assert 0.0 <= form["fit_residual"] <= form["error_bound"] <= 1e-14
+        # no occupation sum ran: only the closure is reported
+        diagnostics = read_manifest(tmp_path / "p_manifest.json")["diagnostics"]
+        assert "occupation_form" not in diagnostics
+        assert diagnostics["weight_sum_error"] == closure
+
     def test_unknown_observable_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["evolve", "--paper-defaults", "--n", 10, "--obs", "energy",
@@ -193,6 +223,9 @@ class TestRecurrence:
         first = report["peaks"][0]
         assert set(first) == {"t", "h", "w"}
         assert first["t"] == pytest.approx(report["t_poincare"], rel=0.03)
+        diagnostics = read_manifest(tmp_path / "r_manifest.json")["diagnostics"]
+        assert diagnostics["occupation_form"]["kind"] == "chebyshev"
+        assert 0.0 <= diagnostics["weight_sum_error"] < 1e-12
 
 
 class TestContinuum:
@@ -281,6 +314,10 @@ class TestSweep:
         assert rescaled[0] == "t_over_tp,N_omega"
         manifest = read_manifest(tmp_path / "w_manifest.json")
         assert manifest["status"] == "ok"
+        assert [d["n_plus_1"] for d in manifest["diagnostics"]] == [10, 32]
+        for member in manifest["diagnostics"]:
+            assert set(member) == {"n_plus_1", "occupation_form", "weight_sum_error"}
+            assert member["occupation_form"]["kind"] == "chebyshev"
 
     def test_single_member_matches_solo_run(self, tmp_path):
         run(["sweep", "--n-list", "10", "--points", 301,
@@ -347,7 +384,7 @@ RERUNS = {
                            {"model", "derived", "diagnostics"}),
     "sweep": (["sweep", "--n-list", "10,12", "--rescaled-series", "--points", 301,
                "--beta", 2.0],
-              {"convention", "status", "failed_member"}),
+              {"convention", "status", "failed_member", "diagnostics"}),
 }
 COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "tolerances",
                "outputs", "threads"}
@@ -418,3 +455,30 @@ class TestInputBoundary:
         cfg.write_text("omega_sub = 1.0\nbeta = nan\n[bath]\n0.9 0.05\n1.1 0.05\n")
         assert run(["solve", "--config", cfg, "--out-dir", tmp_path]) == 1
         assert "beta must be finite" in capsys.readouterr().err
+
+
+def readme_quick_start():
+    """The commands of README's Quick-start sh block, continuation lines joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Quick start"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.strip() and not line.lstrip().startswith("#")]
+    return [shlex.split(line) for line in lines]
+
+
+class TestReadme:
+    """README Quick-start commands, the ones the end-to-end numbers are quoted for."""
+
+    def test_quick_start_block_is_found(self):
+        commands = readme_quick_start()
+        assert len(commands) >= 7
+        assert all(argv[0] == "qbmlab" for argv in commands)
+        assert {argv[1] for argv in commands} >= set(_subparsers(build_parser()))
+
+    @pytest.mark.parametrize("argv", readme_quick_start(), ids=lambda a: a[1])
+    def test_quick_start_command_runs(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # validate's documented example is an overcoupled model: exit 1 by design
+        assert main(argv[1:]) == (1 if argv[1] == "validate" else 0)
+        assert "Traceback" not in capsys.readouterr().err

@@ -421,3 +421,180 @@ class TestMemoryBudget:
     def test_langevin_table(self, modes_500):
         grid = TimeGrid(t0=0.0, dt=1.0, count=20000)
         assert self.peak(lambda: langevin_table(modes_500, grid)) < self.LIMIT
+
+
+def dense_occupation(modes, init, amp, ts):
+    """The occupation sum over the dense coefficients [a, a K] and quanta [kappa, nbar]."""
+    coeffs = np.concatenate([amp[:, None], amp[:, None] * modes.pole_ratios()], axis=1)
+    quanta = np.concatenate([[init.kappa], init.bath_occupancies])
+    return mode_sum(modes.alphas, coeffs, ts, reduce=lambda s, _: np.abs(s) ** 2 @ quanta)
+
+
+def occupation_scale(init):
+    return max(init.kappa, float(init.bath_occupancies.max()))
+
+
+def secular_residual_term(modes, init, amp, degree, ts):
+    """dense - form at computed roots: sum a a conj(x) x E, E from the secular residuals.
+
+    The form assumes the secular equation at the roots; it holds only to the
+    residual f_nu = alpha_nu - omega_sub - sum_n g_n^2/(alpha_nu - omega_n),
+    evaluated here in 40 digits at the float roots.  With u = p(alpha) f,
+    E_numu = (u_nu - u_mu)/(alpha_nu - alpha_mu) off the diagonal and
+    p'(alpha_nu) f_nu on it.  Also returns the bound
+    2 pi/min gap |a u|_2 |a|_2 + sum |a^2 p' f| on the term (the Cauchy matrix
+    1/(alpha_nu - alpha_mu) has norm at most pi/min gap: Montgomery-Vaughan).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    model = modes.model
+    with mpmath.workdps(40):
+        bath = [mpmath.mpf(float(v)) for v in model.bath_freqs]
+        g2 = [mpmath.mpf(float(v)) ** 2 for v in model.couplings]
+        f = np.array([float(mpmath.mpf(a) - model.omega_sub
+                            - mpmath.fsum(g / (mpmath.mpf(a) - w) for g, w in zip(g2, bath)))
+                      for a in modes.alphas.tolist()])
+    centre, half = dynamics._chebyshev_map(modes)
+    at_bath = dynamics._chebyshev_vander((model.bath_freqs - centre) / half, degree)
+    scale = occupation_scale(init)
+    b = np.linalg.lstsq(at_bath, init.bath_occupancies / scale, rcond=None)[0] * scale
+    # p and p' in units of the occupation scale, so huge occupancies do not overflow
+    xi = (modes.alphas - centre) / half
+    p = np.polynomial.chebyshev.chebval(xi, b / scale)
+    dp = np.polynomial.chebyshev.chebval(xi, np.polynomial.chebyshev.chebder(b / scale)) / half
+    u = p * f
+    gaps = np.subtract.outer(modes.alphas, modes.alphas)
+    np.fill_diagonal(gaps, 1.0)
+    e = np.subtract.outer(u, u) / gaps
+    np.fill_diagonal(e, dp * f)
+    e *= np.outer(amp, amp)
+    x = np.exp(-1j * np.outer(ts, modes.alphas))
+    term = np.einsum("ti,ij,tj->t", x.conj(), e, x).real
+    bound = (2 * np.pi / np.diff(modes.alphas).min() * np.linalg.norm(amp * u)
+             * np.linalg.norm(amp) + np.abs(amp**2 * dp * f).sum())
+    return term * scale, bound * scale
+
+
+class TestOccupationForm:
+    """<N(t)> as a Chebyshev low-rank Hermitian form against the dense [a, a K] sum."""
+
+    def test_polynomial_occupancies_match_dense(self):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        @hyp.settings(max_examples=60, deadline=None)
+        @hyp.given(st.data())
+        def check(data):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+            n_osc = data.draw(st.integers(1, 40), label="bath size")
+            degree = data.draw(st.integers(0, 4), label="degree of p")
+            model = random_model(rng, n_osc, omega_in_band=data.draw(st.booleans()))
+            modes = solve_normal_modes(model)
+            # a polynomial p >= 0 on [-1, 1] in the form's own variable
+            centre, half = dynamics._chebyshev_map(modes)
+            b = rng.uniform(-1.0, 1.0, degree + 1)
+            b[0] = np.abs(b[1:]).sum() + rng.uniform(0.1, 2.0)
+            nbar = dynamics._chebyshev_vander((model.bath_freqs - centre) / half, degree) @ b
+            init = InitialState(kappa=float(rng.uniform(0.0, 3.0)), bath_occupancies=nbar)
+            j = data.draw(st.integers(0, n_osc - 1), label="bath state")
+            amp = modes.weights if data.draw(st.booleans(), label="subsystem") \
+                else modes.weights * modes.pole_ratios()[:, j]
+            form = dynamics._occupation_form(modes, init, amp)
+            if degree < n_osc:  # otherwise K+1 < N+1 may leave only the dense sum
+                assert form.kind == "chebyshev"
+            ts = np.concatenate([[0.0], rng.uniform(0.0, 1e4, 20)])
+            got = dynamics._occupation(modes, init, amp, ts)
+            want = dense_occupation(modes, init, amp, ts)
+            assert np.abs(got - want).max() <= 1e-13 * occupation_scale(init)
+
+        check()
+
+    @pytest.mark.parametrize("case", ["paper32", "paper32-hot", "paper100", "random24",
+                                      "random24-above", "paper32-bath16"])
+    def test_thermal_models_match_dense_up_to_secular_residuals(self, case):
+        rng = np.random.default_rng(31)
+        model = {
+            "paper32": lambda: paper_default_model(32),
+            "paper32-hot": lambda: paper_default_model(32, beta=0.3),
+            "paper100": lambda: paper_default_model(100),
+            "random24": lambda: random_model(rng, 24, beta=2.0),
+            "random24-above": lambda: random_model(rng, 24, omega_in_band=False),
+            "paper32-bath16": lambda: paper_default_model(32),
+        }[case]()
+        modes = solve_normal_modes(model)
+        init = InitialState.thermal(model)
+        amp = modes.weights * modes.pole_ratios()[:, 15] if case.endswith("bath16") \
+            else modes.weights
+        form = dynamics._occupation_form(modes, init, amp)
+        assert form.kind == "chebyshev" and form.degree < model.n_osc
+        ts = TimeGrid(0.0, 3.0 * poincare_time(modes).t_poincare / 800, 801)
+        got = dynamics._occupation(modes, init, amp, ts.times)
+        want = dense_occupation(modes, init, amp, ts.times)
+        term, bound = secular_residual_term(modes, init, amp, form.degree, ts.times)
+        scale = occupation_scale(init)
+        # the two forms differ by the residual term alone, and it is within its bound
+        assert np.abs(got + term - want).max() <= 1e-14 * scale
+        assert np.abs(got - want).max() <= bound + 1e-14 * scale
+        assert form.error_bound <= dynamics._FORM_TOL * scale
+
+    def test_wide_cold_bath_and_irregular_occupancies_keep_the_dense_sum(self):
+        wide = SpectralModel(1.0, 20.0, 1.0, np.linspace(0.05, 3.0, 63), np.full(63, 0.01))
+        paper = paper_default_model(32)
+        irregular = InitialState(
+            kappa=1.0, bath_occupancies=np.random.default_rng(5).uniform(0.0, 2.0, 31))
+        ts = np.linspace(0.0, 3000.0, 301)
+        grid = TimeGrid(0.0, 10.0, 301)
+        for model, init in [(wide, InitialState.thermal(wide)), (paper, irregular)]:
+            modes = solve_normal_modes(model)
+            assert dynamics._occupation_form(modes, init, modes.weights).kind == "dense"
+            # the same coefficients and reduce as before the form: the same bits
+            assert np.array_equal(mean_subsystem_occupation(modes, init, ts),
+                                  dense_occupation(modes, init, modes.weights, ts))
+            series = evolve_series(modes, init, grid, ["N_omega"])
+            assert np.array_equal(series.column("N_omega"),
+                                  dense_occupation(modes, init, modes.weights, grid))
+            amp = modes.weights * modes.pole_ratios()[:, 7]
+            assert np.array_equal(mean_bath_occupation(modes, init, 8, ts),
+                                  dense_occupation(modes, init, amp, ts))
+
+    def test_huge_occupancies_stay_finite(self):
+        model = paper_default_model(32, beta=1e-300)
+        modes = solve_normal_modes(model)
+        init = InitialState.thermal(model)
+        scale = occupation_scale(init)
+        assert scale > 1e299
+        form = dynamics._occupation_form(modes, init, modes.weights)
+        assert form.kind == "chebyshev" and np.isfinite(form.error_bound)
+        ts = np.linspace(0.0, poincare_time(modes).t_poincare / 2.0, 401)
+        got = mean_subsystem_occupation(modes, init, ts)
+        want = dense_occupation(modes, init, modes.weights, ts)
+        term, bound = secular_residual_term(modes, init, modes.weights, form.degree, ts)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got + term - want).max() <= 1e-14 * scale
+        assert asymptotic_mean_occupation(modes, init) == pytest.approx(
+            float(np.mean(want)), rel=0.05)
+
+    @pytest.mark.parametrize("n_modes", [32, 500, 2048])
+    def test_plateau_matches_the_dense_diagonal(self, n_modes):
+        model = paper_default_model(n_modes)
+        modes = solve_normal_modes(model)
+        init = InitialState.thermal(model)
+        dense = (init.kappa * long_time_average_survival(modes)
+                 + theta_profile(modes) @ init.bath_occupancies)
+        assert asymptotic_mean_occupation(modes, init) == pytest.approx(dense, rel=1e-13)
+
+    def test_recurrence_path_builds_no_pole_ratio_matrix(self, monkeypatch):
+        from qbmlab.recurrence import analyze
+
+        model = paper_default_model(100)
+        modes = solve_normal_modes(model)
+        init = InitialState.thermal(model)
+
+        def refuse(self):
+            raise AssertionError("pole-ratio matrix built")
+
+        monkeypatch.setattr(NormalModes, "pole_ratios", refuse)
+        grid = TimeGrid(0.0, 3.0 * poincare_time(modes).t_poincare / 1000, 1001)
+        series = evolve_series(modes, init, grid, ["N_omega", "P_surv"])
+        report = analyze(modes, series, "N_omega", init=init)
+        assert report.plateau == asymptotic_mean_occupation(modes, init)
+        assert series.column("N_omega")[0] == pytest.approx(init.kappa, abs=1e-12)
