@@ -1,9 +1,13 @@
 """Command-line front end: batch runs, CSV/JSON artifacts, and run manifests.
 
-Every run writes its data files plus a manifest recording the exact model
+Every subcommand takes one path.  Its handler ``_cmd_<name>(args, parser)``
+writes the run's data files and returns (exit code, paths written, manifest
+fields).  ``main`` then writes the manifest, recording the exact model
 parameters, conventions, and tolerances that shaped the numbers, and an
-effective argument vector from which the run can be repeated verbatim.
-Identical inputs produce byte-identical CSV output.
+effective argument vector from which the run can be repeated verbatim; it
+prints one ``wrote ...`` line naming every file.  A known error, from a bad
+model to an unwritable output directory, ends the run with ``error: ...``
+and exit 1 instead.  Identical inputs produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .continuum import (
     validate_continuum,
     width_from_discrete,
 )
-from .dynamics import OBSERVABLES, TimeGrid, _certified_form, evolve_series
+from .dynamics import OBSERVABLES, TimeGrid, evolve_series
 from .eigensolve import _REL_TOL_MAX, _REL_TOL_MIN, EigensolveError, solve_normal_modes
 from .langevin import DEFAULT_WRONSKIAN_TOL, langevin_table
 from .model import (
@@ -44,7 +48,9 @@ from .model import (
 )
 from .recurrence import RecurrenceError, analyze, poincare_time
 
-_KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError)
+# errors that end a run with "error: ..." and exit 1; OSError covers unreadable
+# model files and unwritable output directories
+_KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError, OSError)
 
 
 def _fmt(value: float) -> str:
@@ -186,8 +192,10 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> SpectralModel:
     parser.error("give either --config or --paper-defaults")
 
 
-def _model_record(model: SpectralModel, modes, args) -> dict:
-    """Manifest fields of a discrete-model run: model, derived scales, solver effort."""
+def _solved(args, parser: argparse.ArgumentParser):
+    """The solved model and its manifest fields: model, derived scales, solver effort."""
+    model = _resolve_model(args, parser)
+    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
     tp = poincare_time(modes)
     derived = {
         "t_poincare": tp.t_poincare,
@@ -203,7 +211,7 @@ def _model_record(model: SpectralModel, modes, args) -> dict:
         ] * (n_osc - 2) / 2.0
     if model.uniform_spacing() is not None:
         derived["gamma_width"] = width_from_discrete(model)
-    return {
+    return modes, {
         "model": {
             "source": str(args.config) if args.config else "paper-defaults",
             "omega_sub": model.omega_sub,
@@ -223,17 +231,19 @@ def _model_record(model: SpectralModel, modes, args) -> dict:
     }
 
 
-def _occupation_diagnostics(modes, init, with_form: bool) -> dict:
-    """Closure of the weights and, with ``with_form``, how <N_sub(t)> was summed."""
+def _occupation_diagnostics(modes, series) -> dict:
+    """Closure of the weights and, where ``series`` summed N_omega, how it did."""
     out = {"weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0)}
-    if with_form:
-        # the certificate alone tells which form ran; the dense sum is not rebuilt
-        form = _certified_form(modes, init, modes.weights)
-        record = {"kind": "dense", "degree": None, "fit_residual": None, "error_bound": None}
-        if form is not None:
-            record = {key: getattr(form, key) for key in record}
-        out["occupation_form"] = record
+    if series.occupation_form is not None:
+        out["occupation_form"] = series.occupation_form
     return out
+
+
+def _dissipation_record(validity) -> dict:
+    """Manifest block of a positivity check: the sums, bounds, passes and D ratio."""
+    record = dataclasses.asdict(validity)
+    del record["delta"]
+    return record
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -257,19 +267,25 @@ def _argv_effective(args, sub: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-def _write_manifest(args, parser, outputs: list[str], tolerances: dict, **fields) -> None:
+# the tolerance options a subcommand has, all recorded in its manifest
+_TOLERANCES = ("rel_tol", "wronskian_tol", "threshold", "quad_tol")
+
+
+def _write_manifest(args, parser, written: list[Path], **fields) -> Path:
     """Write <prefix>_manifest.json: how to repeat the run and what it produced."""
     payload = {
         "command": args.command,
         "argv_effective": _argv_effective(args, parser),
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "tolerances": tolerances,
-        "outputs": outputs,
+        "tolerances": {dest: getattr(args, dest) for dest in _TOLERANCES if dest in args},
+        "outputs": [path.name for path in written],
         "threads": os.cpu_count() or 1,
         **fields,
     }
-    _write_json(_out(args, "_manifest.json"), payload)
+    path = _out(args, "_manifest.json")
+    _write_json(path, payload)
+    return path
 
 
 def _out(args, suffix: str) -> Path:
@@ -302,81 +318,60 @@ def _make_grid(args, fallback_t_max: float) -> TimeGrid:
 
 # --- subcommands --------------------------------------------------------------
 
-def _cmd_solve(args, parser) -> int:
-    model = _resolve_model(args, parser)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
+_Run = tuple[int, list[Path], dict]  # exit code, paths written, manifest fields
+
+
+def _recurrence_report(args, modes, fallback_t_max: float, **analyze_kw):
+    """N_omega of the thermal state over the run's grid, and its recurrence report."""
+    init = InitialState.thermal(modes.model)
+    series = evolve_series(modes, init, _make_grid(args, fallback_t_max), ["N_omega"])
+    return series, analyze(modes, series, "N_omega", init=init, **analyze_kw)
+
+
+def _cmd_solve(args, parser) -> _Run:
+    modes, record = _solved(args, parser)
     csv_path = _out(args, "_modes.csv")
     _write_csv(csv_path, {"nu": np.arange(modes.n_modes), "alpha": modes.alphas,
                           "weight": modes.weights, "residual": modes.residuals})
-    validity = validate_dissipation(model)
-    _write_manifest(
-        args, parser, [csv_path.name], {"rel_tol": args.rel_tol},
-        **_model_record(model, modes, args),
-        dissipation={
-            "left_sum": validity.left_sum, "right_sum": validity.right_sum,
-            "left_bound": validity.left_bound, "right_bound": validity.right_bound,
-            "passes": list(validity.passes), "d_bound_ratio": validity.d_bound_ratio,
-        },
-    )
-    print(f"wrote {csv_path} and {_out(args, '_manifest.json')}")
-    return 0
+    record["dissipation"] = _dissipation_record(validate_dissipation(modes.model))
+    return 0, [csv_path], record
 
 
-def _cmd_evolve(args, parser) -> int:
-    model = _resolve_model(args, parser)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
-    init = InitialState.thermal(model)
+def _cmd_evolve(args, parser) -> _Run:
     observables = list(dict.fromkeys(o.strip() for o in args.obs.split(",") if o.strip()))
     unknown = [o for o in observables if o not in OBSERVABLES]
     if unknown:
         parser.error(f"unknown observables {unknown}; choose from {OBSERVABLES}")
+    modes, record = _solved(args, parser)
     grid = _make_grid(args, fallback_t_max=poincare_time(modes).t_poincare / 2.0)
-    series = evolve_series(modes, init, grid, observables, x0=args.x0, p0=args.p0)
-
+    series = evolve_series(modes, InitialState.thermal(modes.model), grid, observables,
+                           x0=args.x0, p0=args.p0)
     csv_path = _out(args, "_series.csv")
     _write_csv(csv_path, {"t": series.times, **series.columns})
     plot_path = _out(args, "_series.gp")
     _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
-    record = _model_record(model, modes, args)
-    record["diagnostics"].update(
-        _occupation_diagnostics(modes, init, with_form="N_omega" in observables))
-    _write_manifest(args, parser, [csv_path.name, plot_path.name],
-                    {"rel_tol": args.rel_tol}, **record)
-    print(f"wrote {csv_path}")
-    return 0
+    record["diagnostics"].update(_occupation_diagnostics(modes, series))
+    return 0, [csv_path, plot_path], record
 
 
-def _cmd_langevin(args, parser) -> int:
-    model = _resolve_model(args, parser)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
-    grid = _make_grid(args, fallback_t_max=500.0 / model.omega_sub)
+def _cmd_langevin(args, parser) -> _Run:
+    modes, record = _solved(args, parser)
+    grid = _make_grid(args, fallback_t_max=500.0 / modes.model.omega_sub)
     table = langevin_table(modes, grid, wronskian_tol=args.wronskian_tol)
     csv_path = _out(args, "_langevin.csv")
     _write_csv(csv_path, {"t": table.times, **table.columns, "valid": table.valid})
-    _write_manifest(
-        args, parser, [csv_path.name],
-        {"rel_tol": args.rel_tol, "wronskian_tol": args.wronskian_tol},
-        **_model_record(model, modes, args),
-        invalid_samples=int(np.count_nonzero(~table.valid)),
-    )
-    print(f"wrote {csv_path}")
-    return 0
+    record["invalid_samples"] = int(np.count_nonzero(~table.valid))
+    return 0, [csv_path], record
 
 
-def _cmd_recurrence(args, parser) -> int:
-    model = _resolve_model(args, parser)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
-    init = InitialState.thermal(model)
-    tp = poincare_time(modes)
-    grid = _make_grid(args, fallback_t_max=3.0 * tp.t_poincare)
-    series = evolve_series(modes, init, grid, ["N_omega"])
-    report = analyze(modes, series, "N_omega", init=init, threshold=args.threshold)
+def _cmd_recurrence(args, parser) -> _Run:
+    modes, record = _solved(args, parser)
+    series, report = _recurrence_report(args, modes, 3.0 * poincare_time(modes).t_poincare,
+                                        threshold=args.threshold)
     payload = {
         "t_poincare": report.t_poincare,
         "min_gap": report.min_gap,
-        "peaks": [
-            {"t": p.time, "h": p.height, "w": p.width} for p in report.peaks
-        ],
+        "peaks": [{"t": p.time, "h": p.height, "w": p.width} for p in report.peaks],
         "peak_spacing": report.peak_spacing,
         "gamma_fit": report.gamma_fit,
         "residual": report.fit_residual,
@@ -385,12 +380,8 @@ def _cmd_recurrence(args, parser) -> int:
     }
     json_path = _out(args, "_recurrence.json")
     _write_json(json_path, payload)
-    record = _model_record(model, modes, args)
-    record["diagnostics"].update(_occupation_diagnostics(modes, init, with_form=True))
-    _write_manifest(args, parser, [json_path.name],
-                    {"rel_tol": args.rel_tol, "threshold": args.threshold}, **record)
-    print(f"wrote {json_path}")
-    return 0
+    record["diagnostics"].update(_occupation_diagnostics(modes, series))
+    return 0, [json_path], record
 
 
 def _continuum_model(args, parser):
@@ -406,7 +397,7 @@ def _continuum_model(args, parser):
     return ullersma_density(args.c1, c2, lo, hi, omega_sub=args.omega, beta=args.beta)
 
 
-def _cmd_continuum(args, parser) -> int:
+def _cmd_continuum(args, parser) -> _Run:
     cm = _continuum_model(args, parser)
     est = pole_estimate(cm, quad_tol=args.quad_tol)
     validity = validate_continuum(cm, quad_tol=args.quad_tol)
@@ -425,7 +416,7 @@ def _cmd_continuum(args, parser) -> int:
         "asymptotic_occupation_weak": asymptotic_occupation(cm, weak_coupling=True),
     }
 
-    outputs = []
+    written = []
     if args.survival_t_max is not None:
         ts = np.linspace(0.0, args.survival_t_max, args.survival_points)
         s = survival_amplitude_continuum(cm, ts)
@@ -433,44 +424,35 @@ def _cmd_continuum(args, parser) -> int:
         # Python's complex abs and float ** round differently from numpy's in the
         # last bit; they are the arithmetic the survival CSVs have always used
         _write_csv(csv_path, {"t": ts, "p_survival": [abs(v) ** 2 for v in s.tolist()]})
-        outputs.append(csv_path.name)
+        written.append(csv_path)
         payload["survival_csv"] = csv_path.name
 
     json_path = _out(args, "_continuum.json")
     _write_json(json_path, payload)
-    outputs.append(json_path.name)
-    _write_manifest(args, parser, outputs, {"quad_tol": args.quad_tol},
-                    density=args.density, band=list(args.band))
-    print(f"wrote {json_path}")
-    return 0
+    written.append(json_path)
+    return 0, written, {"density": args.density, "band": list(args.band)}
 
 
 def _sweep_member(n_plus_1: int, args):
-    model = _paper_model(args, n_plus_1)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
-    init = InitialState.thermal(model)
-    tp = poincare_time(modes)
-    gamma = width_from_discrete(model)
-    grid = _make_grid(args, fallback_t_max=1.5 / gamma)
-    series = evolve_series(modes, init, grid, ["N_omega"])
-    report = analyze(modes, series, "N_omega", init=init)
+    modes = solve_normal_modes(_paper_model(args, n_plus_1), rel_tol=args.rel_tol)
+    gamma = width_from_discrete(modes.model)
+    series, report = _recurrence_report(args, modes, 1.5 / gamma)
     rescaled = None
     if args.rescaled_series:
-        rescaled = (grid.times / tp.t_poincare, series.column("N_omega"))
+        rescaled = (series.times / report.t_poincare, series.column("N_omega"))
     return {
         "n_plus_1": n_plus_1,
-        "t_poincare": tp.t_poincare,
-        "min_gap": tp.min_gap,
+        "t_poincare": report.t_poincare,
+        "min_gap": report.min_gap,
         "plateau": report.plateau,
         "gamma_fit": report.gamma_fit,
         "gamma_width": gamma,
         "rescaled": rescaled,
-        "diagnostics": {"n_plus_1": n_plus_1,
-                        **_occupation_diagnostics(modes, init, with_form=True)},
+        "diagnostics": {"n_plus_1": n_plus_1, **_occupation_diagnostics(modes, series)},
     }
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args, parser) -> _Run:
     try:
         n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
     except ValueError:
@@ -490,30 +472,26 @@ def _cmd_sweep(args, parser) -> int:
     csv_path = _out(args, "_sweep.csv")
     header = ["n_plus_1", "t_poincare", "min_gap", "plateau", "gamma_fit", "gamma_width"]
     _write_csv(csv_path, {name: [r[name] for r in rows] for name in header})
-    outputs = [csv_path.name]
+    written = [csv_path]
     if args.rescaled_series:
         for r in rows:
             ts_scaled, values = r["rescaled"]
             member_path = _out(args, f"_n{r['n_plus_1']}_rescaled.csv")
             _write_csv(member_path, {"t_over_tp": ts_scaled, "N_omega": values})
-            outputs.append(member_path.name)
+            written.append(member_path)
     plot_path = _out(args, "_sweep.gp")
     _write_plot_script(plot_path, csv_path.name, ["t_poincare"], "recurrence time sweep")
-    outputs.append(plot_path.name)
+    written.append(plot_path)
 
-    _write_manifest(args, parser, outputs, {"rel_tol": args.rel_tol},
-                    convention=args.convention,
-                    status="failed" if failed else "ok", failed_member=failed,
-                    diagnostics=[r["diagnostics"] for r in rows])
     if failed:
         print(f"sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
               file=sys.stderr)
-        return 1
-    print(f"wrote {csv_path}")
-    return 0
+    fields = {"convention": args.convention, "status": "failed" if failed else "ok",
+              "failed_member": failed, "diagnostics": [r["diagnostics"] for r in rows]}
+    return (1 if failed else 0), written, fields
 
 
-def _cmd_validate(args, parser) -> int:
+def _cmd_validate(args, parser) -> _Run:
     model = _resolve_model(args, parser)
     report = validate_dissipation(model, delta=args.delta)
     print(f"left positivity condition:  sum = {report.left_sum:.6g}  "
@@ -527,8 +505,7 @@ def _cmd_validate(args, parser) -> int:
     if not report.all_pass:
         print("model violates the positivity conditions; dissipation is not guaranteed",
               file=sys.stderr)
-        return 1
-    return 0
+    return (0 if report.all_pass else 1), [], {"dissipation": _dissipation_record(report)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -613,11 +590,15 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    sub = _subparsers(parser)[args.command]
     try:  # handlers get their subcommand's parser, so usage errors print its usage
-        return _COMMANDS[args.command](args, _subparsers(parser)[args.command])
+        code, written, fields = _COMMANDS[args.command](args, sub)
+        written.append(_write_manifest(args, sub, written, **fields))
     except _KNOWN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print("wrote " + ", ".join(map(str, written)))
+    return code
 
 
 if __name__ == "__main__":

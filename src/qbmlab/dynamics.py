@@ -93,11 +93,14 @@ class TimeSeries:
     """Named observable columns over a common grid.
 
     Invalid samples carry NaN and valid=False; every column has grid length.
+    ``occupation_form`` is how N_omega was summed, as the form's ``kind``,
+    ``degree``, ``fit_residual`` and ``error_bound``; None without N_omega.
     """
 
     grid: TimeGrid
     columns: dict[str, np.ndarray]
     valid: np.ndarray = field(default=None)
+    occupation_form: dict | None = None
 
     def __post_init__(self):
         if self.valid is None:
@@ -540,17 +543,21 @@ def evolve_series(
     requested mode sums share one mode_sum pass over the grid: O(N) per sample
     for the survival amplitude and the position columns, O(N K) for N_omega
     with its K+1 Chebyshev columns, whose first column is s(t) itself (O(N^2)
-    where N_omega falls back to the dense sum).  N_total is the conserved
-    total kappa + sum nbar, written in closed form.  An empty selection
-    returns an empty column set.
+    where N_omega falls back to the dense sum; the result's
+    ``occupation_form`` says which ran).  N_total is the conserved total
+    kappa + sum nbar, written in closed form.  An empty selection returns an
+    empty column set.
     """
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
     columns: dict[str, np.ndarray] = {}
+    record = None
     if "N_omega" in names:
         form = _occupation_form(modes, init, modes.weights)  # column 0 is w: s(t)
+        record = {key: getattr(form, key)
+                  for key in ("kind", "degree", "fit_residual", "error_bound")}
         both = mode_sum(modes.alphas, form.coeffs, grid,
                         reduce=lambda e, _: np.column_stack([e[:, 0], form(e)]))
         s = both[:, 0]
@@ -566,4 +573,4 @@ def evolve_series(
         rotated = s * complex(x0, p0)
         columns["X_mean"], columns["P_tilde_mean"] = rotated.real, rotated.imag
     columns = {name: columns[name] for name in names}
-    return TimeSeries(grid=grid, columns=columns)
+    return TimeSeries(grid=grid, columns=columns, occupation_form=record)

@@ -139,17 +139,9 @@ def secular_value(alpha: float, model: SpectralModel) -> float:
 
 
 def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
-                   g2: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-    """f at each alpha; ``buf`` (rows >= alphas.size, N columns) is scratch.
-
-    Evaluating in place in a reused C-contiguous buffer avoids two temporaries
-    of size alphas.size x N per call and sums the same values in the same
-    order, so the result is bitwise the same as without it.
-    """
-    if buf is None:
-        buf = np.empty((alphas.size, w.size))
-    d = buf[: alphas.size]
-    np.subtract(alphas[:, None], w[None, :], out=d)
+                   g2: np.ndarray) -> np.ndarray:
+    """f at each alpha, in one alphas.size x N block."""
+    d = alphas[:, None] - w[None, :]
     with np.errstate(divide="ignore"):
         np.divide(g2[None, :], d, out=d)
     return alphas - omega_sub - d.sum(axis=1)
@@ -213,13 +205,15 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
             omega_sub, w, g2, rel_tol, buf, aux)
         evaluations += steps
         fallbacks += falls
-        residuals[sl] = _secular_batch(alphas[sl], omega_sub, w, g2, buf)
+        # one alpha - omega block d: sums of g^2/d give f, of (g/d)^2 the weights
         d = buf[: sl.stop - sl.start]
         np.subtract(alphas[sl, None], w, out=d)
-        ratio = aux[: d.shape[0]]
-        np.divide(g, d, out=ratio)
-        np.square(ratio, out=ratio)
-        weights[sl] = 1.0 / (1.0 + ratio.sum(axis=1))
+        terms = aux[: d.shape[0]]
+        np.divide(g2, d, out=terms)
+        residuals[sl] = alphas[sl] - omega_sub - terms.sum(axis=1)
+        np.divide(g, d, out=terms)
+        np.square(terms, out=terms)
+        weights[sl] = 1.0 / (1.0 + terms.sum(axis=1))
 
     # with interlacing roots the closest pole of each root is a bracketing one
     worst = float(min(np.abs(alphas[1:] - w).min(), np.abs(w - alphas[:-1]).min()))

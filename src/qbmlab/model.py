@@ -367,6 +367,14 @@ def paper_default_model(
 _SCALAR_KEYS = ("omega_sub", "beta", "kappa", "mass")
 
 
+def _utf8_lines(fh):
+    """The lines of a text file; bytes that are not UTF-8 are a ModelFormatError."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"model file is not UTF-8 text ({exc.reason})") from None
+
+
 def load_model(path) -> SpectralModel:
     """Parse a model file, reporting the line number of any defect."""
     scalars: dict[str, float] = {}
@@ -374,7 +382,7 @@ def load_model(path) -> SpectralModel:
     coups: list[float] = []
     in_bath = False
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_utf8_lines(fh), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import qbmlab
+from qbmlab import dynamics
 from qbmlab.cli import (
     _finite_float,
     _finite_float_rel_tol,
@@ -116,6 +117,37 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             run(["bogus-subcommand"])
         assert exc.value.code == 2
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"omega_sub = 1.0\n[bath]\n0.9 0.05\xff\n1.1 0.05\n")
+    return ["solve", "--config", path, "--out-dir", tmp_path]
+
+
+def _file_as_out_dir(command):
+    def argv(tmp_path):
+        (tmp_path / "file").write_text("")
+        return [command, "--paper-defaults", "--n", 10, "--out-dir", tmp_path / "file" / "x"]
+    return argv
+
+
+# runs that fail on a file: each argv is built in the test's directory
+FILE_ERRORS = {
+    "missing-config": lambda d: ["solve", "--config", d / "missing.txt", "--out-dir", d],
+    "config-is-a-directory": lambda d: ["solve", "--config", d, "--out-dir", d],
+    "config-not-utf8": _not_utf8,
+    "out-dir-below-a-file": _file_as_out_dir("solve"),
+    # validate writes only its manifest: the manifest write itself fails
+    "manifest-below-a-file": _file_as_out_dir("validate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FILE_ERRORS))
+def test_file_errors_end_in_an_error_line(tmp_path, capsys, case):
+    assert run(FILE_ERRORS[case](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestEvolve:
@@ -226,6 +258,46 @@ class TestRecurrence:
         diagnostics = read_manifest(tmp_path / "r_manifest.json")["diagnostics"]
         assert diagnostics["occupation_form"]["kind"] == "chebyshev"
         assert 0.0 <= diagnostics["weight_sum_error"] < 1e-12
+
+    def test_wide_cold_bath_records_the_dense_sum(self, tmp_path):
+        # occupancies no low-degree polynomial resolves: N_omega is summed densely
+        wide = qbmlab.SpectralModel(1.0, 20.0, 1.0, np.linspace(0.05, 3.0, 63),
+                                    np.full(63, 0.01))
+        cfg = tmp_path / "wide.txt"
+        qbmlab.save_model(wide, cfg)
+        assert run(["evolve", "--config", cfg, "--obs", "N_omega", "--points", 11,
+                    "--out-dir", tmp_path, "--prefix", "e"]) == 0
+        assert run(["recurrence", "--config", cfg, "--points", 501,
+                    "--out-dir", tmp_path, "--prefix", "r"]) == 0
+        modes = qbmlab.solve_normal_modes(wide)
+        series = qbmlab.evolve_series(modes, qbmlab.InitialState.thermal(wide),
+                                      qbmlab.TimeGrid(0.0, 1.0, 3), ["N_omega"])
+        assert series.occupation_form == {"kind": "dense", "degree": None,
+                                          "fit_residual": None, "error_bound": None}
+        for prefix in "er":
+            manifest = read_manifest(tmp_path / f"{prefix}_manifest.json")
+            assert manifest["diagnostics"]["occupation_form"] == series.occupation_form
+
+    def test_occupation_certificate_is_built_once_per_use(self, tmp_path, monkeypatch):
+        calls = []
+        certified = dynamics._certified_form
+
+        def counted(*args):
+            calls.append(args)
+            return certified(*args)
+
+        # count every call, through whichever module binds the name
+        for module in (dynamics, qbmlab.cli):
+            if hasattr(module, "_certified_form"):
+                monkeypatch.setattr(module, "_certified_form", counted)
+        # the series and the plateau; the manifest reads the series' record
+        assert run(["recurrence", "--paper-defaults", "--n", 32, "--points", 501,
+                    "--out-dir", tmp_path]) == 0
+        assert len(calls) <= 2
+        calls.clear()
+        assert run(["evolve", "--paper-defaults", "--n", 32, "--points", 11,
+                    "--obs", "N_omega", "--out-dir", tmp_path]) == 0
+        assert len(calls) == 1
 
 
 class TestContinuum:
@@ -355,6 +427,17 @@ class TestValidate:
         assert "FAIL" in captured.out
         assert "positivity" in captured.out + captured.err
 
+    def test_manifest_records_the_check_solve_records(self, tmp_path):
+        # an overcoupled model: validate exits 1 and still writes its manifest
+        for command, code in (("solve", 0), ("validate", 1)):
+            assert run([command, "--paper-defaults", "--n", 32, "--d-over-a", 20,
+                        "--out-dir", tmp_path, "--prefix", command]) == code
+        solved = read_manifest(tmp_path / "solve_manifest.json")
+        checked = read_manifest(tmp_path / "validate_manifest.json")
+        assert checked["dissipation"] == solved["dissipation"]
+        assert checked["dissipation"]["passes"] == [False, False]
+        assert checked["outputs"] == []
+
     def test_failing_config_file(self, tmp_path, capsys):
         import qbmlab
         cfg = tmp_path / "bad_model.txt"
@@ -385,6 +468,7 @@ RERUNS = {
     "sweep": (["sweep", "--n-list", "10,12", "--rescaled-series", "--points", 301,
                "--beta", 2.0],
               {"convention", "status", "failed_member", "diagnostics"}),
+    "validate": (["validate", "--paper-defaults", "--n", 10], {"dissipation"}),
 }
 COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "tolerances",
                "outputs", "threads"}
@@ -392,12 +476,17 @@ COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "toleranc
 
 class TestManifest:
     @pytest.mark.parametrize("command", sorted(RERUNS))
-    def test_rerun_from_manifest_argv(self, tmp_path, command):
+    def test_rerun_from_manifest_argv(self, tmp_path, capsys, command):
         argv, extra_keys = RERUNS[command]
         assert run(argv + ["--out-dir", tmp_path / "a", "--prefix", "m"]) == 0
         manifest = read_manifest(tmp_path / "a" / "m_manifest.json")
         assert set(manifest) == COMMON_KEYS | extra_keys
         assert manifest["command"] == argv[0]
+        # one line names every file the run wrote, the manifest last
+        wrote = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("wrote ")]
+        assert wrote == ["wrote " + ", ".join(
+            str(tmp_path / "a" / name) for name in manifest["outputs"] + ["m_manifest.json"])]
         rerun = list(manifest["argv_effective"])
         rerun[rerun.index("--out-dir") + 1] = str(tmp_path / "b")
         assert run(rerun) == 0

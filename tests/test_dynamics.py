@@ -270,6 +270,16 @@ class TestEvolveSeries:
         assert series.columns == {}
         assert series.grid.count == 10
 
+    def test_occupation_form_record(self, modes_32, init_32):
+        grid = TimeGrid(t0=0.0, dt=1.0, count=10)
+        record = evolve_series(modes_32, init_32, grid, ["N_omega"]).occupation_form
+        form = dynamics._occupation_form(modes_32, init_32, modes_32.weights)
+        assert record == {"kind": "chebyshev", "degree": form.degree,
+                          "fit_residual": form.fit_residual, "error_bound": form.error_bound}
+        # no occupation sum ran
+        assert evolve_series(modes_32, init_32, grid, ["P_surv"]).occupation_form is None
+        assert langevin_table(modes_32, grid).occupation_form is None
+
     def test_unknown_observable(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=1.0, count=4)
         with pytest.raises(ValueError, match="unknown"):
@@ -552,6 +562,8 @@ class TestOccupationForm:
             series = evolve_series(modes, init, grid, ["N_omega"])
             assert np.array_equal(series.column("N_omega"),
                                   dense_occupation(modes, init, modes.weights, grid))
+            assert series.occupation_form == {"kind": "dense", "degree": None,
+                                              "fit_residual": None, "error_bound": None}
             amp = modes.weights * modes.pole_ratios()[:, 7]
             assert np.array_equal(mean_bath_occupation(modes, init, 8, ts),
                                   dense_occupation(modes, init, amp, ts))

@@ -265,6 +265,12 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="bath"):
             load_model(path)
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"omega_sub = 1.0\n[bath]\n0.9 0.1\xff\n")
+        with pytest.raises(ModelFormatError, match="not UTF-8"):
+            load_model(path)
+
 
 class TestPaperDefaultFamily:
     def test_bath_size_parity(self):
