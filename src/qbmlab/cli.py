@@ -164,6 +164,10 @@ def _add_paper_model_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--beta", type=_finite_float, default=None, help="inverse temperature")
     sub.add_argument("--kappa", type=_finite_float, default=None,
                      help="initial subsystem quanta")
+
+
+def _add_solver_args(sub: argparse.ArgumentParser) -> None:
+    """Options of the normal-mode solve, for the subcommands that run one."""
     sub.add_argument("--rel-tol", type=_finite_float_rel_tol, default=1e-13,
                      help="root iteration stops at a relative model step this small")
 
@@ -311,8 +315,9 @@ def _make_grid(args, fallback_t_max: float) -> TimeGrid:
     if t_max <= t0:
         raise ModelError(f"t_max = {t_max} must exceed t0 = {t0}")
     dt = (t_max - t0) / max(args.points - 1, 1)
-    if not math.isfinite(dt):
-        raise ModelError(f"grid step over [{t0}, {t_max}] is not finite")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ModelError(f"grid step over [{t0}, {t_max}] must be finite and positive, "
+                         f"got {dt}")
     return TimeGrid(t0=t0, dt=dt, count=args.points)
 
 
@@ -518,10 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="normal frequencies and weights")
     _add_model_args(p_solve)
+    _add_solver_args(p_solve)
     _add_output_args(p_solve, "solve")
 
     p_evolve = subs.add_parser("evolve", help="mean-observable time series")
     _add_model_args(p_evolve)
+    _add_solver_args(p_evolve)
     _add_grid_args(p_evolve)
     p_evolve.add_argument("--obs", default="N_omega",
                           help=f"comma-separated subset of {','.join(OBSERVABLES)}")
@@ -531,12 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lan = subs.add_parser("langevin", help="rotation kernels and damping coefficients")
     _add_model_args(p_lan)
+    _add_solver_args(p_lan)
     _add_grid_args(p_lan)
     p_lan.add_argument("--wronskian-tol", type=_finite_float, default=DEFAULT_WRONSKIAN_TOL)
     _add_output_args(p_lan, "langevin")
 
     p_rec = subs.add_parser("recurrence", help="revival detection and decay fit")
     _add_model_args(p_rec)
+    _add_solver_args(p_rec)
     _add_grid_args(p_rec)
     p_rec.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_output_args(p_rec, "recurrence")
@@ -561,6 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-list", required=True,
                          help="comma-separated N+1 values, e.g. 10,32,100,500")
     _add_paper_model_args(p_sweep)
+    _add_solver_args(p_sweep)
     p_sweep.add_argument("--t-max", type=_finite_float, default=None)
     p_sweep.add_argument("--points", type=_positive_int, default=1201)
     p_sweep.add_argument("--rescaled-series", action="store_true",

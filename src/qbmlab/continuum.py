@@ -37,6 +37,7 @@ split evaluates about a tenth of those pairs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -329,13 +330,21 @@ def pole_estimate(cm: ContinuumModel, quad_tol: float = 1e-10) -> PoleEstimate:
     )
 
 
+@functools.cache
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order, read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
     """Composite Gauss-Legendre rule on [lo, hi]: nodes, weights, centres, offsets.
 
     Node p*order + q is centres[p] + offsets[q] up to rounding of the panel
     half-widths, which all equal (hi - lo) / (2 n_panels).
     """
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_rule(order)
     edges = np.linspace(lo, hi, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])

@@ -315,6 +315,13 @@ class _OccupationForm:
             return np.abs(s) ** 2 @ h + self.offset
         return (s.conj() * (s @ h)).real.sum(axis=1) + self.offset
 
+    def mean(self) -> float:
+        """Cesaro mean of N(t): offset + sum_nu A_nu H A_nu^T over the rows A_nu of A = coeffs."""
+        a, h = self.coeffs, self.hermitian
+        if h.ndim == 1:
+            return float(np.square(a).sum(0) @ h + self.offset)
+        return float(np.sum((a @ h) * a) + self.offset)
+
 
 def _rounding_bound(coeffs, hermitian, abs_offset: float) -> float:
     """eps (sum |offset terms| + sum_ij |H_ij| |A_i|_1 |A_j|_1): rounding of the reduce."""
@@ -410,19 +417,22 @@ def _chebyshev_form(modes: NormalModes, kappa: float, amp: np.ndarray, b: np.nda
                            degree, fit_residual, fit_residual + rounding)
 
 
-def _certified_form(modes: NormalModes, init: InitialState,
-                    amp: np.ndarray) -> _OccupationForm | None:
-    """The cheapest certified Chebyshev form of an occupation sum, or None.
+def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _OccupationForm:
+    """The occupation sum with mode amplitudes ``amp``: certified form, else dense.
 
     The degree K of the least-squares Chebyshev fit p to nbar rises from 0
     until the form's error bound, the fit residual plus the rounding bound
     of the reduce, is within ``_FORM_TOL`` of max(kappa, max nbar), while
-    K+1 < N+1 and K <= ``_FORM_MAX_DEGREE``.  Amplitudes of a state, a = w
-    or a = w K_j, keep sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the fit
-    residual bounds the error of replacing nbar by p.  The fit is done in
-    units of max(kappa, max nbar), so huge occupancies do not overflow.
+    K+1 < N+1 and K <= ``_FORM_MAX_DEGREE``.  Every degree's fit comes from
+    one QR factorization of [V, nbar], V the degree-cap Chebyshev-Vandermonde
+    matrix: the fit of degree K solves the leading (K+1)-square block of R
+    against the first K+1 entries of R's last column, which are Q^T nbar
+    (Golub & Van Loan, Matrix Computations, 5.3).  Amplitudes of a state,
+    a = w or a = w K_j, keep sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the
+    fit residual bounds the error of replacing nbar by p.  The fit is done
+    in units of max(kappa, max nbar), so huge occupancies do not overflow.
     Occupancies that no low-degree polynomial resolves (a wide or cold bath,
-    irregular values) have none.
+    irregular values) keep the dense sum.
     """
     kappa, nbar = init.kappa, init.bath_occupancies
     scale = max(kappa, float(nbar.max()))
@@ -430,22 +440,17 @@ def _certified_form(modes: NormalModes, init: InitialState,
     top = min(_FORM_MAX_DEGREE, nbar.size - 1)
     centre, half = _chebyshev_map(modes)
     vander = _chebyshev_vander((modes.model.bath_freqs - centre) / half, top)
+    unit = scale if scale > 0 else 1.0  # nbar is all zero when the scale is
+    r = np.linalg.qr(np.column_stack([vander, nbar / unit]), mode="r")
     for degree in range(top + 1):
-        at_bath = vander[:, :degree + 1]
-        b = (np.linalg.lstsq(at_bath, nbar / scale, rcond=None)[0] * scale if scale > 0
-             else np.zeros(degree + 1))
-        fit_residual = float(np.abs(at_bath @ b - nbar).max())
+        size = degree + 1
+        b = np.linalg.solve(r[:size, :size], r[:size, -1]) * unit
+        fit_residual = float(np.abs(vander[:, :size] @ b - nbar).max())
         if fit_residual <= tol:
             form = _chebyshev_form(modes, kappa, amp, b, fit_residual)
             if form.error_bound <= tol:
                 return form
-    return None
-
-
-def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _OccupationForm:
-    """The occupation sum with mode amplitudes ``amp``: certified form, else dense."""
-    form = _certified_form(modes, init, amp)
-    return form if form is not None else _dense_form(modes, init, amp)
+    return _dense_form(modes, init, amp)
 
 
 def _occupation(modes: NormalModes, init: InitialState, amp: np.ndarray, t):
@@ -483,14 +488,24 @@ def mean_bath_occupations(modes: NormalModes, init: InitialState, t) -> np.ndarr
     return out[0] if scalar else out
 
 
+def _start_point(x0: float, p0: float) -> complex:
+    """x0 + i p0, whose modulus bounds X and P as |s(t)| <= 1.
+
+    Twice the modulus must be finite: numpy's complex product forms |x0| + |p0|.
+    """
+    if not math.isfinite(2.0 * math.hypot(x0, p0)):
+        raise ModelError(f"start point x0 = {x0}, p0 = {p0}: 2|x0 + i p0| is not finite")
+    return complex(x0, p0)
+
+
 def mean_position(modes: NormalModes, x0: float, p0: float, t):
     """<X(t)> for a thermal bath (bath first moments vanish)."""
-    return (survival_amplitude(modes, t) * complex(x0, p0)).real
+    return (_start_point(x0, p0) * survival_amplitude(modes, t)).real
 
 
 def mean_momentum_tilde(modes: NormalModes, x0: float, p0: float, t):
     """<P(t)>/(M Omega), the momentum conjugate in rotation form."""
-    return (survival_amplitude(modes, t) * complex(x0, p0)).imag
+    return (_start_point(x0, p0) * survival_amplitude(modes, t)).imag
 
 
 def theta_profile(modes: NormalModes) -> np.ndarray:
@@ -509,21 +524,15 @@ def long_time_average_survival(modes: NormalModes) -> float:
 
 
 def asymptotic_mean_occupation(modes: NormalModes, init: InitialState) -> float:
-    """Exact long-time (Cesaro) mean of <N_sub(t)>.
+    """Exact long-time (Cesaro) mean of <N_sub(t)>: the mean of its occupation form.
 
     This is the non-oscillating diagonal part of the occupation double sum:
     kappa sum_nu |Phi_nu|^4 + sum_n theta_N(omega_n) nbar_n.  For a dense bath
     the first term vanishes and only the bath-transfer term survives.  With
-    a certified Chebyshev form it is offset + sum_nu A_nu H A_nu^T over the
-    rows A_nu of the form's coefficients, O(N K^2), and the pole-ratio
-    matrix is not built.
+    a certified Chebyshev form it costs O(N K^2), and the pole-ratio matrix
+    is not built.
     """
-    form = _certified_form(modes, init, modes.weights)
-    if form is None:
-        return float(init.kappa * long_time_average_survival(modes)
-                     + theta_profile(modes) @ init.bath_occupancies)
-    a = form.coeffs
-    return float(np.sum((a @ form.hermitian) * a) + form.offset)
+    return _occupation_form(modes, init, modes.weights).mean()
 
 
 OBSERVABLES = ("P_surv", "N_omega", "N_total", "X_mean", "P_tilde_mean")
@@ -546,12 +555,14 @@ def evolve_series(
     where N_omega falls back to the dense sum; the result's
     ``occupation_form`` says which ran).  N_total is the conserved total
     kappa + sum nbar, written in closed form.  An empty selection returns an
-    empty column set.
+    empty column set.  A start point with 2|x0 + i p0| not finite is refused
+    with a ModelError.
     """
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
     if unknown:
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
+    start = _start_point(x0, p0)
     columns: dict[str, np.ndarray] = {}
     record = None
     if "N_omega" in names:
@@ -570,7 +581,7 @@ def evolve_series(
         columns["N_total"] = np.full(grid.count, init.kappa + init.bath_occupancies.sum())
     if "X_mean" in names or "P_tilde_mean" in names:
         # thermal bath: the mean amplitude X + iP rotates as s(t) (x0 + i p0)
-        rotated = s * complex(x0, p0)
+        rotated = s * start
         columns["X_mean"], columns["P_tilde_mean"] = rotated.real, rotated.imag
     columns = {name: columns[name] for name in names}
     return TimeSeries(grid=grid, columns=columns, occupation_form=record)

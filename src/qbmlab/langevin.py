@@ -90,54 +90,44 @@ def kernel_arrays(modes: NormalModes, ts: np.ndarray | TimeGrid):
     return s[:, 0].real, -s[:, 0].imag, s[:, 1].imag, s[:, 1].real, -s[:, 2].real, s[:, 2].imag
 
 
-def kernels(modes: NormalModes, t: float) -> KernelSample:
-    """Kernels and derivatives at a single time."""
-    a, b, da, db, dda, ddb = (float(v[0]) for v in kernel_arrays(modes, [t]))
-    return KernelSample(t=float(t), a=a, b=b, da=da, db=db, dda=dda, ddb=ddb)
+def _langevin_pass(modes: NormalModes, ts, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL):
+    """Kernels (a, b, da, db, dda, ddb), omega_sq, gamma and valid flags over the times.
 
-
-def _coefficients(a, b, da, db, dda, ddb, omega_sub, wronskian_tol):
+    A sample is valid where |a b' - b a'| >= wronskian_tol * omega_sub; the
+    coefficients of an invalid sample are NaN.
+    """
+    arrays = a, b, da, db, dda, ddb = kernel_arrays(modes, ts)
     wr = a * db - b * da
-    valid = np.abs(wr) >= wronskian_tol * omega_sub
+    valid = np.abs(wr) >= wronskian_tol * modes.model.omega_sub
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_sq = (da * ddb - db * dda) / wr
         gamma = (b * dda - a * ddb) / wr
     omega_sq = np.where(valid, omega_sq, np.nan)
     gamma = np.where(valid, gamma, np.nan)
-    return omega_sq, gamma, valid
+    return arrays, omega_sq, gamma, valid
+
+
+def kernels(modes: NormalModes, t: float) -> KernelSample:
+    """Kernels and derivatives at a single time."""
+    a, b, da, db, dda, ddb = (float(v[0]) for v in _langevin_pass(modes, [t])[0])
+    return KernelSample(t=float(t), a=a, b=b, da=da, db=db, dda=dda, ddb=ddb)
 
 
 def langevin_coefficients(
     modes: NormalModes, t: float, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL
 ) -> LangevinSample:
     """Instantaneous omega_sq(t) and gamma(t); invalid near wronskian zeros."""
-    a, b, da, db, dda, ddb = kernel_arrays(modes, [t])
-    omega_sq, gamma, valid = _coefficients(
-        a, b, da, db, dda, ddb, modes.model.omega_sub, wronskian_tol
-    )
-    return LangevinSample(
-        t=float(t),
-        omega_sq=float(omega_sq[0]),
-        gamma=float(gamma[0]),
-        valid=bool(valid[0]),
-    )
+    _, omega_sq, gamma, valid = _langevin_pass(modes, [t], wronskian_tol)
+    return LangevinSample(t=float(t), omega_sq=float(omega_sq[0]), gamma=float(gamma[0]),
+                          valid=bool(valid[0]))
 
 
 def langevin_table(
     modes: NormalModes, grid: TimeGrid, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL
 ) -> TimeSeries:
     """Kernel and coefficient columns over a grid: a, b, delta, omega_sq, gamma."""
-    a, b, da, db, dda, ddb = kernel_arrays(modes, grid)
-    omega_sq, gamma, valid = _coefficients(
-        a, b, da, db, dda, ddb, modes.model.omega_sub, wronskian_tol
-    )
-    columns = {
-        "a": a,
-        "b": b,
-        "delta": a**2 + b**2,
-        "omega_sq": omega_sq,
-        "gamma": gamma,
-    }
+    (a, b, *_), omega_sq, gamma, valid = _langevin_pass(modes, grid, wronskian_tol)
+    columns = {"a": a, "b": b, "delta": a**2 + b**2, "omega_sq": omega_sq, "gamma": gamma}
     return TimeSeries(grid=grid, columns=columns, valid=valid)
 
 
@@ -155,10 +145,8 @@ def verify_langevin_ode(
     inconsistency between kernels and coefficients.  Invalid (singular)
     samples are excluded and counted.
     """
-    a, b, da, db, dda, ddb = kernel_arrays(modes, grid)
-    omega_sq, gamma, valid = _coefficients(
-        a, b, da, db, dda, ddb, modes.model.omega_sub, wronskian_tol
-    )
+    (a, b, da, db, dda, ddb), omega_sq, gamma, valid = _langevin_pass(
+        modes, grid, wronskian_tol)
     rng = np.random.default_rng(seed)
     worst = 0.0
     x_scale = 0.0

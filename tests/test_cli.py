@@ -132,7 +132,7 @@ def _file_as_out_dir(command):
     return argv
 
 
-# runs that fail on a file: each argv is built in the test's directory
+# runs that fail on a file or a derived input: each argv is built in the test's directory
 FILE_ERRORS = {
     "missing-config": lambda d: ["solve", "--config", d / "missing.txt", "--out-dir", d],
     "config-is-a-directory": lambda d: ["solve", "--config", d, "--out-dir", d],
@@ -140,6 +140,13 @@ FILE_ERRORS = {
     "out-dir-below-a-file": _file_as_out_dir("solve"),
     # validate writes only its manifest: the manifest write itself fails
     "manifest-below-a-file": _file_as_out_dir("validate"),
+    # the step 5e-324 / 2 underflows to zero
+    "time-step-underflows": lambda d: ["evolve", "--paper-defaults", "--n", 10,
+                                       "--t-max", 5e-324, "--points", 3, "--out-dir", d],
+    # both parts are finite, but |x0 + i p0| and the position columns overflow
+    "start-point-overflows": lambda d: ["evolve", "--paper-defaults", "--n", 10,
+                                        "--obs", "X_mean,P_tilde_mean", "--x0", 1.5e308,
+                                        "--p0", 1.5e308, "--points", 50, "--out-dir", d],
 }
 
 
@@ -280,16 +287,16 @@ class TestRecurrence:
 
     def test_occupation_certificate_is_built_once_per_use(self, tmp_path, monkeypatch):
         calls = []
-        certified = dynamics._certified_form
+        build = dynamics._occupation_form
 
         def counted(*args):
             calls.append(args)
-            return certified(*args)
+            return build(*args)
 
         # count every call, through whichever module binds the name
         for module in (dynamics, qbmlab.cli):
-            if hasattr(module, "_certified_form"):
-                monkeypatch.setattr(module, "_certified_form", counted)
+            if hasattr(module, "_occupation_form"):
+                monkeypatch.setattr(module, "_occupation_form", counted)
         # the series and the plateau; the manifest reads the series' record
         assert run(["recurrence", "--paper-defaults", "--n", 32, "--points", 501,
                     "--out-dir", tmp_path]) == 0
@@ -437,6 +444,18 @@ class TestValidate:
         assert checked["dissipation"] == solved["dissipation"]
         assert checked["dissipation"]["passes"] == [False, False]
         assert checked["outputs"] == []
+
+    def test_takes_no_solver_option(self, tmp_path, capsys):
+        # validate solves nothing: no --rel-tol, and no tolerance in its manifest
+        with pytest.raises(SystemExit) as exc:
+            run(["validate", "--paper-defaults", "--n", 10, "--rel-tol", 1e-12,
+                 "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rel-tol" in capsys.readouterr().err
+        assert run(["validate", "--paper-defaults", "--n", 10, "--out-dir", tmp_path]) == 0
+        manifest = read_manifest(tmp_path / "validate_manifest.json")
+        assert manifest["tolerances"] == {}
+        assert "--rel-tol" not in manifest["argv_effective"]
 
     def test_failing_config_file(self, tmp_path, capsys):
         import qbmlab

@@ -548,6 +548,30 @@ class TestWorkBound:
             survival_amplitude_continuum(narrow, [0.0, bad])
 
 
+class TestGaussRule:
+    def test_built_once_per_order(self, tmp_path, monkeypatch):
+        from qbmlab import continuum
+        from qbmlab.cli import main
+
+        leggauss = np.polynomial.legendre.leggauss
+        calls = []
+
+        def counted(order):
+            calls.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        continuum._gauss_rule.cache_clear()
+        # the README continuum command
+        assert main(["continuum", "--density", "lorentzian", "--band", "0.5", "1.5",
+                     "--peak", "5e-4", "--half-width", "0.05", "--survival-t-max", "1000",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert 1 <= len(calls) <= 2 and len(set(calls)) == len(calls)
+        x, w = continuum._gauss_rule(12)
+        assert not x.flags.writeable and not w.flags.writeable
+        np.testing.assert_array_equal(x, leggauss(12)[0])
+
+
 def peak_mib(fn):
     tracemalloc.start()
     try:

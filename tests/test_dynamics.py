@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,22 @@ class TestEvolveSeries:
         assert evolve_series(modes_32, init_32, grid, ["P_surv"]).occupation_form is None
         assert langevin_table(modes_32, grid).occupation_form is None
 
+    def test_start_point_without_finite_modulus_is_refused(self, modes_32, init_32):
+        # |x0 + i p0| overflows although both parts are finite; at 9e307 + 9e307 i
+        # numpy's complex product overflows in |x0| + |p0|, and twice the modulus does
+        grid = TimeGrid(t0=0.0, dt=1.0, count=5)
+        for x0, p0 in [(1.5e308, 1.5e308), (9e307, -9e307), (np.nan, 0.0), (0.0, np.inf)]:
+            with pytest.raises(ModelError, match="start point"):
+                evolve_series(modes_32, init_32, grid, ["X_mean", "P_tilde_mean"], x0=x0, p0=p0)
+            for mean in (mean_position, mean_momentum_tilde):
+                with pytest.raises(ModelError, match="start point"):
+                    mean(modes_32, x0, p0, grid.times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = evolve_series(modes_32, init_32, grid, ["X_mean", "P_tilde_mean"],
+                                   x0=6e307, p0=6e307)
+        assert all(np.isfinite(col).all() for col in series.columns.values())
+
     def test_unknown_observable(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=1.0, count=4)
         with pytest.raises(ValueError, match="unknown"):
@@ -484,6 +501,26 @@ def secular_residual_term(modes, init, amp, degree, ts):
     return term * scale, bound * scale
 
 
+# a bath whose occupancies no polynomial of degree <= 24 resolves
+WIDE_COLD = SpectralModel(1.0, 20.0, 1.0, np.linspace(0.05, 3.0, 63), np.full(63, 0.01))
+
+
+def lstsq_forms(modes, init, amp):
+    """The Chebyshev form of every degree up to the cap, each fitted by its own lstsq."""
+    nbar = init.bath_occupancies
+    scale = occupation_scale(init)
+    centre, half = dynamics._chebyshev_map(modes)
+    top = min(dynamics._FORM_MAX_DEGREE, nbar.size - 1)
+    vander = dynamics._chebyshev_vander((modes.model.bath_freqs - centre) / half, top)
+    forms = []
+    for degree in range(top + 1):
+        at_bath = vander[:, :degree + 1]
+        b = np.linalg.lstsq(at_bath, nbar / scale, rcond=None)[0] * scale
+        fit_residual = float(np.abs(at_bath @ b - nbar).max())
+        forms.append(dynamics._chebyshev_form(modes, init.kappa, amp, b, fit_residual))
+    return forms
+
+
 class TestOccupationForm:
     """<N(t)> as a Chebyshev low-rank Hermitian form against the dense [a, a K] sum."""
 
@@ -585,9 +622,10 @@ class TestOccupationForm:
         assert asymptotic_mean_occupation(modes, init) == pytest.approx(
             float(np.mean(want)), rel=0.05)
 
-    @pytest.mark.parametrize("n_modes", [32, 500, 2048])
+    @pytest.mark.parametrize("n_modes", [32, 500, 2048, "wide-cold"])
     def test_plateau_matches_the_dense_diagonal(self, n_modes):
-        model = paper_default_model(n_modes)
+        # the wide, cold bath takes the dense form
+        model = WIDE_COLD if n_modes == "wide-cold" else paper_default_model(n_modes)
         modes = solve_normal_modes(model)
         init = InitialState.thermal(model)
         dense = (init.kappa * long_time_average_survival(modes)
@@ -610,3 +648,44 @@ class TestOccupationForm:
         report = analyze(modes, series, "N_omega", init=init)
         assert report.plateau == asymptotic_mean_occupation(modes, init)
         assert series.column("N_omega")[0] == pytest.approx(init.kappa, abs=1e-12)
+
+    def test_form_search_runs_no_lstsq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for model, kind in [(paper_default_model(32), "chebyshev"), (WIDE_COLD, "dense")]:
+            modes = solve_normal_modes(model)
+            init = InitialState.thermal(model)
+            assert dynamics._occupation_form(modes, init, modes.weights).kind == kind
+
+    def test_one_qr_picks_the_degree_of_per_degree_lstsq(self):
+        rng = np.random.default_rng(12)
+        paper = [paper_default_model(n, beta=beta)
+                 for n in (32, 500, 2048) for beta in (0.3, 1.0, 3.0)]
+        random = [random_model(rng, int(rng.integers(1, 60)), beta=float(rng.uniform(0.3, 5.0)),
+                               kappa=float(rng.uniform(0.0, 3.0))) for _ in range(100)]
+        same = 0
+        for i, model in enumerate(paper + random):
+            modes = solve_normal_modes(model)
+            init = InitialState.thermal(model)
+            tol = dynamics._FORM_TOL * occupation_scale(init)
+            forms = lstsq_forms(modes, init, modes.weights)
+            want = next((f for f in forms if f.error_bound <= tol), None)
+            form = dynamics._occupation_form(modes, init, modes.weights)
+            taken = form.degree if form.kind == "chebyshev" else len(forms)
+            if taken == (len(forms) if want is None else want.degree):
+                same += 1
+                if want is not None:
+                    assert abs(form.mean() - want.mean()) <= tol
+                    ts = np.linspace(0.0, poincare_time(modes).t_poincare, 64)
+                    got = mode_sum(modes.alphas, form.coeffs, ts, reduce=lambda e, _: form(e))
+                    ref = mode_sum(modes.alphas, want.coeffs, ts, reduce=lambda e, _: want(e))
+                    assert np.abs(got - ref).max() <= tol
+                continue
+            assert i >= len(paper)
+            # a tie at the tolerance: the two fits round differently, and the degrees
+            # one search takes and the other skips have lstsq bounds within 25% of it
+            assert all(f.error_bound > 0.8 * tol for f in forms[:taken])
+            assert taken == len(forms) or forms[taken].error_bound <= 1.25 * tol
+        assert same >= 0.95 * len(paper + random)

@@ -135,13 +135,11 @@ class TestOdeResidual:
 class TestExponentialRegimeWidth:
     def test_gamma_median_matches_continuum_width(self, modes_500):
         from qbmlab import width_from_discrete
-        from qbmlab.langevin import _coefficients
+        from qbmlab.langevin import _langevin_pass
 
         gamma = width_from_discrete(modes_500.model)
         ts = np.linspace(50.0, 2000.0, 2500)
-        arrays = kernel_arrays(modes_500, ts)
-        _, gamma_t, valid = _coefficients(*arrays, modes_500.model.omega_sub,
-                                          1e-12)
+        _, _, gamma_t, valid = _langevin_pass(modes_500, ts, 1e-12)
         median = float(np.median(gamma_t[valid]))
         assert median == pytest.approx(gamma, rel=0.2)
 
