@@ -231,6 +231,11 @@ def _solved(args, parser: argparse.ArgumentParser):
             "secular_evaluations": modes.secular_evaluations,
             "safeguard_fallbacks": modes.safeguard_fallbacks,
             "min_pole_offset": modes.min_pole_offset,
+            "tabulated_clusters": modes.tabulated_clusters,
+            "exact_clusters": modes.exact_clusters,
+            "chebyshev_points": modes.chebyshev_points,
+            "far_field_bound": modes.far_field_bound,
+            "residual_ratio": modes.residual_ratio,
         },
     }
 

@@ -45,6 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import mode_sum
+from .eigensolve import _barycentric, _chebyshev_points
 from .model import SpectralModel, _bose_occupancies, thermal_occupancy
 
 __all__ = [
@@ -474,8 +475,7 @@ def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.
     node_start[[0, -1]] = 0, nodes.size
     centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
     g2_centres = cm.g_sq(centres)
-    theta = (2 * np.arange(_CHEB_POINTS) + 1) * (0.5 * math.pi / _CHEB_POINTS)
-    cheb, lam = np.cos(theta), np.sin(theta) * (-1.0) ** np.arange(_CHEB_POINTS)
+    cheb, lam = _chebyshev_points(_CHEB_POINTS)
 
     budget = _TABLE_BLOCK_BYTES // 8
     buf, ratio = np.empty(budget), np.empty(budget)
@@ -529,11 +529,7 @@ def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.
             n = min(rows, i1 - i)
             diff = buf[:n * _CHEB_POINTS].reshape(n, -1)
             np.subtract(nodes[i:i + n, None], t, out=diff)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.divide(lam, diff, out=ratio[:n * _CHEB_POINTS].reshape(n, -1))
-                far = (q @ gf) / q.sum(axis=1)[:, None]
-            hit_row, hit_col = np.nonzero(diff == 0)
-            far[hit_row] = gf[hit_col]
+            far = _barycentric(diff, lam, gf, ratio[:diff.size].reshape(diff.shape))
             sums[i:i + n] += far[:, 0] - (g2_nodes[i:i + n] - g_c) * far[:, 1]
     return sums
 

@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import TimeSeries, asymptotic_mean_occupation
+from .dynamics import TimeSeries, _plateau
 from .eigensolve import NormalModes
 from .model import InitialState
 
@@ -220,7 +220,7 @@ def analyze(
     """Full recurrence report: t_P, revivals, and quasi-exponential fit."""
     tp = poincare_time(modes)
     if init is not None:
-        plateau = asymptotic_mean_occupation(modes, init)
+        plateau = _plateau(modes, init, series)
     else:
         plateau = float(np.median(series.column(column)))
     peaks = detect_revivals(series, column, threshold=threshold,

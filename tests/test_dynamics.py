@@ -649,6 +649,26 @@ class TestOccupationForm:
         assert report.plateau == asymptotic_mean_occupation(modes, init)
         assert series.column("N_omega")[0] == pytest.approx(init.kappa, abs=1e-12)
 
+    def test_dense_series_and_plateau_share_one_form(self, monkeypatch):
+        from qbmlab.recurrence import analyze
+
+        modes = solve_normal_modes(WIDE_COLD)
+        init = InitialState.thermal(WIDE_COLD)
+        want = asymptotic_mean_occupation(modes, init)
+        builds = []
+        build = dynamics._dense_form
+        monkeypatch.setattr(dynamics, "_dense_form", lambda *a: builds.append(a) or build(*a))
+        grid = TimeGrid(0.0, poincare_time(modes).t_poincare / 200, 201)
+        series = evolve_series(modes, init, grid, ["N_omega"])
+        assert series.occupation_form["kind"] == "dense"
+        report = analyze(modes, series, "N_omega", init=init)
+        assert len(builds) == 1
+        assert report.plateau == want
+        # another state's plateau is not read from this series
+        other = InitialState.thermal(WIDE_COLD)
+        assert analyze(modes, series, "N_omega", init=other).plateau == want
+        assert len(builds) == 2
+
     def test_form_search_runs_no_lstsq(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("lstsq called")

@@ -15,7 +15,7 @@ from qbmlab import (
     solve_normal_modes,
     verify_closure,
 )
-from qbmlab.model import lorentzian_coupling
+from qbmlab.model import lorentzian_coupling, paper_default_model
 from conftest import random_model
 
 
@@ -298,3 +298,149 @@ class TestSolverBehavior:
         for model in (m, strong):
             np.testing.assert_allclose(solve_normal_modes(model).alphas,
                                        dense_oracle(model).alphas, rtol=1e-12)
+
+
+def solve_large_model(seed=1001):
+    """The benchmark's solve-large bath: the paper's N+1 = 4096 grid, jittered."""
+    n = 4095
+    spacing = 0.018 / (n - 2)
+    freqs = 1.0 + spacing * (np.arange(1, n + 1) - (n + 1) / 2.0)
+    half_width = spacing * (n - 2) / 2.0
+    couplings = spacing * half_width**2 / (half_width**2 + (freqs - 1.0) ** 2)
+    rng = np.random.default_rng([seed, 1])
+    freqs = freqs + rng.uniform(-0.25, 0.25, n) * spacing
+    couplings = couplings * rng.uniform(0.8, 1.2, n)
+    return make(1.0, freqs, couplings)
+
+
+def quartic_graded_model():
+    """Poles crowding quartically toward the band centre: a cluster there is
+    much narrower than its neighbours, so their far poles sit close to it."""
+    n = 4095
+    s = (2 * np.arange(n) + 1 - n) / n
+    return make(1.0, 1.0 + 0.009 * s**3 * np.abs(s) + 1e-7 * s, np.full(n, 1e-5))
+
+
+FAR_FIELD_MODELS = {
+    "paper4096": lambda: paper_default_model(4096),
+    "solve_large": solve_large_model,
+    "quartic_graded": quartic_graded_model,
+}
+
+
+def far_field_errors(model, alphas, stride):
+    """Largest error of the near-plus-tabulated sums against math.fsum of every
+    term, over sum |terms| (value sums) and sum terms (slope sums), at the
+    roots and bracket midpoints next to each cluster edge and every stride-th."""
+    w, g2 = model.bath_freqs, model.couplings**2
+    sweeps = eigensolve._FarField(w, g2)
+    worst_value = worst_slope = 0.0
+    tabulated = 0
+    for nus, window, far in sweeps.chunks:
+        if far is None:
+            continue
+        tabulated += 1
+        pick = np.unique(np.r_[nus[:2], nus[-2:], nus[::stride]])
+        x = np.r_[alphas[pick], 0.5 * (w[pick - 1] + w[pick])]
+        nu = np.r_[pick, pick]
+        sums = eigensolve._pole_sums(x, nu - window.start, w[window], g2[window],
+                                     sweeps.buf, sweeps.aux, far)
+        for i in range(x.size):
+            terms = g2 / (x[i] - w)
+            slopes = terms / (x[i] - w)
+            below, above = terms[:nu[i]].tolist(), terms[nu[i]:].tolist()
+            scale = math.fsum(np.abs(terms).tolist())
+            slope_scale = math.fsum(slopes.tolist())
+            worst_value = max(worst_value,
+                              abs(sums[0][i] - math.fsum(below)) / scale,
+                              abs(sums[1][i] - math.fsum(above)) / scale)
+            worst_slope = max(worst_slope,
+                              abs(sums[2][i] - math.fsum(slopes[:nu[i]].tolist())) / slope_scale,
+                              abs(sums[3][i] - math.fsum(slopes[nu[i]:].tolist())) / slope_scale)
+    assert tabulated == sweeps.tabulated
+    return worst_value, worst_slope, tabulated
+
+
+def all_near_roots(model, monkeypatch):
+    """The solve with one cluster: every pole summed term by term in every sweep."""
+    with monkeypatch.context() as mp:
+        mp.setattr(eigensolve, "_MIN_CLUSTERS", model.n_osc + 1)
+        modes = solve_normal_modes(model)
+    assert modes.tabulated_clusters == 0
+    return modes
+
+
+def assert_same_roots(fast, exact):
+    """Roots at most 2 ulp apart (the message counts those that differ); where
+    they are identical the exact kernel gives identical residuals and weights."""
+    ulps = np.abs(fast.alphas - exact.alphas) / np.spacing(np.abs(exact.alphas))
+    same = ulps == 0
+    assert ulps.max() <= 2.0, (f"{int(np.count_nonzero(~same))} roots differ, "
+                               f"by up to {ulps.max():.0f} ulp")
+    np.testing.assert_array_equal(fast.weights[same], exact.weights[same])
+    np.testing.assert_array_equal(fast.residuals[same], exact.residuals[same])
+
+
+class TestFarFieldSecular:
+    """The iteration sweeps' near field plus tabulated far field (``_FarField``)."""
+
+    @pytest.mark.parametrize("case", sorted(FAR_FIELD_MODELS))
+    def test_sums_match_fsum(self, case):
+        model = FAR_FIELD_MODELS[case]()
+        modes = solve_normal_modes(model)
+        value, slope, tabulated = far_field_errors(model, modes.alphas, stride=29)
+        assert tabulated >= 2
+        assert value <= 1e-15
+        assert slope <= 1e-15
+
+    @pytest.mark.parametrize("case", sorted(FAR_FIELD_MODELS))
+    def test_roots_match_the_all_near_kernel(self, case, monkeypatch):
+        model = FAR_FIELD_MODELS[case]()
+        fast = solve_normal_modes(model)
+        assert fast.tabulated_clusters >= 2
+        assert_same_roots(fast, all_near_roots(model, monkeypatch))
+
+    def test_gate_keeps_crowded_clusters_exact(self, monkeypatch):
+        model = quartic_graded_model()
+        gated = solve_normal_modes(model)
+        assert gated.exact_clusters > gated.tabulated_clusters > 0
+        assert gated.far_field_bound <= eigensolve._FAR_TOL
+        # without the gate the crowded clusters' interpolants move roots
+        monkeypatch.setattr(eigensolve, "_FAR_TOL", math.inf)
+        ungated = solve_normal_modes(model)
+        assert ungated.exact_clusters == 0
+        assert ungated.far_field_bound > 1e-6
+        assert np.any(ungated.alphas != gated.alphas)
+
+    def test_diagnostics(self):
+        modes = solve_normal_modes(paper_default_model(4096))
+        assert modes.tabulated_clusters + modes.exact_clusters == 4095 // 126
+        assert modes.chebyshev_points == eigensolve._CHEB_POINTS
+        assert 0.0 < modes.far_field_bound <= eigensolve._FAR_TOL
+        terms = modes.model.couplings**2 / (modes.alphas[:, None] - modes.model.bath_freqs)
+        ratio = np.abs(modes.residuals) / np.abs(terms).sum(axis=1)
+        assert modes.residual_ratio == pytest.approx(ratio.max(), rel=1e-12)
+        # 3 clusters of 10 poles: fewer than the far field asks for
+        small = solve_normal_modes(paper_default_model(32))
+        assert (small.tabulated_clusters, small.exact_clusters) == (0, 3)
+        assert (small.chebyshev_points, small.far_field_bound) == (0, 0.0)
+
+    def test_random_baths(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+        st = hyp.strategies
+
+        # clusters of 2 sqrt(N) poles: 3 to 13 clusters, all of them eligible
+        monkeypatch.setattr(eigensolve, "_MIN_CLUSTERS", 3)
+
+        @hyp.settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @hyp.given(st.integers(0, 2**32 - 1), st.integers(40, 700), st.booleans())
+        def check(seed, n_osc, in_band):
+            model = random_model(np.random.default_rng(seed), n_osc, omega_in_band=in_band)
+            fast = solve_normal_modes(model)
+            assert fast.tabulated_clusters + fast.exact_clusters >= 3
+            if fast.tabulated_clusters:
+                value, slope, _ = far_field_errors(model, fast.alphas, stride=7)
+                assert value <= 1e-15 and slope <= 1e-15
+            assert_same_roots(fast, all_near_roots(model, monkeypatch))
+
+        check()
