@@ -236,6 +236,9 @@ def _solved(args, parser: argparse.ArgumentParser):
             "chebyshev_points": modes.chebyshev_points,
             "far_field_bound": modes.far_field_bound,
             "residual_ratio": modes.residual_ratio,
+            "audit_residual_error": modes.audit_residual_error,
+            "audit_weight_error": modes.audit_weight_error,
+            "weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0),
         },
     }
 
@@ -494,7 +497,7 @@ def _cmd_sweep(args, parser) -> _Run:
     written.append(plot_path)
 
     if failed:
-        print(f"sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
+        print(f"error: sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
               file=sys.stderr)
     fields = {"convention": args.convention, "status": "failed" if failed else "ok",
               "failed_member": failed, "diagnostics": [r["diagnostics"] for r in rows]}

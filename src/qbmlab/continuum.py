@@ -560,7 +560,10 @@ def build_weight_table(
 
     re = nodes - cm.omega_sub - pv_vals
     im = math.pi * g2_nodes
-    density = g2_nodes / (re * re + im * im)
+    # a denominator that overflows (g^2 near 1e154) leaves a density below
+    # 1/(pi^2 g^2) ~ 1e-155 as its limit 0
+    with np.errstate(over="ignore"):
+        density = g2_nodes / (re * re + im * im)
     completeness = float(density @ wq)
     return WeightTable(
         nodes=nodes,
@@ -668,7 +671,7 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
             f"weight density integrates to {float(table.completeness)!r}; "
             "cannot form the thermal average"
         )
-    occ = _bose_occupancies(cm.beta * table.nodes)
+    occ = _bose_occupancies(cm.beta, table.nodes)
     return float((table.density * occ) @ table.quad_weights)
 
 

@@ -434,6 +434,10 @@ def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) ->
     a = w or a = w K_j, keep sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the
     fit residual bounds the error of replacing nbar by p.  The fit is done
     in units of max(kappa, max nbar), so huge occupancies do not overflow.
+    Below [V, nbar] sits [lambda I, 0], lambda = eps max(M, K) ||V||_F for the
+    M x K matrix V: a ridge at the rank cutoff of lstsq's SVD, which keeps
+    the fit bounded where the bath covers only part of the Chebyshev hull and
+    V is numerically rank deficient; its leading blocks still fit each degree.
     Occupancies that no low-degree polynomial resolves (a wide or cold bath,
     irregular values) keep the dense sum.
     """
@@ -444,7 +448,13 @@ def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) ->
     centre, half = _chebyshev_map(modes)
     vander = _chebyshev_vander((modes.model.bath_freqs - centre) / half, top)
     unit = scale if scale > 0 else 1.0  # nbar is all zero when the scale is
-    r = np.linalg.qr(np.column_stack([vander, nbar / unit]), mode="r")
+    rows, cols = vander.shape
+    stacked = np.zeros((rows + cols, cols + 1))
+    stacked[:rows, :cols] = vander
+    stacked[:rows, cols] = nbar / unit
+    np.fill_diagonal(stacked[rows:], np.finfo(float).eps * max(rows, cols)
+                     * np.linalg.norm(vander))
+    r = np.linalg.qr(stacked, mode="r")
     for degree in range(top + 1):
         size = degree + 1
         b = np.linalg.solve(r[:size, :size], r[:size, -1]) * unit

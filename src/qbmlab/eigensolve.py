@@ -23,16 +23,19 @@ poles far from a root is one smooth function of x for the whole solve
 (the far-field split of Greengard & Rokhlin, J. Comput. Phys. 73, 1987, which
 Livne & Brandt, SIAM J. Matrix Anal. Appl. 24, 2002, apply to the secular
 equation).  The poles are grouped into clusters of m ~ 2 sqrt(N); each
-iteration sweep sums a root's own cluster and its two neighbours term by
-term, and the rest through Chebyshev interpolants tabulated once per solve
+sweep sums a root's own cluster and its two neighbours term by term, and
+the rest through Chebyshev interpolants tabulated once per solve
 (``_FarField``), where an a-priori bound keeps their error far below the
-rounding of f.  The sweeps then cost O(N m) and the tables O(N^2 p / m).
-The residuals and the weights come from one last pass over the exact kernel,
-O(N^2), which is now most of the work: N+1 = 4096 takes about 0.13 s and
-16384 about 1.4 s on 2 cores.  Evaluation is vectorized over disjoint
-brackets in chunks sized to fit in cache, which leaves the result
-independent of the chunking (each bracket's iteration history depends only
-on itself).
+rounding of f.  The residuals and weights of those roots come from one more
+such sweep at the roots.  The sweeps then cost O(N m) and the tables
+O(N^2 p / m); ``NormalModes.validate`` audits one root per cluster against
+math.fsum, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).  In
+process on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) N+1 = 4096 takes about
+0.10 s and 16384 about 0.6 s.  Roots of clusters that are not tabulated, and
+every root of a small solve, keep the exact sum over all poles.  Evaluation is
+vectorized over disjoint brackets in chunks sized to fit in cache, which
+leaves the result independent of the chunking (each bracket's iteration
+history depends only on itself).
 """
 
 from __future__ import annotations
@@ -74,6 +77,9 @@ _DENSE_CAP = 4096
 _MIN_CLUSTERS = 16
 _CHEB_POINTS = 24
 _FAR_TOL = 2.0**-56
+# ``NormalModes.validate`` sums the audited residuals and weights exactly, in
+# blocks whose rows are first halved by this many TwoSum steps
+_TWO_SUM_LEVELS = 6
 
 
 class EigensolveError(RuntimeError):
@@ -93,14 +99,18 @@ class NormalModes:
     ``residuals`` holds the secular value at each accepted root so downstream
     code can judge conditioning.  The solver's effort is recorded with it:
     ``secular_evaluations`` counts evaluations of f in the root iteration (not
-    the residual pass), ``safeguard_fallbacks`` the iterates replaced by a
+    the residual sweep), ``safeguard_fallbacks`` the iterates replaced by a
     bracket midpoint, and ``min_pole_offset`` is the smallest |alpha - omega_n|.
-    The iteration's far field is recorded too (``_FarField``): the clusters
-    of poles whose far field was tabulated at ``chebyshev_points`` points each
-    (0 when none was) and the clusters summed exactly, and ``far_field_bound``
-    is the largest a-priori bound of a tabulated cluster, relative to
-    sum |g^2/(x - omega_n)| (0 when none was tabulated).  ``residual_ratio``
-    is the largest |residual| / sum_n |g_n^2/(alpha - omega_n)| of the roots.
+    The far field is recorded too (``_FarField``): the clusters of poles whose
+    far field was tabulated at ``chebyshev_points`` points each (0 when none
+    was) and the clusters summed exactly, and ``far_field_bound`` is the
+    largest a-priori bound of a tabulated cluster, relative to
+    sum |g^2/(x - omega_n)| (0 when none was tabulated).  Roots of tabulated
+    clusters take their residuals and weights from the same near-plus-far
+    sums as the iteration; the others from the exact sum over all poles.
+    ``residual_ratio`` is the largest |residual| / sum_n |g_n^2/(alpha - omega_n)|
+    of the roots.  ``validate`` records its exact audit in
+    ``audit_residual_error`` and ``audit_weight_error``.
     Immutable by convention after solve.
     """
 
@@ -116,6 +126,8 @@ class NormalModes:
     chebyshev_points: int = 0
     far_field_bound: float = 0.0
     residual_ratio: float = math.nan
+    audit_residual_error: float = math.nan
+    audit_weight_error: float = math.nan
 
     @property
     def n_modes(self) -> int:
@@ -137,7 +149,20 @@ class NormalModes:
         return self.amplitudes[:, None] * self.pole_ratios()
 
     def validate(self, rel_tol: float = 1e-10) -> None:
-        """Assert the exact-solution invariants; raises EigensolveError."""
+        """Assert the exact-solution invariants; raises EigensolveError.
+
+        Besides interlacing, the weight sum and the trace, an exact audit
+        recomputes with math.fsum the residual of both exterior roots, of the
+        root closest to a pole and, when the far field was tabulated, of the
+        first root of every cluster, and the weight of each where the weights
+        come from the normalization formula (``secular_evaluations > 0``; the
+        dense oracle's come from eigenvectors).  It raises when a residual is
+        off by more than ``_audit_limit(N)`` of |alpha - omega_sub| +
+        sum |g^2/(alpha - omega_n)|, the scale of its rounding, or a weight by
+        more than ``_audit_limit(N)`` relative, and records the worst
+        deviations in ``audit_residual_error`` and ``audit_weight_error`` (the
+        latter nan when weights are not audited).
+        """
         w = self.model.bath_freqs
         a = self.alphas
         if a.size != w.size + 1:
@@ -152,6 +177,96 @@ class NormalModes:
         trace = self.model.omega_sub + w.sum()
         if abs(a.sum() - trace) > rel_tol * abs(trace):
             raise EigensolveError("eigenvalue sum does not match matrix trace")
+        self.audit_residual_error, self.audit_weight_error = _audit(self)
+        limit = _audit_limit(w.size)
+        if self.audit_residual_error > limit:
+            raise EigensolveError(
+                f"residual off its math.fsum value by {self.audit_residual_error:.3g} "
+                f"of its scale (limit {limit:.3g})")
+        if self.audit_weight_error > limit:
+            raise EigensolveError(
+                f"weight off its math.fsum value by {self.audit_weight_error:.3g} relative "
+                f"(limit {limit:.3g})")
+
+
+def _audit_limit(n: int) -> float:
+    """The largest deviation ``NormalModes.validate`` allows an audited residual
+    (relative to |alpha - omega_sub| + sum |g^2/(alpha - omega_n)|) or weight
+    (relative) of a solve with n poles.
+
+    numpy sums a row of n terms pairwise (``pairwise_sum``: blocks of at most
+    128 terms in 8 running sums, then halving), so each term passes through
+    at most k = 25 + bit_length((n - 1) // 128) roundings and the sum errs by
+    at most k u sum |terms|, u = eps/2 (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., §4.2).  Eight more roundings cover the
+    subtractions and the division that follow, and on tabulated clusters the
+    near terms rounded in another order and the far field, whose a-priori
+    bound is within u/8 (its rounding in the barycentric formula is not
+    bounded a priori; at tabulated roots it stayed within 2.1 eps on every
+    bath tried).  The limit is 19 eps at N+1 = 4096 and 20 eps at 16384.
+    """
+    return (33 + ((n - 1) // 128).bit_length()) * 0.5 * np.finfo(float).eps
+
+
+def _audit(modes: NormalModes) -> tuple[float, float]:
+    """Worst |residual - fsum| / (|alpha - omega_sub| + sum |g^2/(alpha - omega)|)
+    and |weight - fsum weight| / weight of the roots ``NormalModes.validate``
+    audits (nan for weights it skips)."""
+    model = modes.model
+    w, g, a = model.bath_freqs, model.couplings, modes.alphas
+    n = w.size
+    pole_offset = np.minimum(np.r_[math.inf, a[1:] - w], np.r_[w - a[:-1], math.inf])
+    picks = {0, n, int(np.argmin(pole_offset))}
+    if modes.tabulated_clusters:
+        picks.update((_cluster_edges(n)[:-1] + 1).tolist())
+    picks = np.array(sorted(picks))
+    residual_error, weight_error = 0.0, (0.0 if modes.secular_evaluations else math.nan)
+    width = -(-(n + 2) // 2**_TWO_SUM_LEVELS) * 2**_TWO_SUM_LEVELS
+    # 2 rows per root in a quarter of the scratch, so that the temporaries of
+    # _fsum_rows stay within about the scratch
+    rows = max(1, _SCRATCH_BYTES // (64 * width))
+    for start in range(0, picks.size, rows):
+        nus = picks[start:start + rows]
+        k = nus.size
+        # rows 0..k-1: alpha - omega_sub - sum g^2/d; rows k..2k-1: sum (g/d)^2
+        terms = np.zeros((2 * k, width))
+        terms[:k, 0], terms[:k, 1] = a[nus], -model.omega_sub
+        d = a[nus, None] - w
+        # a dense-oracle root may fall on a pole; its deviation is then nan, not raised
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(-g**2, d, out=terms[:k, 2:n + 2])
+            np.square(np.divide(g, d, out=terms[k:, :n]), out=terms[k:, :n])
+        # the residual is (alpha - omega_sub) - sum: its rounding scales with both
+        scale = np.abs(terms[:k, 2:n + 2]).sum(axis=1) + np.abs(a[nus] - model.omega_sub)
+        exact = _fsum_rows(terms)
+        deviation = np.abs(modes.residuals[nus] - exact[:k])
+        residual_error = max(residual_error, float(np.max(
+            np.divide(deviation, scale, out=np.zeros(k), where=scale > 0))))
+        if modes.secular_evaluations:
+            weight = 1.0 / (1.0 + exact[k:])
+            weight_error = max(weight_error,
+                               float(np.max(np.abs(modes.weights[nus] - weight) / weight)))
+    return residual_error, weight_error
+
+
+def _fsum_rows(t: np.ndarray) -> np.ndarray:
+    """math.fsum of each row of t, whose length is a multiple of 2^L, after
+    L = ``_TWO_SUM_LEVELS`` steps of Knuth's TwoSum halve the rows.
+
+    Each step adds the second half of a row to the first and keeps the
+    rounding errors exactly; the errors (each within eps of a partial sum)
+    are added in float64, which costs at most ~L log2(N) eps^2 sum |t|, and
+    math.fsum adds them to the shortened row: the audit of a 4096-mode solve
+    took about half the time of math.fsum over whole rows.
+    """
+    s = t
+    errors = np.zeros(t.shape[0])
+    for _ in range(_TWO_SUM_LEVELS):
+        a, b = np.hsplit(s, 2)
+        s = a + b
+        z = s - a
+        errors += ((a - (s - z)) + (b - z)).sum(axis=1)
+    return np.array([math.fsum([*row, e]) for row, e in zip(s.tolist(), errors.tolist())])
 
 
 @dataclass(frozen=True)
@@ -199,12 +314,18 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
     omega_sub = model.omega_sub
     w = model.bath_freqs
     g = model.couplings
-    g2 = g**2
     n = w.size
+    eps = np.finfo(float).eps
+    # an iterate may sit one ulp off a pole, where sum g^2/(x - omega)^2 must stay finite
+    g_max, closest = float(np.abs(g).max()), 0.5 * eps * float(np.abs(w).min())
+    if not g_max < closest * math.sqrt(np.finfo(float).max / (4 * n)):
+        raise EigensolveError(
+            f"couplings up to {g_max!r} are too strong for the secular sums next to "
+            f"bath frequencies down to {float(np.abs(w).min())!r}")
+    g2 = g**2
 
     lo = np.empty(n + 1)
     hi = np.empty(n + 1)
-    eps = np.finfo(float).eps
     # interior endpoints sit just off the poles; f -> -inf / +inf there
     lo[1:] = np.maximum(np.nextafter(w, np.inf), w * (1.0 + 4.0 * eps))
     hi[:n] = np.minimum(np.nextafter(w, -np.inf), w * (1.0 - 4.0 * eps))
@@ -226,32 +347,37 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
         )
 
     sweeps = _FarField(w, g2)
-    rows, buf, aux = sweeps.rows, sweeps.buf, sweeps.aux
+    buf, aux = sweeps.buf, sweeps.aux
     alphas = np.empty(n + 1)
-    evaluations = fallbacks = 0
-    for nus, window, far in sweeps.chunks:
-        alphas[nus], steps, falls = _iterate_chunk(
-            nus, lo[nus], hi[nus], omega_sub, w, g2, window, far, rel_tol, buf, aux)
-        evaluations += steps
-        fallbacks += falls
-
-    # the exact kernel: one alpha - omega block d, sums of g^2/d give f, of (g/d)^2
-    # the weights
     residuals = np.empty(n + 1)
     abs_sums = np.empty(n + 1)
     weights = np.empty(n + 1)
-    for start in range(0, n + 1, rows):
-        sl = slice(start, min(start + rows, n + 1))
-        d = buf[: (sl.stop - sl.start) * n].reshape(-1, n)
-        np.subtract(alphas[sl, None], w, out=d)
-        terms = aux[: d.size].reshape(d.shape)
-        np.divide(g2, d, out=terms)
-        residuals[sl] = alphas[sl] - omega_sub - terms.sum(axis=1)
-        below, above = _split_sums(terms, np.arange(sl.start, sl.stop))
-        abs_sums[sl] = below - above
-        np.divide(g, d, out=terms)
-        np.square(terms, out=terms)
-        weights[sl] = 1.0 / (1.0 + terms.sum(axis=1))
+    evaluations = fallbacks = 0
+    for nus, window, far in sweeps.chunks:
+        x, steps, falls = _iterate_chunk(
+            nus, lo[nus], hi[nus], omega_sub, w, g2, window, far, rel_tol, buf, aux)
+        evaluations += steps
+        fallbacks += falls
+        alphas[nus] = x
+        if far is None:
+            # the exact kernel: one alpha - omega block d, sums of g^2/d give f,
+            # of (g/d)^2 the weights
+            d = buf[: nus.size * n].reshape(-1, n)
+            np.subtract(x[:, None], w, out=d)
+            terms = aux[: d.size].reshape(d.shape)
+            np.divide(g2, d, out=terms)
+            residuals[nus] = x - omega_sub - terms.sum(axis=1)
+            below, above = _split_sums(terms, nus)
+            np.divide(g, d, out=terms)
+            np.square(terms, out=terms)
+            weights[nus] = 1.0 / (1.0 + terms.sum(axis=1))
+        else:
+            # the iteration's near and far sums, once more at the roots
+            below, above, left, right = _pole_sums(x, nus - window.start, w[window],
+                                                   g2[window], buf, aux, far)
+            residuals[nus] = x - omega_sub - (below + above)
+            weights[nus] = 1.0 / (1.0 + left + right)
+        abs_sums[nus] = below - above
 
     # with interlacing roots the closest pole of each root is a bracketing one
     worst = float(min(np.abs(alphas[1:] - w).min(), np.abs(w - alphas[:-1]).min()))
@@ -338,10 +464,10 @@ class _FarField:
     Chebyshev points on the cluster's bracket span, sum g^2/(t - omega) and
     sum g^2/(t - omega)^2 over the poles below and above the near window.
     The error of each sum of g^2/(x - omega) is then within
-    bound * sum |terms|, and each sum of g^2/(x - omega)^2, which only shapes
-    the model step, within about p times that.  The other clusters, both
-    exterior roots and every root of a solve with fewer clusters keep the
-    exact sum over all poles, in chunks of ``rows`` roots.
+    bound * sum |terms|, and each sum of g^2/(x - omega)^2, which shapes the
+    model step and the weights, within about p times that.  The other
+    clusters, both exterior roots and every root of a solve with fewer
+    clusters keep the exact sum over all poles, in chunks of ``rows`` roots.
 
     ``chunks`` lists (roots, near window, far) with far = None or (centre,
     half-width, Chebyshev points on [-1, 1], their weights, table);

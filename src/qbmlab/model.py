@@ -171,7 +171,7 @@ class InitialState:
     @classmethod
     def thermal(cls, model: SpectralModel) -> "InitialState":
         """Bath in equilibrium at the model's beta, subsystem at kappa quanta."""
-        occ = _bose_occupancies(model.beta * model.bath_freqs)
+        occ = _bose_occupancies(model.beta, model.bath_freqs)
         return cls(kappa=model.kappa, bath_occupancies=occ)
 
 
@@ -198,8 +198,11 @@ class ValidityReport:
         return all(self.passes)
 
 
-def _bose_occupancies(x: np.ndarray) -> np.ndarray:
-    """1/(exp(x) - 1) elementwise, as exp(-x)/(1 - exp(-x)) where exp(x) overflows."""
+def _bose_occupancies(beta: float, omega: np.ndarray) -> np.ndarray:
+    """1/(exp(x) - 1) for x = beta * omega elementwise, as exp(-x)/(1 - exp(-x))
+    where exp(x) overflows; where x itself overflows, its limit 0."""
+    with np.errstate(over="ignore"):
+        x = beta * omega
     large = x > _EXP_OVERFLOW_ARG
     occ = np.empty_like(x)
     occ[~large] = 1.0 / np.expm1(x[~large])
@@ -284,10 +287,13 @@ def lorentzian_coupling(
 
     Peaks at D on resonance and equals D/2 at detuning a.
     """
-    if a_width <= 0:
-        raise ModelError(f"a_width must be positive, got {a_width}")
+    if not (a_width > 0 and 0 < a_width * a_width < math.inf):
+        raise ModelError(f"a_width must be positive with a finite, nonzero square, got {a_width}")
     freqs = _as_float_array(bath_freqs, "bath_freqs")
-    return d_amp * a_width**2 / (a_width**2 + (freqs - omega_sub) ** 2)
+    # a detuning whose square overflows leaves the coupling at its limit, 0; an
+    # overflowing peak leaves nan, which SpectralModel rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return d_amp * a_width**2 / (a_width**2 + (freqs - omega_sub) ** 2)
 
 
 def validate_dissipation(model: SpectralModel, delta: float | None = None) -> ValidityReport:
@@ -299,13 +305,16 @@ def validate_dissipation(model: SpectralModel, delta: float | None = None) -> Va
     are legitimate study objects.
     """
     w = model.bath_freqs
-    g2 = model.couplings**2
     if delta is None:
         delta = float(np.diff(w).min()) if model.n_osc > 1 else float(w[0])
     if delta <= 0:
         raise ModelError(f"delta must be positive, got {delta}")
-    left_sum = float(np.sum(g2 / (w - w[0] + delta)))
-    right_sum = float(np.sum(g2 / (w[-1] + delta - w)))
+    # couplings whose squares overflow give infinite sums, which fail their bounds
+    with np.errstate(over="ignore"):
+        g2 = model.couplings**2
+        left_sum = float(np.sum(g2 / (w - w[0] + delta)))
+        # (w[-1] - w) + delta: the top term is delta even where w[-1] + delta rounds to w[-1]
+        right_sum = float(np.sum(g2 / ((w[-1] - w) + delta)))
     left_bound = float(model.omega_sub - w[0] + delta)
     right_bound = float(w[-1] + delta - model.omega_sub)
     ratio = None

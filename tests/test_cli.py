@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qbmlab
-from qbmlab import dynamics
+from qbmlab import dynamics, eigensolve
 from qbmlab.cli import (
     _finite_float,
     _finite_float_rel_tol,
@@ -77,10 +77,38 @@ class TestSolve:
             "chebyshev_points": modes.chebyshev_points,
             "far_field_bound": modes.far_field_bound,
             "residual_ratio": modes.residual_ratio,
+            "audit_residual_error": modes.audit_residual_error,
+            "audit_weight_error": modes.audit_weight_error,
+            "weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0),
         }
+        assert modes.audit_residual_error <= eigensolve._audit_limit(modes.model.n_osc)
+        assert modes.audit_weight_error <= eigensolve._audit_limit(modes.model.n_osc)
         assert 32 <= modes.secular_evaluations <= 6 * 32
         assert modes.min_pole_offset == np.abs(
             modes.alphas[:, None] - modes.model.bath_freqs).min()
+
+    def test_tabulated_solve_of_a_jittered_file(self, tmp_path):
+        # 2,047 oscillators: every cluster of the far field is tabulated
+        rng = np.random.default_rng(2048)
+        spacing = 0.018 / 2045
+        freqs = 1.0 + spacing * (np.arange(1, 2048) - 1024.0)
+        couplings = qbmlab.lorentzian_coupling(freqs, 1.0, spacing, spacing * 2045 / 2.0)
+        freqs = freqs + rng.uniform(-0.25, 0.25, freqs.size) * spacing
+        couplings = couplings * rng.uniform(0.8, 1.2, freqs.size)
+        cfg = tmp_path / "model.txt"
+        cfg.write_text("omega_sub = 1.0\nbeta = 1.0\nkappa = 1.0\n[bath]\n" + "".join(
+            f"{w!r} {g!r}\n" for w, g in zip(freqs.tolist(), couplings.tolist())))
+        assert run(["solve", "--config", cfg, "--out-dir", tmp_path, "--prefix", "t"]) == 0
+        modes = qbmlab.solve_normal_modes(qbmlab.load_model(cfg))
+        assert modes.tabulated_clusters == 2047 // 90 and modes.exact_clusters == 0
+        rows = (tmp_path / "t_modes.csv").read_text().splitlines()[1:]
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        np.testing.assert_array_equal(table[:, 0], np.arange(2048))
+        np.testing.assert_array_equal(table[:, 1], modes.alphas)
+        np.testing.assert_array_equal(table[:, 2], modes.weights)
+        np.testing.assert_array_equal(table[:, 3], modes.residuals)
+        oracle = qbmlab.dense_oracle(modes.model)
+        assert np.abs(modes.alphas - oracle.alphas).max() <= 1e-12
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         run(["solve", "--paper-defaults", "--n", 10, "--out-dir", tmp_path,

@@ -438,6 +438,15 @@ class TestBlockedTable:
         table = build_weight_table(cm, 300)
         np.testing.assert_allclose(table.density, chunked_density(cm, 300), rtol=1e-14, atol=0)
 
+    def test_overflowing_denominator_gives_zero_density(self):
+        # a peak of 4e153: each square of the denominator is finite, their sum is not
+        cm = lorentzian_density(4.27e153, 0.1, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = build_weight_table(cm, 64)
+        assert np.all(np.isfinite(table.density)) and np.any(table.density == 0.0)
+        assert table.completeness < 1e-150
+
     def test_coincident_nodes_are_dropped_as_in_reference(self, narrow):
         # table nodes equal to the PV nodes: every row has a pair with d = 0
         table = build_weight_table(narrow, 401, order=8)

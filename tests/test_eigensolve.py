@@ -1,5 +1,10 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -370,13 +375,40 @@ def all_near_roots(model, monkeypatch):
     return modes
 
 
+def fsum_errors(modes, nus):
+    """Largest |residual - fsum| / sum |terms| and |weight - fsum weight| / weight
+    over the roots ``nus``, the references summed by math.fsum at the stored roots."""
+    m = modes.model
+    w, g = m.bath_freqs, m.couplings
+    residual_error = weight_error = 0.0
+    for nu in nus.tolist():
+        alpha = modes.alphas[nu]
+        terms = g**2 / (alpha - w)
+        exact = math.fsum([alpha, -m.omega_sub, *(-terms).tolist()])
+        residual_error = max(residual_error,
+                             abs(modes.residuals[nu] - exact) / np.abs(terms).sum())
+        weight = 1.0 / (1.0 + math.fsum(((g / (alpha - w)) ** 2).tolist()))
+        weight_error = max(weight_error, abs(modes.weights[nu] - weight) / weight)
+    return residual_error, weight_error
+
+
 def assert_same_roots(fast, exact):
-    """Roots at most 2 ulp apart (the message counts those that differ); where
-    they are identical the exact kernel gives identical residuals and weights."""
+    """Roots at most 2 ulp apart (the message counts those that differ).  Roots of
+    tabulated clusters take residuals and weights from the near and far sums:
+    within 1e-15 of their math.fsum values.  Elsewhere both solves use the
+    exact kernel, so identical roots have identical residuals and weights."""
     ulps = np.abs(fast.alphas - exact.alphas) / np.spacing(np.abs(exact.alphas))
     same = ulps == 0
     assert ulps.max() <= 2.0, (f"{int(np.count_nonzero(~same))} roots differ, "
                                f"by up to {ulps.max():.0f} ulp")
+    model = fast.model
+    chunks = eigensolve._FarField(model.bath_freqs, model.couplings**2).chunks
+    tabulated = np.array([nu for nus, _, far in chunks if far is not None for nu in nus],
+                         dtype=int)
+    residual_error, weight_error = fsum_errors(fast, tabulated)
+    assert residual_error <= 1e-15
+    assert weight_error <= 1e-15
+    same[tabulated] = False
     np.testing.assert_array_equal(fast.weights[same], exact.weights[same])
     np.testing.assert_array_equal(fast.residuals[same], exact.residuals[same])
 
@@ -405,8 +437,12 @@ class TestFarFieldSecular:
         gated = solve_normal_modes(model)
         assert gated.exact_clusters > gated.tabulated_clusters > 0
         assert gated.far_field_bound <= eigensolve._FAR_TOL
-        # without the gate the crowded clusters' interpolants move roots
+        # without the gate the crowded clusters' interpolants move roots, and the
+        # residuals they give fail the exact audit
         monkeypatch.setattr(eigensolve, "_FAR_TOL", math.inf)
+        with pytest.raises(EigensolveError, match="math.fsum"):
+            solve_normal_modes(model)
+        monkeypatch.setattr(eigensolve.NormalModes, "validate", lambda self: None)
         ungated = solve_normal_modes(model)
         assert ungated.exact_clusters == 0
         assert ungated.far_field_bound > 1e-6
@@ -444,3 +480,79 @@ class TestFarFieldSecular:
             assert_same_roots(fast, all_near_roots(model, monkeypatch))
 
         check()
+
+
+class TestBlasThreads:
+    def test_solve_ignores_the_blas_thread_count(self, tmp_path):
+        # a single-threaded BLAS in a fresh process gives the same bits
+        out = tmp_path / "modes.npy"
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from test_eigensolve import solve_large_model\n"
+                  "from qbmlab import solve_normal_modes\n"
+                  "m = solve_normal_modes(solve_large_model())\n"
+                  "np.save(sys.argv[1], np.stack([m.alphas, m.weights, m.residuals]))\n")
+        src = Path(eigensolve.__file__).parents[1]
+        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        modes = solve_normal_modes(solve_large_model())
+        assert modes.tabulated_clusters > 0
+        single = np.load(out)
+        np.testing.assert_array_equal(single[0], modes.alphas)
+        np.testing.assert_array_equal(single[1], modes.weights)
+        np.testing.assert_array_equal(single[2], modes.residuals)
+
+
+class TestExactAudit:
+    """``NormalModes.validate`` recomputes sampled residuals and weights with math.fsum."""
+
+    def test_solves_pass_and_record_it(self):
+        for model in (solve_large_model(), paper_default_model(32)):
+            modes = solve_normal_modes(model)
+            limit = eigensolve._audit_limit(model.n_osc)
+            assert 0.0 <= modes.audit_residual_error <= limit
+            assert 0.0 <= modes.audit_weight_error <= limit
+        # the dense oracle's weights come from eigenvectors: only residuals are audited
+        oracle = dense_oracle(paper_default_model(32))
+        assert oracle.audit_residual_error <= eigensolve._audit_limit(31)
+        assert math.isnan(oracle.audit_weight_error)
+
+    def test_limit_covers_pairwise_summation(self):
+        @functools.lru_cache(maxsize=None)
+        def depth(n):
+            """The most roundings a term meets in numpy's pairwise sum of n terms:
+            8 running sums over blocks of at most 128, halving at multiples of 8."""
+            if n < 8:
+                return max(n - 1, 0)
+            if n <= 128:
+                return n // 8 + 2 + n % 8
+            half = n // 2 - n // 2 % 8
+            return 1 + max(depth(half), depth(n - half))
+
+        u = np.finfo(float).eps / 2
+        for n in [*range(1, 2100), 4095, 16383, 65535, 10**6]:
+            assert eigensolve._audit_limit(n) >= (depth(n) + 8) * u
+
+    @pytest.mark.parametrize("field", ["residuals", "weights"])
+    def test_a_perturbed_cluster_root_is_caught(self, field):
+        modes = solve_normal_modes(solve_large_model())
+        nu = int(eigensolve._cluster_edges(modes.model.n_osc)[7]) + 1
+        values = getattr(modes, field)
+        scale = np.abs(modes.model.couplings**2 / (modes.alphas[nu] - modes.model.bath_freqs)
+                       ).sum() if field == "residuals" else values[nu]
+        values[nu] += 64 * np.finfo(float).eps * scale
+        with pytest.raises(EigensolveError, match="math.fsum"):
+            modes.validate()
+
+    def test_a_corrupt_far_field_is_caught(self, monkeypatch):
+        # tables off by 1e-12: the roots still interlace and the weights sum to 1
+        # within 1e-8, so only the audit sees it
+        far_table = eigensolve._far_table
+
+        def corrupt(*args):
+            return far_table(*args) * (1.0 + 1e-12)
+
+        monkeypatch.setattr(eigensolve, "_far_table", corrupt)
+        with pytest.raises(EigensolveError, match="math.fsum"):
+            solve_normal_modes(solve_large_model())

@@ -76,8 +76,10 @@ class TestLorentzianCoupling:
         np.testing.assert_allclose(g, g[::-1], rtol=1e-13)
 
     def test_width_must_be_positive(self):
-        with pytest.raises(ModelError):
-            lorentzian_coupling(np.array([1.0]), 1.0, 0.1, 0.0)
+        # also negative and nan widths, and widths whose square underflows or overflows
+        for width in (0.0, -0.1, -1e-200, math.nan, 1e-200, 1e200):
+            with pytest.raises(ModelError):
+                lorentzian_coupling(np.array([1.0]), 1.0, 0.1, width)
 
 
 class TestThermalOccupancy:
@@ -156,11 +158,13 @@ class TestInitialState:
         assert np.all(np.diff(init.bath_occupancies) < 0)
 
     def test_huge_beta_gives_zero_occupancies_without_overflow(self):
-        # beta * omega far above the exp range: exp(-x)/(1 - exp(-x)), not 1/expm1(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            init = InitialState.thermal(paper_default_model(10, beta=1e300))
-        assert np.all(init.bath_occupancies == 0.0)
+        # beta * omega far above the exp range: exp(-x)/(1 - exp(-x)), not 1/expm1(x);
+        # at 1.79e308 the product itself overflows above omega = 1.005, to its limit 0
+        for beta in (1e300, 1.79e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                init = InitialState.thermal(paper_default_model(10, beta=beta))
+            assert np.all(init.bath_occupancies == 0.0)
 
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ModelError):
@@ -199,6 +203,18 @@ class TestValidateDissipation:
         report = validate_dissipation(m)
         assert report.all_pass
         assert report.left_sum < 1e-20 and report.right_sum < 1e-20
+
+    def test_delta_below_an_ulp_of_the_band(self):
+        # w[-1] + delta rounds to w[-1]; both end terms must still be g^2/delta
+        m = paper_default_model(6, band_width=1.0)
+        delta = 1e-298
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_dissipation(m, delta=delta)
+        g2 = m.couplings**2
+        assert report.left_sum == pytest.approx(g2[0] / delta, rel=1e-12)
+        assert report.right_sum == pytest.approx(g2[-1] / delta, rel=1e-12)
+        assert not report.all_pass
 
     def test_passes_consistent_with_sums(self, model_32):
         report = validate_dissipation(model_32)
