@@ -21,18 +21,17 @@ times is one mode sum over the panel centres with one coefficient column per
 Gauss offset, followed by a weighted sum over the offsets.
 
 The weight table needs the principal value at every panel node, a sum over
-the fixed PV rule.  Its panels are grouped into clusters of eight; the PV
-nodes in a node's own cluster and its two neighbours enter as exact
-difference quotients, and the rest, smooth across the cluster, through a
-Chebyshev interpolant per cluster (a single-level version of the fast
-Cauchy-sum evaluation of Dutt, Gu & Rokhlin, SIAM J. Numer. Anal. 33, 1996,
-in the barycentric form of Berrut & Trefethen, SIAM Rev. 46, 2004).
+the fixed PV rule in clusters of eight panels.  The PV nodes of the near
+window of a node's cluster (the cluster and its two neighbours on this
+uniform rule) enter as exact difference quotients, and the rest through the
+Chebyshev interpolants of the Cauchy-sum kernel (``_cauchy.FarField``).
 
 The work of a scheme (weight-table node pairs plus time-sum terms) is
 predicted before anything is allocated, and a scheme beyond ``_MAX_WORK`` is
 refused with a ContinuumError instead of running without bound.  The
-predicted table work is nodes x PV nodes, an upper bound since the near/far
-split evaluates about a tenth of those pairs.
+predicted table work is nodes x PV nodes, an upper bound on the near/far
+split's work (at the README size its near windows hold 6% of the pairs, and
+its tables cost 4% more).
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._cauchy import POINTS, FarField
 from .dynamics import mode_sum
-from .eigensolve import _barycentric, _chebyshev_points
 from .model import SpectralModel, _bose_occupancies, thermal_occupancy
 
 __all__ = [
@@ -74,10 +73,7 @@ _GAUSS_ORDER = 12
 _MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
 _PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
 _PV_PANELS, _PV_ORDER = 401, 8
-# the PV sums split at clusters of PV panels: far PV nodes lie at least one
-# cluster width outside a cluster, so their smooth sum is interpolated on it by
-# Chebyshev points with error ~(3 + sqrt 8)^-n, below 1e-17 at n = 24
-_CLUSTER_PANELS, _CHEB_POINTS = 8, 24
+_CLUSTER_PANELS = 8  # PV panels per cluster of the far field of the PV sums
 _NORM_TOL = 1e-6  # refusal bound on |completeness - 1| of a survival-sum scheme
 # each scratch buffer of the principal-value sums stays within this budget, so
 # their passes run from cache: on a 2-core Xeon (2 MiB L2 per core) the
@@ -441,7 +437,8 @@ def _auto_panels(cm: ContinuumModel, t_max: float) -> float:
 
 
 def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
-    """Refuse a scheme whose table node pairs plus time-sum terms exceed _MAX_WORK."""
+    """Refuse a scheme whose table node pairs (nodes x PV nodes, an upper bound on
+    its near and far work) plus time-sum terms exceed _MAX_WORK."""
     work = n_nodes * (pv_nodes + n_times)
     if not work <= _MAX_WORK:
         raise ContinuumError(
@@ -451,59 +448,40 @@ def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
         )
 
 
+def _pv_rule(cm: ContinuumModel) -> tuple[np.ndarray, np.ndarray, FarField]:
+    """The PV rule's nodes, weights and far field (clusters of ``_CLUSTER_PANELS`` panels)."""
+    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
+    first_panel = np.r_[0:_PV_PANELS:_CLUSTER_PANELS, _PV_PANELS]
+    edges = np.linspace(cm.omega_min, cm.omega_max, _PV_PANELS + 1)[first_panel]
+    return pv_nodes, pv_w, FarField(pv_nodes, first_panel * _PV_ORDER, edges)
+
+
 def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.ndarray:
     """PV-rule sums sum_q w_q (g^2(x_q) - g^2(a)) / (a - x_q) at ascending nodes a
     inside the band, terms with |a - x_q| below 1e-14 of the band dropped.
 
-    The PV panels are grouped into clusters of ``_CLUSTER_PANELS`` and each
-    node is assigned to the cluster containing it.  The near field (the
-    node's own cluster and its two neighbours) is summed term by term.  The
-    far field is smooth across a cluster: it is summed at ``_CHEB_POINTS``
-    Chebyshev points as G = sum w (g_q - g_c)/(t - x_q) and F = sum w/(t - x_q),
-    g_c = g^2 at the cluster centre, interpolated to the nodes by the
-    barycentric formula and combined as G - (g^2(a) - g_c) F; subtracting g_c
-    keeps the combination free of the cancellation of sum w g_q/(a - x_q) -
-    g^2(a) sum w/(a - x_q).  Every scratch buffer holds at most
-    ``_TABLE_BLOCK_BYTES``.
+    A node sums the PV nodes of its cluster's near window (``_pv_rule``) as
+    exact difference quotients.  The far field is tabulated as
+    G = sum w (g_q - g_c)/(t - x_q) and F = sum w/(t - x_q), g_c = g^2 at the
+    cluster centre, and combined as G - (g^2(a) - g_c) F: subtracting g_c
+    avoids the cancellation of sum w g_q/(a - x_q) - g^2(a) sum w/(a - x_q).
+    Every scratch buffer holds at most ``_TABLE_BLOCK_BYTES``.
     """
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
+    pv_nodes, pv_w, field = _pv_rule(cm)
     g2_pv = cm.g_sq(pv_nodes)
-    first_panel = np.r_[0:_PV_PANELS:_CLUSTER_PANELS, _PV_PANELS]
-    edges = np.linspace(cm.omega_min, cm.omega_max, _PV_PANELS + 1)[first_panel]
-    pv_start = first_panel * _PV_ORDER
-    node_start = np.searchsorted(nodes, edges)
+    node_start = np.searchsorted(nodes, field.bounds)
     node_start[[0, -1]] = 0, nodes.size
-    centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-    g2_centres = cm.g_sq(centres)
-    cheb, lam = _chebyshev_points(_CHEB_POINTS)
+    g2_centres = cm.g_sq(field.centres)
 
     budget = _TABLE_BLOCK_BYTES // 8
     buf, ratio = np.empty(budget), np.empty(budget)
-    v = np.empty((pv_nodes.size, 2))
-    v[:, 1] = pv_w
     tiny = 1e-14 * cm.band
     sums = np.empty(nodes.size)
-    n_clusters = edges.size - 1
-    for k in range(n_clusters):
+    for k, window in enumerate(field.windows):
         i0, i1 = node_start[k], node_start[k + 1]
         if i0 == i1:
             continue
-        lo, hi = pv_start[max(k - 1, 0)], pv_start[min(k + 2, n_clusters)]
-        g_c = g2_centres[k]
-
-        # far field at the Chebyshev points of the cluster: columns (G, F)
-        t = centres[k] + halves[k] * cheb
-        np.multiply(pv_w, g2_pv - g_c, out=v[:, 0])
-        gf = np.zeros((_CHEB_POINTS, 2))
-        for c0, c1 in ((0, lo), (hi, pv_nodes.size)):
-            if c0 == c1:
-                continue
-            rows = max(1, budget // (c1 - c0))
-            for j in range(0, _CHEB_POINTS, rows):
-                db = buf[:min(rows, _CHEB_POINTS - j) * (c1 - c0)].reshape(-1, c1 - c0)
-                np.subtract(t[j:j + rows, None], pv_nodes[c0:c1], out=db)
-                np.divide(1.0, db, out=db)
-                gf[j:j + rows] += db @ v[c0:c1]
+        lo, hi = (0, pv_nodes.size) if window is None else (window.start, window.stop)
 
         # near field: the exact difference quotient
         rows = max(1, budget // (hi - lo))
@@ -522,15 +500,18 @@ def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.
             if gap.min() < tiny:
                 rb[np.abs(db) < tiny] = 0.0
             sums[i:i + n] = rb @ pv_w[lo:hi]
+        if window is None:
+            continue
 
-        # far field: barycentric interpolation, exact at a Chebyshev point
-        rows = budget // _CHEB_POINTS
+        # far field: columns (G, F) below and above the window, added
+        g_c = g2_centres[k]
+        table = field.table(k, (pv_w * (g2_pv - g_c), pv_w), buf, ratio)
+        gf = table[:, :2] + table[:, 2:]
+        rows = budget // POINTS
         for i in range(i0, i1, rows):
-            n = min(rows, i1 - i)
-            diff = buf[:n * _CHEB_POINTS].reshape(n, -1)
-            np.subtract(nodes[i:i + n, None], t, out=diff)
-            far = _barycentric(diff, lam, gf, ratio[:diff.size].reshape(diff.shape))
-            sums[i:i + n] += far[:, 0] - (g2_nodes[i:i + n] - g_c) * far[:, 1]
+            j = min(i + rows, i1)
+            far = field.evaluate(k, nodes[i:j], gf)
+            sums[i:j] += far[:, 0] - (g2_nodes[i:j] - g_c) * far[:, 1]
     return sums
 
 
@@ -544,12 +525,11 @@ def build_weight_table(
     The principal value at node a is the PV-rule sum of the difference
     quotient (g^2(w) - g^2(a))/(a - w), with the terms at |a - w| below
     1e-14 of the band dropped, plus the analytic edge logarithm.  The sum is
-    split into near and far fields (``_pv_sums``): PV nodes in the clusters
-    next to a node enter term by term, in row blocks of ``_TABLE_BLOCK_BYTES``,
-    and the rest through a Chebyshev interpolant per cluster, about a tenth of
-    the node pairs at the benchmark size.  A scheme whose node pairs exceed
-    ``_MAX_WORK`` is refused before anything is allocated; the count is
-    nodes x PV nodes, an upper bound on the work now done.
+    split into near and far fields (``_pv_sums``): the PV nodes of the near
+    window of a node's cluster enter term by term, in row blocks of
+    ``_TABLE_BLOCK_BYTES``, and the rest through the Cauchy-sum kernel's
+    Chebyshev interpolant per cluster.  A scheme whose node pairs exceed
+    ``_MAX_WORK`` is refused before anything is allocated (``_check_work``).
     """
     _check_work(n_panels * order, _PV_PANELS * _PV_ORDER)
     n_panels = int(n_panels)

@@ -19,33 +19,36 @@ root takes about 3-5 evaluations of f.  The mode weights follow from the
 analytic normalization formula rather than from eigenvector components.
 
 The poles and couplings do not change during a solve, so the sum over the
-poles far from a root is one smooth function of x for the whole solve
-(the far-field split of Greengard & Rokhlin, J. Comput. Phys. 73, 1987, which
+poles far from a root is one smooth function of x for the whole solve (the
+far-field split of Greengard & Rokhlin, J. Comput. Phys. 73, 1987, which
 Livne & Brandt, SIAM J. Matrix Anal. Appl. 24, 2002, apply to the secular
-equation).  The poles are grouped into clusters of m ~ 2 sqrt(N); each
-sweep sums a root's own cluster and its two neighbours term by term, and
-the rest through Chebyshev interpolants tabulated once per solve
-(``_FarField``), where an a-priori bound keeps their error far below the
-rounding of f.  The residuals and weights of those roots come from one more
-such sweep at the roots.  The sweeps then cost O(N m) and the tables
-O(N^2 p / m); ``NormalModes.validate`` audits one root per cluster against
-math.fsum, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).  In
-process on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) N+1 = 4096 takes about
-0.10 s and 16384 about 0.6 s.  Roots of clusters that are not tabulated, and
-every root of a small solve, keep the exact sum over all poles.  Evaluation is
-vectorized over disjoint brackets in chunks sized to fit in cache, which
-leaves the result independent of the chunking (each bracket's iteration
-history depends only on itself).
+equation).  The poles form clusters of m ~ 2 sqrt(N).  Each sweep sums the
+poles of the near window of a root's cluster term by term, split at the root's
+pole index, and the rest through the Chebyshev tables of the Cauchy-sum kernel
+(``_cauchy.FarField``), built once per solve; the kernel widens a window
+beyond the cluster and its neighbours until an a-priori bound keeps the
+tables' error far below the rounding of f.  One more such sweep at the roots
+gives their residuals and weights.  The sweeps then cost O(N m) and the tables
+O(N^2 p / m); ``NormalModes.validate`` audits one root per tabulated cluster
+against math.fsum, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).
+In process on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) N+1 = 4096 takes about
+0.10 s and 16384 about 0.6 s.  Roots of a cluster whose window grows to cover
+every pole, and every root of a small solve, keep the exact sum over all
+poles.  Evaluation is vectorized over disjoint brackets in chunks sized to fit
+in cache, which leaves the result independent of the chunking (each bracket's
+iteration history depends only on itself).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _cauchy
 from .model import SpectralModel
 
 __all__ = [
@@ -67,16 +70,11 @@ _SCRATCH_BYTES = 1 << 20
 _MAX_ITER = 300
 _REL_TOL_MIN, _REL_TOL_MAX = 1e-16, 1e-6
 _DENSE_CAP = 4096
-# far field of the iteration sweeps (``_FarField``): a solve with fewer than
-# _MIN_CLUSTERS clusters (N < 1024; the near/far split needs at least 3) keeps
-# every sweep exact, since its per-cluster chunks cost more interpreter time
-# than the far field saves (on 2 cores N+1 = 200 and 500 solved 2.5x and 1.4x
-# slower with 3 and 7 clusters, 800 1.1x faster with 12).  A cluster is
-# tabulated at _CHEB_POINTS Chebyshev points where its a-priori error bound is
-# within _FAR_TOL (eps/16) of sum |terms|; on an equidistant bath it is 2.9e-18
+# a solve with fewer than _MIN_CLUSTERS clusters (N < 1024) keeps every sweep
+# exact: its per-cluster chunks cost more interpreter time than the far field
+# saves (on 2 cores N+1 = 200 and 500 solved 2.5x and 1.4x slower with 3 and 7
+# clusters, 800 1.1x faster with 12)
 _MIN_CLUSTERS = 16
-_CHEB_POINTS = 24
-_FAR_TOL = 2.0**-56
 # ``NormalModes.validate`` sums the audited residuals and weights exactly, in
 # blocks whose rows are first halved by this many TwoSum steps
 _TWO_SUM_LEVELS = 6
@@ -101,11 +99,11 @@ class NormalModes:
     ``secular_evaluations`` counts evaluations of f in the root iteration (not
     the residual sweep), ``safeguard_fallbacks`` the iterates replaced by a
     bracket midpoint, and ``min_pole_offset`` is the smallest |alpha - omega_n|.
-    The far field is recorded too (``_FarField``): the clusters of poles whose
-    far field was tabulated at ``chebyshev_points`` points each (0 when none
-    was) and the clusters summed exactly, and ``far_field_bound`` is the
-    largest a-priori bound of a tabulated cluster, relative to
-    sum |g^2/(x - omega_n)| (0 when none was tabulated).  Roots of tabulated
+    The far field is recorded too (``_cauchy.FarField``): the clusters of
+    poles tabulated at ``chebyshev_points`` points each (0 when none was), the
+    clusters summed exactly (whose window would cover every pole, or all below
+    ``_MIN_CLUSTERS``), and ``far_field_bound``, the largest a-priori bound of
+    a tabulated cluster relative to sum |g^2/(x - omega_n)| (0 if none).  Roots of tabulated
     clusters take their residuals and weights from the same near-plus-far
     sums as the iteration; the others from the exact sum over all poles.
     ``residual_ratio`` is the largest |residual| / sum_n |g_n^2/(alpha - omega_n)|
@@ -153,9 +151,9 @@ class NormalModes:
 
         Besides interlacing, the weight sum and the trace, an exact audit
         recomputes with math.fsum the residual of both exterior roots, of the
-        root closest to a pole and, when the far field was tabulated, of the
-        first root of every cluster, and the weight of each where the weights
-        come from the normalization formula (``secular_evaluations > 0``; the
+        root closest to a pole and of the first root of every tabulated
+        cluster, and the weight of each where the weights come from the
+        normalization formula (``secular_evaluations > 0``; the
         dense oracle's come from eigenvectors).  It raises when a residual is
         off by more than ``_audit_limit(N)`` of |alpha - omega_sub| +
         sum |g^2/(alpha - omega_n)|, the scale of its rounding, or a weight by
@@ -218,7 +216,8 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
     pole_offset = np.minimum(np.r_[math.inf, a[1:] - w], np.r_[w - a[:-1], math.inf])
     picks = {0, n, int(np.argmin(pole_offset))}
     if modes.tabulated_clusters:
-        picks.update((_cluster_edges(n)[:-1] + 1).tolist())
+        field = _far_field(w)
+        picks.update(int(s) + 1 for s, win in zip(field.starts, field.windows) if win is not None)
     picks = np.array(sorted(picks))
     residual_error, weight_error = 0.0, (0.0 if modes.secular_evaluations else math.nan)
     width = -(-(n + 2) // 2**_TWO_SUM_LEVELS) * 2**_TWO_SUM_LEVELS
@@ -346,14 +345,17 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
             f"({float(lo[bad])!r} >= {float(hi[bad])!r})"
         )
 
-    sweeps = _FarField(w, g2)
-    buf, aux = sweeps.buf, sweeps.aux
+    field = _far_field(w)
+    rows = min(max(1, _SCRATCH_BYTES // (8 * n)), n + 1)
+    width = 0 if field is None else int(np.diff(field.starts).max())
+    buf = np.empty(max(rows * n, 3 * width * width))
+    aux = np.empty_like(buf)
     alphas = np.empty(n + 1)
     residuals = np.empty(n + 1)
     abs_sums = np.empty(n + 1)
     weights = np.empty(n + 1)
     evaluations = fallbacks = 0
-    for nus, window, far in sweeps.chunks:
+    for nus, window, far in _chunks(w, g2, field, rows, buf, aux):
         x, steps, falls = _iterate_chunk(
             nus, lo[nus], hi[nus], omega_sub, w, g2, window, far, rel_tol, buf, aux)
         evaluations += steps
@@ -390,53 +392,17 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
         )
 
     ratios = np.divide(np.abs(residuals), abs_sums, out=np.zeros(n + 1), where=abs_sums > 0)
+    tabulated = 0 if field is None else sum(win is not None for win in field.windows)
     modes = NormalModes(model=model, alphas=alphas, weights=weights, residuals=residuals,
                         secular_evaluations=evaluations, safeguard_fallbacks=fallbacks,
                         min_pole_offset=worst,
-                        tabulated_clusters=sweeps.tabulated,
-                        exact_clusters=sweeps.exact,
-                        chebyshev_points=_CHEB_POINTS if sweeps.tabulated else 0,
-                        far_field_bound=sweeps.bound,
+                        tabulated_clusters=tabulated,
+                        exact_clusters=_cluster_edges(n).size - 1 - tabulated,
+                        chebyshev_points=_cauchy.POINTS if tabulated else 0,
+                        far_field_bound=0.0 if field is None else field.bound,
                         residual_ratio=float(ratios.max()))
     modes.validate()
     return modes
-
-
-def _chebyshev_points(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The p Chebyshev points of the first kind on [-1, 1] and their barycentric weights."""
-    theta = (2 * np.arange(p) + 1) * (0.5 * math.pi / p)
-    return np.cos(theta), np.sin(theta) * (-1.0) ** np.arange(p)
-
-
-def _barycentric(diff: np.ndarray, lam: np.ndarray, values: np.ndarray,
-                 out: np.ndarray) -> np.ndarray:
-    """Interpolated values at points x from diff[i, j] = x_i - t_j, t the Chebyshev points.
-
-    ``values`` holds one column per function, one row per point t_j; ``lam``
-    are the points' barycentric weights (``_chebyshev_points``) and ``out``
-    is scratch of the shape of ``diff``.  The second (true) barycentric
-    formula, exact at a Chebyshev point (Berrut & Trefethen, SIAM Rev. 46,
-    2004).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.divide(lam, diff, out=out)
-        result = (q @ values) / q.sum(axis=1)[:, None]
-    hit_row, hit_col = np.nonzero(diff == 0)
-    result[hit_row] = values[hit_col]
-    return result
-
-
-def _chebyshev_bound(r: float, p: int) -> float:
-    """Bound on the error of the p-point Chebyshev interpolant of 1/(u - z) on
-    [-1, 1], relative to min |1/(u - z)| there, for real |z| >= r > 1.
-
-    1/(z - u) = (2/sqrt(z^2-1)) sum' rho^-k T_k(u) with rho = z + sqrt(z^2-1)
-    (the Bernstein ellipse through z), and the interpolant errs by at most
-    twice the coefficients it drops (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 4.2).  The bound falls as r grows.
-    """
-    rho = r + math.sqrt(r * r - 1.0)
-    return 4.0 * math.sqrt((r + 1.0) / (r - 1.0)) * rho**-p / (1.0 - 1.0 / rho)
 
 
 def _cluster_edges(n: int) -> np.ndarray:
@@ -451,98 +417,41 @@ def _cluster_edges(n: int) -> np.ndarray:
     return np.arange(count + 1) * n // count
 
 
-class _FarField:
-    """The chunks of roots of one solve, with the far field of each cluster.
-
-    Roots nu in (omega_{nu-1}, omega_nu) belong to the cluster of pole nu-1
-    (``_cluster_edges``).  With ``_MIN_CLUSTERS`` clusters or more (the
-    split needs three), each cluster whose
-    a-priori bound ``_chebyshev_bound`` (from the distance of its nearest far
-    pole to its centre over its half-width) is within ``_FAR_TOL`` is
-    tabulated: its roots see the poles of the cluster and its two neighbours
-    term by term, and the rest through four sums at ``_CHEB_POINTS``
-    Chebyshev points on the cluster's bracket span, sum g^2/(t - omega) and
-    sum g^2/(t - omega)^2 over the poles below and above the near window.
-    The error of each sum of g^2/(x - omega) is then within
-    bound * sum |terms|, and each sum of g^2/(x - omega)^2, which shapes the
-    model step and the weights, within about p times that.  The other
-    clusters, both exterior roots and every root of a solve with fewer
-    clusters keep the exact sum over all poles, in chunks of ``rows`` roots.
-
-    ``chunks`` lists (roots, near window, far) with far = None or (centre,
-    half-width, Chebyshev points on [-1, 1], their weights, table);
-    ``tabulated`` and ``exact`` count the clusters and ``bound`` is the
-    largest bound of a tabulated one.
-    ``buf`` and ``aux`` are the flat scratch buffers of every sweep.
-    """
-
-    def __init__(self, w: np.ndarray, g2: np.ndarray):
-        n = w.size
-        edges = _cluster_edges(n)
-        count = edges.size - 1
-        self.rows = rows = min(max(1, _SCRATCH_BYTES // (8 * n)), n + 1)
-        width = int(np.diff(edges).max())
-        self.buf = np.empty(max(rows * n, 3 * width * width))
-        self.aux = np.empty_like(self.buf)
-
-        def unsplit(nus):
-            """Chunks of ``rows`` roots that sum over every pole."""
-            return [(nus[i:i + rows], slice(0, n), None) for i in range(0, nus.size, rows)]
-
-        self.tabulated, self.exact, self.bound = 0, count, 0.0
-        if count < _MIN_CLUSTERS:
-            self.chunks = unsplit(np.arange(n + 1))
-            return
-        self.chunks = unsplit(np.array([0, n]))
-        cheb, lam = _chebyshev_points(_CHEB_POINTS)
-        for c in range(count):
-            below, above = edges[max(c - 1, 0)], edges[min(c + 2, count)]
-            a, b = w[edges[c]], w[min(edges[c + 1], n - 1)]
-            centre, half = 0.5 * (a + b), 0.5 * (b - a)
-            gap = min(centre - w[below - 1] if below > 0 else math.inf,
-                      w[above] - centre if above < n else math.inf)
-            bound = _chebyshev_bound(float(gap / half), _CHEB_POINTS)
-            nus = np.arange(edges[c] + 1, min(edges[c + 1] + 1, n))
-            if bound <= _FAR_TOL:
-                table = _far_table(centre, half * cheb, w, g2, below, above,
-                                   self.buf, self.aux)
-                self.chunks.append((nus, slice(below, above), (centre, half, cheb, lam, table)))
-                self.tabulated += 1
-                self.bound = max(self.bound, bound)
-            else:
-                self.chunks += unsplit(nus)
-        self.exact = count - self.tabulated
+def _far_field(w: np.ndarray) -> _cauchy.FarField | None:
+    """The far field of the sweeps over the poles ``w`` (None below ``_MIN_CLUSTERS``
+    clusters): cluster c of ``_cluster_edges`` holds roots edges[c] + 1 ..
+    edges[c+1] in the box from pole edges[c] to pole edges[c+1] or the last."""
+    edges = _cluster_edges(w.size)
+    if edges.size - 1 < _MIN_CLUSTERS:
+        return None
+    return _cauchy.FarField(w, edges, w[np.minimum(edges, w.size - 1)])
 
 
-def _far_table(centre: float, offsets: np.ndarray, w: np.ndarray, g2: np.ndarray, below: int,
-               above: int, buf: np.ndarray, aux: np.ndarray) -> np.ndarray:
-    """Columns sum g^2/(t - omega) over poles [0, below), the same over
-    [above, N), and sum g^2/(t - omega)^2 over each, at t = centre + offsets.
+def _chunks(w: np.ndarray, g2: np.ndarray, field: _cauchy.FarField | None, rows: int,
+            buf: np.ndarray, aux: np.ndarray):
+    """(roots, near window, far) for each chunk of roots of one solve, far
+    mapping roots to the tabulated sums over the poles outside the window, or
+    None (exterior roots, clusters without a window or far field) for chunks
+    of ``rows`` roots that sum every pole.  Near blocks fit in ``buf``."""
+    n = w.size
 
-    t - omega is formed as (centre - omega) + offset, not from a rounded t:
-    on a cluster of half-width h, rounding t moves the point by up to
-    ulp(centre)/h of the interval, which on a narrow cluster far from 0 costs
-    the interpolant more than its truncation.  Pairwise row sums, not BLAS, so
-    the table does not depend on the BLAS thread count; ``buf`` and ``aux``
-    are scratch.
-    """
-    table = np.zeros((offsets.size, 4))
-    for col, part in ((0, slice(0, below)), (1, slice(above, w.size))):
-        size = part.stop - part.start
-        if size == 0:
+    def exact(nus):
+        return [(nus[i:i + rows], slice(0, n), None) for i in range(0, nus.size, rows)]
+
+    if field is None:
+        yield from exact(np.arange(n + 1))
+        return
+    yield from exact(np.array([0, n]))
+    for c, window in enumerate(field.windows):
+        nus = np.arange(field.starts[c] + 1, min(field.starts[c + 1] + 1, n))
+        if window is None:
+            yield from exact(nus)
             continue
-        gaps = centre - w[part]
-        rows = max(1, buf.size // size)
-        for j in range(0, offsets.size, rows):
-            k = min(rows, offsets.size - j)
-            d = buf[:k * size].reshape(k, size)
-            terms = aux[:k * size].reshape(k, size)
-            np.add(gaps, offsets[j:j + k, None], out=d)
-            np.divide(g2[part], d, out=terms)
-            table[j:j + k, col] = terms.sum(axis=1)
-            np.divide(terms, d, out=terms)
-            table[j:j + k, col + 2] = terms.sum(axis=1)
-    return table
+        table = field.table(c, (g2,), buf, aux, squares=True)
+        far = functools.partial(field.evaluate, c, table=table)
+        size = max(1, buf.size // (window.stop - window.start))
+        for i in range(0, nus.size, size):
+            yield nus[i:i + size], window, far
 
 
 def _split_sums(t: np.ndarray, split: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,7 +478,7 @@ def _pole_sums(x: np.ndarray, split: np.ndarray, w: np.ndarray, g2: np.ndarray,
 
     ``w`` and ``g2`` are the poles summed term by term and ``split[i]`` is
     the number of them below ``x[i]``; ``far`` adds the interpolated sums over
-    the other poles (``_FarField``).  ``buf`` and ``aux`` are flat scratch of
+    the other poles (``_chunks``).  ``buf`` and ``aux`` are flat scratch of
     at least x.size * w.size.  One subtraction and two divisions per term;
     each row's sums are split at its own pole index.
     """
@@ -582,10 +491,7 @@ def _pole_sums(x: np.ndarray, split: np.ndarray, w: np.ndarray, g2: np.ndarray,
     np.divide(t, d, out=t)
     left, right = _split_sums(t, split)
     if far is not None:
-        centre, half, cheb, lam, table = far
-        diff = buf[:k * cheb.size].reshape(k, -1)
-        np.subtract(((x - centre) / half)[:, None], cheb, out=diff)
-        sums = _barycentric(diff, lam, table, aux[:diff.size].reshape(diff.shape))
+        sums = far(x)
         below, above = below + sums[:, 0], above + sums[:, 1]
         left, right = left + sums[:, 2], right + sums[:, 3]
     return below, above, left, right
@@ -630,7 +536,7 @@ def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: f
     """Roots ``nus`` from their brackets; returns roots, evaluations, fallbacks.
 
     The poles in ``window`` are summed term by term and ``far`` adds the rest
-    (``_FarField``).  Every row's history depends only on its own bracket, so
+    (``_chunks``).  Every row's history depends only on its own bracket, so
     the result does not depend on how roots are grouped into chunks.
     """
     w, g2 = w[window], g2[window]

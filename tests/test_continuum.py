@@ -14,9 +14,8 @@ from qbmlab import (
     solve_normal_modes,
 )
 from qbmlab.continuum import (
-    _CHEB_POINTS,
-    _CLUSTER_PANELS,
     _panel_nodes,
+    _pv_rule,
     _pv_sums,
     _pv_value,
     _self_energy_complex,
@@ -489,8 +488,7 @@ def fsum_pv_sums(cm, nodes):
 
 def cluster_edges(cm):
     """Edges of the clusters of PV panels that split the near and far fields."""
-    first = np.r_[0:401:_CLUSTER_PANELS, 401]
-    return np.linspace(cm.omega_min, cm.omega_max, 402)[first]
+    return _pv_rule(cm)[2].bounds
 
 
 class TestNearFarSums:
@@ -520,11 +518,10 @@ class TestNearFarSums:
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_nodes_on_cluster_edges_and_chebyshev_points(self, name):
         cm = DENSITIES[name]()
-        edges = cluster_edges(cm)
-        inner = edges[1:-1]
-        centres, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
-        theta = (2 * np.arange(_CHEB_POINTS) + 1) * (0.5 * math.pi / _CHEB_POINTS)
-        cheb = np.concatenate([centres[k] + halves[k] * np.cos(theta) for k in (0, 10, 50)])
+        field = _pv_rule(cm)[2]
+        inner = field.bounds[1:-1]
+        cheb = np.concatenate([field.centres[k] + field.halves[k] * field.cheb
+                               for k in (0, 10, 50)])
         nodes = np.unique(np.concatenate([inner, np.nextafter(inner, -np.inf),
                                           np.nextafter(inner, np.inf), cheb]))
         self.check(cm, nodes)

@@ -11,6 +11,7 @@ import pytest
 
 from qbmlab import (
     ConditioningWarning,
+    _cauchy,
     eigensolve,
     EigensolveError,
     NormalModes,
@@ -20,6 +21,7 @@ from qbmlab import (
     solve_normal_modes,
     verify_closure,
 )
+from qbmlab.continuum import build_weight_table, lorentzian_density
 from qbmlab.model import lorentzian_coupling, paper_default_model
 from conftest import random_model
 
@@ -338,18 +340,20 @@ def far_field_errors(model, alphas, stride):
     term, over sum |terms| (value sums) and sum terms (slope sums), at the
     roots and bracket midpoints next to each cluster edge and every stride-th."""
     w, g2 = model.bath_freqs, model.couplings**2
-    sweeps = eigensolve._FarField(w, g2)
+    field = eigensolve._far_field(w)
+    buf, aux = np.empty(64 * w.size), np.empty(64 * w.size)
     worst_value = worst_slope = 0.0
-    tabulated = 0
-    for nus, window, far in sweeps.chunks:
+    tabulated, last = 0, None
+    for nus, window, far in eigensolve._chunks(w, g2, field, 1, buf, aux):
         if far is None:
             continue
-        tabulated += 1
+        # the chunks of one cluster share its far field
+        tabulated, last = tabulated + (far is not last), far
         pick = np.unique(np.r_[nus[:2], nus[-2:], nus[::stride]])
         x = np.r_[alphas[pick], 0.5 * (w[pick - 1] + w[pick])]
         nu = np.r_[pick, pick]
         sums = eigensolve._pole_sums(x, nu - window.start, w[window], g2[window],
-                                     sweeps.buf, sweeps.aux, far)
+                                     buf, aux, far)
         for i in range(x.size):
             terms = g2 / (x[i] - w)
             slopes = terms / (x[i] - w)
@@ -362,8 +366,18 @@ def far_field_errors(model, alphas, stride):
             worst_slope = max(worst_slope,
                               abs(sums[2][i] - math.fsum(slopes[:nu[i]].tolist())) / slope_scale,
                               abs(sums[3][i] - math.fsum(slopes[nu[i]:].tolist())) / slope_scale)
-    assert tabulated == sweeps.tabulated
+    assert tabulated == sum(window is not None for window in field.windows)
     return worst_value, worst_slope, tabulated
+
+
+def tabulated_roots(model):
+    """The roots whose sweeps take the far field: those of clusters with a near window."""
+    n = model.n_osc
+    field = eigensolve._far_field(model.bath_freqs)
+    return np.array([nu for start, stop, window in zip(field.starts, field.starts[1:],
+                                                        field.windows)
+                     if window is not None for nu in range(start + 1, min(stop + 1, n))],
+                    dtype=int)
 
 
 def all_near_roots(model, monkeypatch):
@@ -401,10 +415,7 @@ def assert_same_roots(fast, exact):
     same = ulps == 0
     assert ulps.max() <= 2.0, (f"{int(np.count_nonzero(~same))} roots differ, "
                                f"by up to {ulps.max():.0f} ulp")
-    model = fast.model
-    chunks = eigensolve._FarField(model.bath_freqs, model.couplings**2).chunks
-    tabulated = np.array([nu for nus, _, far in chunks if far is not None for nu in nus],
-                         dtype=int)
+    tabulated = tabulated_roots(fast.model)
     residual_error, weight_error = fsum_errors(fast, tabulated)
     assert residual_error <= 1e-15
     assert weight_error <= 1e-15
@@ -414,7 +425,7 @@ def assert_same_roots(fast, exact):
 
 
 class TestFarFieldSecular:
-    """The iteration sweeps' near field plus tabulated far field (``_FarField``)."""
+    """The iteration sweeps' near field plus tabulated far field (``_cauchy.FarField``)."""
 
     @pytest.mark.parametrize("case", sorted(FAR_FIELD_MODELS))
     def test_sums_match_fsum(self, case):
@@ -433,13 +444,15 @@ class TestFarFieldSecular:
         assert_same_roots(fast, all_near_roots(model, monkeypatch))
 
     def test_gate_keeps_crowded_clusters_exact(self, monkeypatch):
+        # far poles sit within ~2.8 half-widths of the narrow clusters: their near
+        # windows widen until the bound holds, and every cluster is tabulated
         model = quartic_graded_model()
         gated = solve_normal_modes(model)
-        assert gated.exact_clusters > gated.tabulated_clusters > 0
-        assert gated.far_field_bound <= eigensolve._FAR_TOL
+        assert gated.exact_clusters == 0
+        assert gated.far_field_bound <= _cauchy.TOL
         # without the gate the crowded clusters' interpolants move roots, and the
         # residuals they give fail the exact audit
-        monkeypatch.setattr(eigensolve, "_FAR_TOL", math.inf)
+        monkeypatch.setattr(_cauchy, "TOL", math.inf)
         with pytest.raises(EigensolveError, match="math.fsum"):
             solve_normal_modes(model)
         monkeypatch.setattr(eigensolve.NormalModes, "validate", lambda self: None)
@@ -451,8 +464,8 @@ class TestFarFieldSecular:
     def test_diagnostics(self):
         modes = solve_normal_modes(paper_default_model(4096))
         assert modes.tabulated_clusters + modes.exact_clusters == 4095 // 126
-        assert modes.chebyshev_points == eigensolve._CHEB_POINTS
-        assert 0.0 < modes.far_field_bound <= eigensolve._FAR_TOL
+        assert modes.chebyshev_points == _cauchy.POINTS
+        assert 0.0 < modes.far_field_bound <= _cauchy.TOL
         terms = modes.model.couplings**2 / (modes.alphas[:, None] - modes.model.bath_freqs)
         ratio = np.abs(modes.residuals) / np.abs(terms).sum(axis=1)
         assert modes.residual_ratio == pytest.approx(ratio.max(), rel=1e-12)
@@ -482,26 +495,43 @@ class TestFarFieldSecular:
         check()
 
 
+def run_single_threaded(script, out):
+    """Run ``script`` with argument ``out`` in a fresh process with one BLAS thread."""
+    src = Path(eigensolve.__file__).parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+    return np.load(out)
+
+
 class TestBlasThreads:
+    """A single-threaded BLAS in a fresh process gives the same bits."""
+
     def test_solve_ignores_the_blas_thread_count(self, tmp_path):
-        # a single-threaded BLAS in a fresh process gives the same bits
-        out = tmp_path / "modes.npy"
         script = ("import sys\n"
                   "import numpy as np\n"
                   "from test_eigensolve import solve_large_model\n"
                   "from qbmlab import solve_normal_modes\n"
                   "m = solve_normal_modes(solve_large_model())\n"
                   "np.save(sys.argv[1], np.stack([m.alphas, m.weights, m.residuals]))\n")
-        src = Path(eigensolve.__file__).parents[1]
-        path = os.pathsep.join([str(src), str(Path(__file__).parent)])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
-        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        single = run_single_threaded(script, tmp_path / "modes.npy")
         modes = solve_normal_modes(solve_large_model())
         assert modes.tabulated_clusters > 0
-        single = np.load(out)
         np.testing.assert_array_equal(single[0], modes.alphas)
         np.testing.assert_array_equal(single[1], modes.weights)
         np.testing.assert_array_equal(single[2], modes.residuals)
+
+    def test_weight_table_ignores_the_blas_thread_count(self, tmp_path):
+        # the README and benchmark continuum density at 2,501 panels
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from qbmlab.continuum import build_weight_table, lorentzian_density\n"
+                  "cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, "
+                  "omega_max=1.5)\n"
+                  "np.save(sys.argv[1], build_weight_table(cm, 2501).density)\n")
+        single = run_single_threaded(script, tmp_path / "density.npy")
+        cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        np.testing.assert_array_equal(single, build_weight_table(cm, 2501).density)
 
 
 class TestExactAudit:
@@ -548,11 +578,11 @@ class TestExactAudit:
     def test_a_corrupt_far_field_is_caught(self, monkeypatch):
         # tables off by 1e-12: the roots still interlace and the weights sum to 1
         # within 1e-8, so only the audit sees it
-        far_table = eigensolve._far_table
+        table = _cauchy.FarField.table
 
-        def corrupt(*args):
-            return far_table(*args) * (1.0 + 1e-12)
+        def corrupt(*args, **kwargs):
+            return table(*args, **kwargs) * (1.0 + 1e-12)
 
-        monkeypatch.setattr(eigensolve, "_far_table", corrupt)
+        monkeypatch.setattr(_cauchy.FarField, "table", corrupt)
         with pytest.raises(EigensolveError, match="math.fsum"):
             solve_normal_modes(solve_large_model())
