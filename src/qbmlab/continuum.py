@@ -7,10 +7,12 @@ by singularity subtraction: the integrand is split into a smooth part (the
 difference quotient, which has a removable singularity) plus an analytic
 logarithm carrying the entire principal value.
 
-Every integral is a sum over one composite Gauss-Legendre rule (_panel_nodes).
-The shift and the dissipation integrals double its panel count until three
-successive values agree within quad_tol * max(1, |I|) (absolute below |I| = 1,
-relative above), or raise a ContinuumError at _MAX_PANELS panels.
+One self-energy Sigma(z) = Int g^2(w)/(z - w) dw (_self_energy) gives the
+shift, the resolvent boundary value and the second-sheet pole.  It and the
+dissipation integrals double the panel count of a composite Gauss-Legendre rule
+(_panel_nodes) until three successive values agree within quad_tol * max(1, |I|)
+(absolute below |I| = 1, relative above), or raise a ContinuumError at
+_MAX_PANELS panels.  The weight table and its PV rule are the other node sets.
 
 Oscillatory time integrals use a fixed-panel Gauss rule whose panel width is
 tied to 1/t.  Panel node values of the resolvent are precomputed once per
@@ -36,6 +38,7 @@ its tables cost 4% more).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -254,17 +257,20 @@ def _check_quad_tol(quad_tol: float) -> None:
         raise ContinuumError(f"quad_tol must lie in (1e-14, 1e-6), got {quad_tol}")
 
 
-def _gauss_integral(f, lo: float, hi: float, quad_tol: float, what: str) -> float:
-    """Integral of the vectorized f over [lo, hi], doubling the panel count from 8
-    until three successive values agree within quad_tol * max(1, |I|); two agreed
-    by chance 10x quad_tol off on the kinked density_from_discrete."""
+def _gauss_integral(f, lo: float, hi: float, quad_tol: float, what: str):
+    """Integral of the vectorized, real or complex f over [lo, hi], doubling the panel
+    count from 8 until three successive values lie within quad_tol * max(1, |I|) of
+    each other; two agreed by chance 10x quad_tol off on the kinked
+    density_from_discrete.  A real f gives a float."""
     n_panels, values = 8, []
     while n_panels <= _MAX_PANELS:
         nodes, weights, _, _ = _panel_nodes(lo, hi, n_panels, _GAUSS_ORDER)
-        values.append(float(f(nodes) @ weights))
-        if not math.isfinite(values[-1]):
+        value = f(nodes) @ weights
+        values.append(complex(value) if np.iscomplexobj(value) else float(value))
+        if not cmath.isfinite(values[-1]):
             raise ContinuumError(f"{what} is not finite")
-        spread = np.ptp(values[-3:]) if len(values) >= 3 else math.inf
+        last = values[-3:]
+        spread = max(abs(x - y) for x in last for y in last) if len(last) == 3 else math.inf
         if spread <= quad_tol * max(1.0, abs(values[-1])):
             return values[-1]
         n_panels *= 2
@@ -272,24 +278,29 @@ def _gauss_integral(f, lo: float, hi: float, quad_tol: float, what: str) -> floa
                          f"(last three values spread over {spread:.3e})")
 
 
-def _pv_value(cm: ContinuumModel, alpha: float, quad_tol: float) -> float:
-    """PV integral of g^2(w)/(alpha - w) over the band, split at alpha: no Gauss
-    node lands on alpha, and the log term carries the PV."""
-    g2a = float(cm.g_sq(np.asarray(alpha)))
-
-    def smooth(w):
-        return (cm.g_sq(w) - g2a) / (alpha - w)
-
-    value = sum(_gauss_integral(smooth, lo, hi, quad_tol, "principal-value quadrature")
-                for lo, hi in ((cm.omega_min, alpha), (alpha, cm.omega_max)))
-    return value + g2a * math.log((alpha - cm.omega_min) / (cm.omega_max - alpha))
+def _self_energy(cm: ContinuumModel, z: complex | float, quad_tol: float) -> complex:
+    """Sigma(z) = Int g^2(w)/(z - w) dw over the band: at real z inside it the boundary
+    value from above, PV - i*pi*g^2(z), and off the axis through ``g_sq_complex``.
+    The difference quotient (g^2(w) - g^2(z))/(z - w) is summed on each side of
+    Re z, and g^2(z) [log(z - omega_min) - log(z - omega_max)] carries the rest."""
+    _check_quad_tol(quad_tol)
+    lo, hi = cm.omega_min, cm.omega_max
+    if isinstance(z, complex):
+        g2z, logs = complex(cm.g_sq_complex(z)), cmath.log(z - lo) - cmath.log(z - hi)
+    else:  # log(z - hi + i0) = log(hi - z) + i*pi
+        g2z = float(cm.g_sq(np.asarray(z)))
+        logs = complex(math.log((z - lo) / (hi - z)), -math.pi)
+    split = min(max(z.real, lo), hi)
+    value = sum(_gauss_integral(lambda w: (cm.g_sq(w) - g2z) / (z - w), a, b, quad_tol,
+                                "self-energy quadrature") for a, b in ((lo, split), (split, hi)))
+    return value + g2z * logs
 
 
 def pv_shift(cm: ContinuumModel, quad_tol: float = 1e-10) -> float:
     """Frequency shift: PV integral of g^2(w)/(omega_sub - w) over the band,
-    converged to quad_tol * max(1, |I|) on each side, quad_tol in (1e-14, 1e-6)."""
-    _check_quad_tol(quad_tol)
-    return _pv_value(cm, cm.omega_sub, quad_tol)
+    converged to quad_tol * max(1, |I|) on each side, quad_tol in (1e-14, 1e-6):
+    the real part of the self-energy at omega_sub."""
+    return _self_energy(cm, cm.omega_sub, quad_tol).real
 
 
 def width(cm: ContinuumModel) -> float:
@@ -302,18 +313,16 @@ def resolvent_boundary(
 ) -> complex:
     """Boundary value of the inverse reduced resolvent on the band cut.
 
-    side=+1 approaches from the upper half plane: alpha - omega_sub - PV(alpha)
-    + i*pi*g^2(alpha); side=-1 gives the complex conjugate.  The jump across
-    the cut (upper minus lower) is therefore 2*i*pi*g^2(alpha).
+    side=+1 approaches from the upper half plane: alpha - omega_sub - Sigma(alpha)
+    = alpha - omega_sub - PV(alpha) + i*pi*g^2(alpha); side=-1 gives the complex
+    conjugate.  The jump across the cut (upper minus lower) is 2*i*pi*g^2(alpha).
     """
-    _check_quad_tol(quad_tol)
     if not cm.omega_min < alpha < cm.omega_max:
         raise ContinuumError(f"alpha = {alpha} lies outside the open band")
     if side not in (+1, -1):
         raise ContinuumError(f"side must be +1 or -1, got {side}")
-    re = alpha - cm.omega_sub - _pv_value(cm, alpha, quad_tol)
-    im = math.pi * float(cm.g_sq(np.asarray(alpha)))
-    return complex(re, side * im)
+    r = alpha - cm.omega_sub - _self_energy(cm, alpha, quad_tol)
+    return r if side == 1 else r.conjugate()
 
 
 def pole_estimate(cm: ContinuumModel, quad_tol: float = 1e-10) -> PoleEstimate:
@@ -350,15 +359,6 @@ def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
     return nodes, weights, mid, (0.5 * (hi - lo) / n_panels) * x
 
 
-def _self_energy_complex(cm: ContinuumModel, z: complex, n_panels: int = 2048) -> complex:
-    """Integral of g^2(w)/(z - w) over the band for z off the real axis."""
-    g2z = cm.g_sq_complex(z)
-    nodes, wq, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, 8)
-    vals = (cm.g_sq(nodes) - g2z) / (z - nodes)
-    log_term = g2z * (np.log(z - cm.omega_min) - np.log(z - cm.omega_max))
-    return complex(vals @ wq + log_term)
-
-
 def refine_pole(
     cm: ContinuumModel,
     start: complex | None = None,
@@ -369,16 +369,19 @@ def refine_pole(
     """Polish the second-sheet zero by damped Newton from the estimate.
 
     The continued function in the lower half plane is
-    F(z) = z - omega_sub - Int g^2(w)/(z-w) dw + 2*pi*i*g^2(z), which requires
-    an analytic continuation of the density.
+    F(z) = z - omega_sub - Sigma(z) + 2*pi*i*g^2(z), which requires an
+    analytic continuation of the density.  quad_tol governs Sigma(z) at every
+    evaluation (``_self_energy``) and the default start (``pole_estimate``).
     """
     if cm.g_sq_complex is None:
         raise ContinuumError("pole refinement needs an analytic density continuation")
     z = complex(start) if start is not None else pole_estimate(cm, quad_tol).z0
+    if not cmath.isfinite(z):
+        raise ContinuumError(f"start must be finite, got {z!r}")
     scale = max(abs(z), 1.0)
 
     def f(zz: complex) -> complex:
-        return (zz - cm.omega_sub - _self_energy_complex(cm, zz)
+        return (zz - cm.omega_sub - _self_energy(cm, zz, quad_tol)
                 + 2.0j * math.pi * cm.g_sq_complex(zz))
 
     fz = f(z)

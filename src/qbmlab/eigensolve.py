@@ -30,7 +30,7 @@ beyond the cluster and its neighbours until an a-priori bound keeps the
 tables' error far below the rounding of f.  One more such sweep at the roots
 gives their residuals and weights.  The sweeps then cost O(N m) and the tables
 O(N^2 p / m); ``NormalModes.validate`` audits one root per tabulated cluster
-against math.fsum, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).
+against exact sums, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).
 In process on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) N+1 = 4096 takes about
 0.10 s and 16384 about 0.6 s.  Roots of a cluster whose window grows to cover
 every pole, and every root of a small solve, keep the exact sum over all
@@ -75,9 +75,6 @@ _DENSE_CAP = 4096
 # saves (on 2 cores N+1 = 200 and 500 solved 2.5x and 1.4x slower with 3 and 7
 # clusters, 800 1.1x faster with 12)
 _MIN_CLUSTERS = 16
-# ``NormalModes.validate`` sums the audited residuals and weights exactly, in
-# blocks whose rows are first halved by this many TwoSum steps
-_TWO_SUM_LEVELS = 6
 
 
 class EigensolveError(RuntimeError):
@@ -150,10 +147,10 @@ class NormalModes:
         """Assert the exact-solution invariants; raises EigensolveError.
 
         Besides interlacing, the weight sum and the trace, an exact audit
-        recomputes with math.fsum the residual of both exterior roots, of the
-        root closest to a pole and of the first root of every tabulated
-        cluster, and the weight of each where the weights come from the
-        normalization formula (``secular_evaluations > 0``; the
+        recomputes from exact sums (``_exact_sums``) the residual of both
+        exterior roots, of the root closest to a pole and of the first root of
+        every tabulated cluster, and the weight of each where the weights come
+        from the normalization formula (``secular_evaluations > 0``; the
         dense oracle's come from eigenvectors).  It raises when a residual is
         off by more than ``_audit_limit(N)`` of |alpha - omega_sub| +
         sum |g^2/(alpha - omega_n)|, the scale of its rounding, or a weight by
@@ -179,11 +176,11 @@ class NormalModes:
         limit = _audit_limit(w.size)
         if self.audit_residual_error > limit:
             raise EigensolveError(
-                f"residual off its math.fsum value by {self.audit_residual_error:.3g} "
+                f"residual off its exact sum by {self.audit_residual_error:.3g} "
                 f"of its scale (limit {limit:.3g})")
         if self.audit_weight_error > limit:
             raise EigensolveError(
-                f"weight off its math.fsum value by {self.audit_weight_error:.3g} relative "
+                f"weight off its exact sum by {self.audit_weight_error:.3g} relative "
                 f"(limit {limit:.3g})")
 
 
@@ -207,9 +204,9 @@ def _audit_limit(n: int) -> float:
 
 
 def _audit(modes: NormalModes) -> tuple[float, float]:
-    """Worst |residual - fsum| / (|alpha - omega_sub| + sum |g^2/(alpha - omega)|)
-    and |weight - fsum weight| / weight of the roots ``NormalModes.validate``
-    audits (nan for weights it skips)."""
+    """Worst |residual - exact| / (|alpha - omega_sub| + sum |g^2/(alpha - omega)|)
+    and |weight - exact weight| / weight of the roots ``NormalModes.validate``
+    audits (nan for weights it skips), the references from ``_exact_sums``."""
     model = modes.model
     w, g, a = model.bath_freqs, model.couplings, modes.alphas
     n = w.size
@@ -220,15 +217,14 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
         picks.update(int(s) + 1 for s, win in zip(field.starts, field.windows) if win is not None)
     picks = np.array(sorted(picks))
     residual_error, weight_error = 0.0, (0.0 if modes.secular_evaluations else math.nan)
-    width = -(-(n + 2) // 2**_TWO_SUM_LEVELS) * 2**_TWO_SUM_LEVELS
     # 2 rows per root in a quarter of the scratch, so that the temporaries of
-    # _fsum_rows stay within about the scratch
-    rows = max(1, _SCRATCH_BYTES // (64 * width))
+    # _exact_sums stay within about the scratch
+    rows = max(1, _SCRATCH_BYTES // (64 * (n + 2)))
     for start in range(0, picks.size, rows):
         nus = picks[start:start + rows]
         k = nus.size
         # rows 0..k-1: alpha - omega_sub - sum g^2/d; rows k..2k-1: sum (g/d)^2
-        terms = np.zeros((2 * k, width))
+        terms = np.zeros((2 * k, n + 2))
         terms[:k, 0], terms[:k, 1] = a[nus], -model.omega_sub
         d = a[nus, None] - w
         # a dense-oracle root may fall on a pole; its deviation is then nan, not raised
@@ -237,7 +233,7 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
             np.square(np.divide(g, d, out=terms[k:, :n]), out=terms[k:, :n])
         # the residual is (alpha - omega_sub) - sum: its rounding scales with both
         scale = np.abs(terms[:k, 2:n + 2]).sum(axis=1) + np.abs(a[nus] - model.omega_sub)
-        exact = _fsum_rows(terms)
+        exact = _exact_sums(terms)
         deviation = np.abs(modes.residuals[nus] - exact[:k])
         residual_error = max(residual_error, float(np.max(
             np.divide(deviation, scale, out=np.zeros(k), where=scale > 0))))
@@ -248,24 +244,24 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
     return residual_error, weight_error
 
 
-def _fsum_rows(t: np.ndarray) -> np.ndarray:
-    """math.fsum of each row of t, whose length is a multiple of 2^L, after
-    L = ``_TWO_SUM_LEVELS`` steps of Knuth's TwoSum halve the rows.
+def _exact_sums(t: np.ndarray) -> np.ndarray:
+    """Row sums of t within u |sum| + 4 k n (n + 2) u^2 max|t| (n terms, u = eps/2,
+    k as in ``_audit_limit``), by one error-free extraction per row (Rump, Ogita &
+    Oishi, SIAM J. Sci. Comput. 31, 2008).
 
-    Each step adds the second half of a row to the first and keeps the
-    rounding errors exactly; the errors (each within eps of a partial sum)
-    are added in float64, which costs at most ~L log2(N) eps^2 sum |t|, and
-    math.fsum adds them to the shortened row: the audit of a 4096-mode solve
-    took about half the time of math.fsum over whole rows.
+    sigma = 2^(e + bit_length(n + 2)) with max|t| < 2^e lies in ((n + 2) max|t|,
+    4 (n + 2) max|t|].  Then hi = fl(fl(sigma + t) - sigma) is a multiple of
+    u sigma, and lo = t - hi is exact and at most u sigma.  Every partial sum of
+    the hi is a multiple of u sigma below sigma, so a float: the hi sum exactly.
+    numpy sums the lo pairwise, at most k roundings each, within k u * n u sigma,
+    and adding the two sums rounds once: 2.6e-23 max|t| beyond u |sum| at
+    N+1 = 4096.  A row with an inf or nan term, or with sigma past overflow, is nan.
     """
-    s = t
-    errors = np.zeros(t.shape[0])
-    for _ in range(_TWO_SUM_LEVELS):
-        a, b = np.hsplit(s, 2)
-        s = a + b
-        z = s - a
-        errors += ((a - (s - z)) + (b - z)).sum(axis=1)
-    return np.array([math.fsum([*row, e]) for row, e in zip(s.tolist(), errors.tolist())])
+    with np.errstate(invalid="ignore", over="ignore"):
+        _, e = np.frexp(np.abs(t).max(axis=1))
+        sigma = np.ldexp(1.0, e + (t.shape[1] + 2).bit_length())[:, None]
+        hi = (sigma + t) - sigma
+        return hi.sum(axis=1) + (t - hi).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -279,16 +275,16 @@ class ClosureReport:
 
 def secular_value(alpha: float, model: SpectralModel) -> float:
     """Evaluate f(alpha); O(N) with pairwise summation in ascending n."""
-    w = model.bath_freqs
-    if np.any(alpha == w):
+    if np.any(alpha == model.bath_freqs):
         raise EigensolveError(f"alpha = {float(alpha)!r} is a pole of the secular function")
-    g2 = model.couplings**2
-    return float(alpha - model.omega_sub - np.sum(g2 / (alpha - w)))
+    return float(_secular_batch(np.array([alpha], dtype=float), model.omega_sub,
+                                model.bath_freqs, model.couplings**2)[0])
 
 
 def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
                    g2: np.ndarray) -> np.ndarray:
-    """f at each alpha, in one alphas.size x N block."""
+    """f at each alpha, in one alphas.size x N block, the sum pairwise in ascending n:
+    ``secular_value``, the exterior-bracket check and the dense oracle's residuals."""
     d = alphas[:, None] - w[None, :]
     with np.errstate(divide="ignore"):
         np.divide(g2[None, :], d, out=d)

@@ -17,8 +17,7 @@ from qbmlab.continuum import (
     _panel_nodes,
     _pv_rule,
     _pv_sums,
-    _pv_value,
-    _self_energy_complex,
+    _self_energy,
     asymptotic_occupation,
     build_weight_table,
     density_from_discrete,
@@ -168,9 +167,36 @@ class TestPole:
         est = pole_estimate(narrow)
         z = refine_pole(narrow)
         assert abs(z - est.z0) < 0.05 * est.gamma
-        f = (z - narrow.omega_sub - _self_energy_complex(narrow, z)
+        f = (z - narrow.omega_sub - _self_energy(narrow, z, 1e-10)
              + 2j * math.pi * narrow.g_sq_complex(z))
         assert abs(f) < 1e-12
+
+    @pytest.mark.parametrize("peak,half_width", [(5e-6, 1e-4), (5e-7, 2e-5)])
+    def test_narrow_poles_zero_f_against_mpmath(self, peak, half_width):
+        # F at the refined pole from a 30-digit self-energy split at the peak, +-a
+        # and +-10a: the self-energy must resolve a pole 1.7e-6 below the axis
+        mpmath = pytest.importorskip("mpmath")
+        cm = lorentzian_density(peak, half_width, 1.0, 0.5, 1.5)
+        z = refine_pole(cm)
+        with mpmath.workdps(30):
+            p, a, zz = mpmath.mpf(peak), mpmath.mpf(half_width), mpmath.mpc(z.real, z.imag)
+
+            def g_sq(w):
+                return p * a**2 / (a**2 + (w - 1) ** 2)
+
+            cuts = [mpmath.mpf(0.5), 1 - 10 * a, 1 - a, mpmath.mpf(1), 1 + a, 1 + 10 * a,
+                    mpmath.mpf(1.5)]
+            sigma = mpmath.quad(lambda w: g_sq(w) / (zz - w), cuts)
+            f = zz - 1 - sigma + 2j * mpmath.pi * g_sq(zz)
+        assert abs(f) <= 1e-14
+
+    @pytest.mark.parametrize("start", [complex(math.nan, 0.0), complex(1.0, -math.inf),
+                                       complex(math.inf, -0.01), complex(math.nan, math.nan)])
+    def test_non_finite_start_refused(self, narrow, start):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContinuumError, match="must be finite"):
+                refine_pole(narrow, start=start)
 
     def test_refinement_requires_continuation(self):
         cm = ContinuumModel(
@@ -192,7 +218,7 @@ class TestSurvivalAmplitude:
         z = refine_pole(narrow)
         h = 1e-6
         def f(zz):
-            return (zz - narrow.omega_sub - _self_energy_complex(narrow, zz)
+            return (zz - narrow.omega_sub - _self_energy(narrow, zz, 1e-10)
                     + 2j * math.pi * narrow.g_sq_complex(zz))
         residue = abs(1.0 / ((f(z + h) - f(z - h)) / (2 * h)))
         ts = np.array([200.0, 500.0, 900.0])
@@ -340,7 +366,7 @@ class TestKinkedDensityOracle:
 
             ref = (mpmath.quad(quotient, sorted(xs + [a]))
                    + ga * mpmath.log((a - xs[0]) / (xs[-1] - a)))
-        assert abs(_pv_value(cm, alpha, 1e-10) - float(ref)) < 1e-10
+        assert abs(_self_energy(cm, alpha, 1e-10).real - float(ref)) < 1e-10
 
     def test_edge_integrals(self, kinked):
         mpmath, cm, xs, g, _ = kinked

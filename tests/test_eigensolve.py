@@ -453,7 +453,7 @@ class TestFarFieldSecular:
         # without the gate the crowded clusters' interpolants move roots, and the
         # residuals they give fail the exact audit
         monkeypatch.setattr(_cauchy, "TOL", math.inf)
-        with pytest.raises(EigensolveError, match="math.fsum"):
+        with pytest.raises(EigensolveError, match="exact sum"):
             solve_normal_modes(model)
         monkeypatch.setattr(eigensolve.NormalModes, "validate", lambda self: None)
         ungated = solve_normal_modes(model)
@@ -535,7 +535,7 @@ class TestBlasThreads:
 
 
 class TestExactAudit:
-    """``NormalModes.validate`` recomputes sampled residuals and weights with math.fsum."""
+    """``NormalModes.validate`` recomputes sampled residuals and weights from exact sums."""
 
     def test_solves_pass_and_record_it(self):
         for model in (solve_large_model(), paper_default_model(32)):
@@ -564,6 +564,28 @@ class TestExactAudit:
         for n in [*range(1, 2100), 4095, 16383, 65535, 10**6]:
             assert eigensolve._audit_limit(n) >= (depth(n) + 8) * u
 
+    def test_exact_sums_against_fsum(self):
+        # rows whose halves cancel to 1e-12, scaled over 1e-30 .. 1e30, within the
+        # bound of _exact_sums plus the rounding of math.fsum itself
+        rng = np.random.default_rng(17)
+        u = np.finfo(float).eps / 2
+        rows, n = 70, 4160
+        k = 25 + ((n - 1) // 128).bit_length()
+        for _ in range(3):
+            half = rng.standard_normal((rows, n // 2)) * np.exp(rng.uniform(-5, 5, (rows, n // 2)))
+            half *= 10.0 ** rng.uniform(-30, 30, (rows, 1))
+            t = np.hstack([half, -half * (1 + 1e-12 * rng.standard_normal((rows, 1)))])
+            t = t[:, rng.permutation(n)]
+            ref = np.array([math.fsum(row) for row in t.tolist()])
+            bound = 2 * u * np.abs(ref) + 4 * k * n * (n + 2) * u**2 * np.abs(t).max(axis=1)
+            assert np.all(np.abs(eigensolve._exact_sums(t) - ref) <= bound)
+        # zero rows sum to 0, rows with an inf or nan term give nan
+        odd = np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0], [1.0, -np.inf, 2.0],
+                        [np.inf, -np.inf, 0.0], [1e-310, 3e-310, -1e-320]])
+        sums = eigensolve._exact_sums(odd)
+        assert sums[0] == 0.0 and np.all(np.isnan(sums[1:4]))
+        assert sums[4] == math.fsum(odd[4].tolist())
+
     @pytest.mark.parametrize("field", ["residuals", "weights"])
     def test_a_perturbed_cluster_root_is_caught(self, field):
         modes = solve_normal_modes(solve_large_model())
@@ -572,7 +594,7 @@ class TestExactAudit:
         scale = np.abs(modes.model.couplings**2 / (modes.alphas[nu] - modes.model.bath_freqs)
                        ).sum() if field == "residuals" else values[nu]
         values[nu] += 64 * np.finfo(float).eps * scale
-        with pytest.raises(EigensolveError, match="math.fsum"):
+        with pytest.raises(EigensolveError, match="exact sum"):
             modes.validate()
 
     def test_a_corrupt_far_field_is_caught(self, monkeypatch):
@@ -584,5 +606,5 @@ class TestExactAudit:
             return table(*args, **kwargs) * (1.0 + 1e-12)
 
         monkeypatch.setattr(_cauchy.FarField, "table", corrupt)
-        with pytest.raises(EigensolveError, match="math.fsum"):
+        with pytest.raises(EigensolveError, match="exact sum"):
             solve_normal_modes(solve_large_model())
