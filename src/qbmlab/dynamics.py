@@ -50,7 +50,12 @@ __all__ = [
     "OBSERVABLES",
 ]
 
-_SLAB_BYTES = 32 * 2**20  # memory budget of one time slab in mode_sum
+# memory budget of one time slab in mode_sum, 8 (2N + 4J) bytes a sample for N
+# modes and J columns: an array's cos and sin phase matrices and the complex
+# slab passed to reduce.  A grid slab has as many samples, rounded down to
+# whole phase blocks (at least one), but forms its products per block (O(B N)
+# scratch), so of this budget it holds only the complex slab
+_SLAB_BYTES = 32 * 2**20
 # refusal bound on eps * max|freq| * max|t|, the rounding of the largest phase
 # in radians: 1e-8 is a phase of ~4.5e7 rad, beyond which the cos/sin values
 # carry little of the sum's information
@@ -59,8 +64,6 @@ _PHASE_ROUNDING_LIMIT = 1e-8
 # sample jB; B is the larger of these rows and these phases over the modes
 _PHASE_BLOCK_ROWS = 64
 _PHASE_BLOCK_PHASES = 2**15
-# row cap of a grid slab, whose cos and sin slabs are alive at once
-_GRID_SLAB_ROWS = 1024
 # occupation sums as a Chebyshev form (``_occupation_form``): the degree cap,
 # and the error bound it must meet, relative to max(kappa, max nbar)
 _FORM_MAX_DEGREE = 24
@@ -140,8 +143,8 @@ def _direct_trig(ts, freqs):
     return trig
 
 
-def _grid_trig(ts, dt, freqs, rows):
-    """Slab source of the same cos and sin on a uniform grid, with few libm calls.
+def _grid_trig(ts, dt, freqs):
+    """Block source of the same cos and sin on a uniform grid, with few libm calls.
 
     Sample k = jB + r has the direct kernel's phase p = fl(ts[k] * freqs).
     Its cos and sin are rotated from two phases that go through libm: the
@@ -153,63 +156,60 @@ def _grid_trig(ts, dt, freqs, rows):
     (Sterbenz) and d carries only a relative rounding; |d| is a few eps |p|,
     at most ~3e-8 rad under the phase refusal bound, so each value is within
     a few ulp of cos(p), sin(p).  The few blocks that miss the factor 2, all
-    next to t = 0, take cos(p) and sin(p) from libm.  Blocks are fixed by k,
-    so a sample's value does not depend on the slab it falls in.  The
-    returned arrays are views of two buffers of ``rows`` rows, reused for
-    every slab.
+    next to t = 0, take cos(p) and sin(p) from libm.
+
+    Returns (B, trig): ``trig(a, b)`` gives cos and sin of the whole block
+    of samples a..b-1 (a = jB, b = min(a + B, T)) as views of four B x N
+    scratch arrays, overwritten by the next call.
     """
     block = max(_PHASE_BLOCK_ROWS, _PHASE_BLOCK_PHASES // max(freqs.size, 1))
     base = np.multiply.outer(dt * np.arange(min(block, ts.size)), freqs)
     base_cos, base_sin = np.cos(base), np.sin(base)
-    d, tmp = np.empty_like(base), np.empty_like(base)
-    cos_buf = np.empty((rows, freqs.size))
-    sin_buf = np.empty((rows, freqs.size))
+    scratch = np.empty((4,) + base.shape)
 
-    def trig(start, stop):
-        stop = min(stop, ts.size)
-        cos, sin = cos_buf[:stop - start], sin_buf[:stop - start]
-        for a in range(start - start % block, stop, block):
-            lo, hi = max(a, start), min(a + block, stop)
-            c, s = cos[lo - start:hi - start], sin[lo - start:hi - start]
-            phase, t = d[:hi - lo], tmp[:hi - lo]
-            np.multiply.outer(ts[lo:hi], freqs, out=phase)
-            ta, tl = ts[a], ts[min(a + block, ts.size) - 1]
-            if not (ta == 0 or 0 < ta and tl <= 2 * ta or tl < 0 and 2 * tl <= ta):
-                np.cos(phase, out=c)
-                np.sin(phase, out=s)
-                continue
-            anchor = ta * freqs
-            gc, gs = np.cos(anchor), np.sin(anchor)
-            bc, bs = base_cos[lo - a:hi - a], base_sin[lo - a:hi - a]
-            phase -= anchor
-            phase -= base[lo - a:hi - a]      # d, exact to a relative rounding
-            np.multiply(bc, gc, out=c)
-            c -= np.multiply(bs, gs, out=t)   # cos(g + b)
-            np.multiply(bc, gs, out=s)
-            s += np.multiply(bs, gc, out=t)   # sin(g + b)
-            np.multiply(s, phase, out=t)
-            phase *= c
-            c -= t                            # cos(g + b) - d sin(g + b)
-            s += phase                        # sin(g + b) + d cos(g + b)
-        return cos, sin
+    def trig(a, stop):
+        c, s, phase, t = scratch[:, :stop - a]
+        np.multiply.outer(ts[a:stop], freqs, out=phase)
+        ta, tl = ts[a], ts[stop - 1]
+        if not (ta == 0 or 0 < ta and tl <= 2 * ta or tl < 0 and 2 * tl <= ta):
+            return np.cos(phase, out=c), np.sin(phase, out=s)
+        anchor = ta * freqs
+        gc, gs = np.cos(anchor), np.sin(anchor)
+        bc, bs = base_cos[:stop - a], base_sin[:stop - a]
+        phase -= anchor
+        phase -= base[:stop - a]          # d, exact to a relative rounding
+        np.multiply(bc, gc, out=c)
+        c -= np.multiply(bs, gs, out=t)   # cos(g + b)
+        np.multiply(bc, gs, out=s)
+        s += np.multiply(bs, gc, out=t)   # sin(g + b)
+        np.multiply(s, phase, out=t)
+        phase *= c
+        c -= t                            # cos(g + b) - d sin(g + b)
+        s += phase                        # sin(g + b) + d cos(g + b)
+        return c, s
 
-    return trig
+    return block, trig
 
 
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
-    ``ts`` is an array of times or a ``TimeGrid``.  The phase matrix is formed
-    one time slab at a time, within a fixed memory budget, and multiplied as
-    cos(phase) @ C and sin(phase) @ C: two real GEMMs instead of one
-    complex-by-real product.  ``reduce``, when given, maps each complex slab
-    and its times to the per-time result, so a caller that needs only, say,
-    |S|^2 @ q never holds the full (T, J) sum.
+    ``ts`` is an array of times or a ``TimeGrid``.  The sum is formed one
+    time slab at a time, as cos(phase) @ C and sin(phase) @ C: two real GEMMs
+    instead of one complex-by-real product.  ``reduce``, when given, maps
+    each complex slab and its times to the per-time result, so a caller that
+    needs only, say, |S|^2 @ q never holds the full (T, J) sum.
 
-    For an array every cos and sin comes from libm.  For a grid they are
-    rotated from (T/B + B) N libm values, B >= 64 (``_grid_trig``), and stay
-    within a few ulp of the array path's values: both round the phases to
-    fl(t * freqs) with t = grid.times.
+    For an array every cos and sin comes from libm, and the phase matrices
+    of a whole slab are formed within a fixed memory budget.  For a grid
+    they are rotated from (T/B + B) N libm values, B >= 64 (``_grid_trig``),
+    and stay within a few ulp of the array path's values: both round the
+    phases to fl(t * freqs) with t = grid.times.  A grid forms the products
+    per block of B samples while its cos and sin are still in cache, so it
+    holds O(B N + slab J) memory for J columns, and a slab is whole blocks:
+    a sample's value depends only on its index, not on the slab.  Nor, with
+    OpenBLAS, on the BLAS thread count: a B-row product is not split across
+    threads in a way that changes its sums (a test pins this at 500 modes).
 
     A sum whose largest phase rounds by more than ``_PHASE_ROUNDING_LIMIT``
     rad (eps * max|freq| * max|t|), or is not finite, is refused with a
@@ -232,23 +232,26 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     cols = coeffs.reshape(freqs.size, -1)
     step = max(1, _SLAB_BYTES // (8 * (2 * freqs.size + 4 * cols.shape[1])))
     if grid is not None:
-        step = min(step, _GRID_SLAB_ROWS)
-        trig = _grid_trig(ts, grid.dt, freqs, min(step, ts.size))
+        block, trig = _grid_trig(ts, grid.dt, freqs)
+        step = max(block, step - step % block)
     else:
-        trig = _direct_trig(ts, freqs)
+        block, trig = step, _direct_trig(ts, freqs)
     out = None
     # an empty time array still makes one (empty) slab, so out gets its shape
     for start in range(0, max(ts.size, 1), step):
-        cos, sin = trig(start, start + step)
-        slab = np.empty((cos.shape[0], cols.shape[1]), dtype=complex)
-        slab.real = cos @ cols
-        slab.imag = -(sin @ cols)
-        del cos, sin  # a direct slab's arrays are freed before the next are made
+        stop = min(start + step, ts.size)
+        slab = np.empty((stop - start, cols.shape[1]), dtype=complex)
+        for a in range(start, stop, block):
+            b = min(a + block, stop)
+            cos, sin = trig(a, b)
+            slab.real[a - start:b - start] = cos @ cols
+            slab.imag[a - start:b - start] = -(sin @ cols)
+            del cos, sin  # a direct slab's arrays are freed before the next are made
         slab = slab.reshape((-1,) + coeffs.shape[1:])
-        res = slab if reduce is None else reduce(slab, ts[start:start + step])
+        res = slab if reduce is None else reduce(slab, ts[start:stop])
         if out is None:
             out = np.empty((ts.size,) + res.shape[1:], dtype=res.dtype)
-        out[start:start + step] = res
+        out[start:stop] = res
     return out
 
 

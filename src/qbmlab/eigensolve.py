@@ -235,12 +235,13 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
         scale = np.abs(terms[:k, 2:n + 2]).sum(axis=1) + np.abs(a[nus] - model.omega_sub)
         exact = _exact_sums(terms)
         deviation = np.abs(modes.residuals[nus] - exact[:k])
-        residual_error = max(residual_error, float(np.max(
+        # np.max and np.maximum keep a nan, which Python's max may drop
+        residual_error = float(np.maximum(residual_error, np.max(
             np.divide(deviation, scale, out=np.zeros(k), where=scale > 0))))
         if modes.secular_evaluations:
             weight = 1.0 / (1.0 + exact[k:])
-            weight_error = max(weight_error,
-                               float(np.max(np.abs(modes.weights[nus] - weight) / weight)))
+            weight_error = float(np.maximum(
+                weight_error, np.max(np.abs(modes.weights[nus] - weight) / weight)))
     return residual_error, weight_error
 
 

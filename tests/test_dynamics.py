@@ -31,6 +31,7 @@ from qbmlab import (
 )
 from qbmlab.langevin import langevin_table
 from conftest import random_model
+from test_eigensolve import run_single_threaded
 
 
 def occupation_double_sum(modes, init, t):
@@ -365,7 +366,7 @@ class TestModeSum:
         for grid in (TimeGrid(0.0, 0.9, 257), TimeGrid(-50.2, 0.41, 257)):
             whole = mode_sum(freqs, coeffs, grid.times)
             assert np.all(np.abs(mode_sum(freqs, coeffs, grid) - whole) <= tol)
-            # 7-row slabs across 5-row blocks: no slab starts on a block
+            # a 7-row slab budget over 5-row blocks: slabs of one whole block each
             with monkeypatch.context() as mp:
                 mp.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
                 mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", 5)
@@ -410,6 +411,18 @@ class TestModeSum:
 
         check()
 
+    def test_grid_values_ignore_the_slab_budget(self, monkeypatch):
+        # a grid sample is summed by its block's product alone, so any slab,
+        # from one 65-row block to the whole grid, gives the same bits
+        rng = np.random.default_rng(7)
+        freqs = rng.uniform(0.5, 1.5, 500)
+        coeffs = rng.normal(size=(500, 7))
+        grid = TimeGrid(-30.7, 0.93, 2000)
+        whole = mode_sum(freqs, coeffs, grid)
+        for rows in (1, 64, 66, 200, 1024, 1999, 10**6):
+            monkeypatch.setattr(dynamics, "_SLAB_BYTES", rows * 8 * (2 * 500 + 4 * 7))
+            np.testing.assert_array_equal(mode_sum(freqs, coeffs, grid), whole)
+
     def test_shapes_and_reduce(self):
         freqs = np.array([1.0, 2.0])
         assert mode_sum(freqs, np.array([0.5, 0.5]), np.linspace(0, 1, 5)).shape == (5,)
@@ -448,6 +461,44 @@ class TestMemoryBudget:
     def test_langevin_table(self, modes_500):
         grid = TimeGrid(t0=0.0, dt=1.0, count=20000)
         assert self.peak(lambda: langevin_table(modes_500, grid)) < self.LIMIT
+
+    def test_grid_mode_sum_holds_blocks_not_slabs(self):
+        # the recurrence-wide shape: N+1 = 2048, T = 2001, the 7-column
+        # occupation form.  The grid path holds seven B x N arrays (B = 64
+        # here) and O(T J) of slab and output, within 8 B N floats (8 MiB); a
+        # slab of cos and sin rows would be 1024 x N each
+        modes = solve_normal_modes(paper_default_model(2048))
+        form = dynamics._occupation_form(modes, InitialState.thermal(modes.model),
+                                         modes.weights)
+        assert form.coeffs.shape == (2048, 7)
+        grid = TimeGrid(0.0, 3.0 * poincare_time(modes).t_poincare / 2000, 2001)
+        block = max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // 2048)
+        limit = 8 * block * 2048 * 8
+        assert self.peak(lambda: mode_sum(modes.alphas, form.coeffs, grid)) < limit
+
+
+def grid_columns(modes, init):
+    """N_omega and P_surv of evolve_series and every langevin_table column over a
+    2,000-point grid."""
+    grid = TimeGrid(0.0, 1.0, 2000)
+    series = evolve_series(modes, init, grid, ["N_omega", "P_surv"])
+    table = langevin_table(modes, grid)
+    return np.stack([*series.columns.values(), *table.columns.values()])
+
+
+class TestBlasThreads:
+    """A single-threaded BLAS in a fresh process gives the same grid mode sums."""
+
+    def test_series_and_langevin_ignore_the_blas_thread_count(self, tmp_path, modes_500,
+                                                               init_500):
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from test_dynamics import grid_columns\n"
+                  "from qbmlab import InitialState, paper_default_model, solve_normal_modes\n"
+                  "modes = solve_normal_modes(paper_default_model(500))\n"
+                  "np.save(sys.argv[1], grid_columns(modes, InitialState.thermal(modes.model)))\n")
+        single = run_single_threaded(script, tmp_path / "columns.npy")
+        np.testing.assert_array_equal(single, grid_columns(modes_500, init_500))
 
 
 def dense_occupation(modes, init, amp, ts):

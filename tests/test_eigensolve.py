@@ -548,6 +548,20 @@ class TestExactAudit:
         assert oracle.audit_residual_error <= eigensolve._audit_limit(31)
         assert math.isnan(oracle.audit_weight_error)
 
+    @pytest.mark.parametrize("scratch", [None, 1], ids=["one block", "a block per root"])
+    def test_a_root_on_a_pole_records_nan(self, scratch, monkeypatch):
+        # the root at the pole 1.0 has residual -inf and a nan exact sum: its
+        # deviation is nan, after an earlier block's or within one block
+        if scratch:
+            monkeypatch.setattr(eigensolve, "_SCRATCH_BYTES", scratch)
+        model = make(1.0, [0.9, 1.0, 1.1], [0.05, 0.05, 0.05])
+        roots = np.array([0.8, 1.0, 1.05, 1.2])
+        residuals = eigensolve._secular_batch(roots, model.omega_sub, model.bath_freqs,
+                                              model.couplings**2)
+        modes = NormalModes(model, roots, np.full(4, 0.25), residuals)
+        residual_error, weight_error = eigensolve._audit(modes)
+        assert math.isnan(residual_error) and math.isnan(weight_error)
+
     def test_limit_covers_pairwise_summation(self):
         @functools.lru_cache(maxsize=None)
         def depth(n):
