@@ -49,8 +49,10 @@ from .model import (
 from .recurrence import RecurrenceError, analyze, poincare_time
 
 # errors that end a run with "error: ..." and exit 1; OSError covers unreadable
-# model files and unwritable output directories
-_KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError, OSError)
+# model files and unwritable output directories, MemoryError counts whose
+# arrays cannot be allocated
+_KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError, OSError,
+                 MemoryError)
 
 
 def _fmt(value: float) -> str:

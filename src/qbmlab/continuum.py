@@ -601,8 +601,8 @@ def survival_amplitude_continuum(
         )
     coeffs = (table.density * table.quad_weights).reshape(table.centres.size, -1)
 
-    def over_offsets(slab, t_slab):
-        return (slab * np.exp(-1j * np.outer(t_slab, table.offsets))).sum(axis=1)
+    def over_offsets(block, t_block):
+        return (block * np.exp(-1j * np.outer(t_block, table.offsets))).sum(axis=1)
 
     s = mode_sum(table.centres, coeffs, ts, reduce=over_offsets)
     return complex(s[0]) if scalar else s

@@ -1,11 +1,12 @@
 """Closed-form time evolution of mean observables and transition probabilities.
 
 Everything here is a finite mode sum over the solved normal frequencies; no
-time stepping is involved, so samples are independent, and a sample's value
-does not depend on which other samples share its evaluation.  On a uniform
+time stepping is involved, so samples are independent.  Every sum runs one
+loop over blocks of B samples (``mode_sum``), and a sample's value depends on
+its index and, in the last block, on that block's row count.  On a uniform
 ``TimeGrid`` the phase factors come from anchored rotations instead of one
-cos/sin call per mode and sample (see ``mode_sum``); they reproduce the direct
-kernel's phases fl(t * omega) to a few ulp.
+cos/sin call per mode and sample; they reproduce the direct kernel's phases
+fl(t * omega) to a few ulp.
 
 All probability evaluations use the amplitude form: a single sum over modes
 followed by a modulus squared.  It is algebraically identical to the
@@ -50,18 +51,13 @@ __all__ = [
     "OBSERVABLES",
 ]
 
-# memory budget of one time slab in mode_sum, 8 (2N + 4J) bytes a sample for N
-# modes and J columns: an array's cos and sin phase matrices and the complex
-# slab passed to reduce.  A grid slab has as many samples, rounded down to
-# whole phase blocks (at least one), but forms its products per block (O(B N)
-# scratch), so of this budget it holds only the complex slab
-_SLAB_BYTES = 32 * 2**20
 # refusal bound on eps * max|freq| * max|t|, the rounding of the largest phase
 # in radians: 1e-8 is a phase of ~4.5e7 rad, beyond which the cos/sin values
 # carry little of the sum's information
 _PHASE_ROUNDING_LIMIT = 1e-8
-# grid phases: the B samples k = jB + r of block j share the anchor phase of
-# sample jB; B is the larger of these rows and these phases over the modes
+# mode sums run in blocks of B samples, B the larger of these rows and these
+# phases over the modes; on a grid, the samples k = jB + r of block j share
+# the anchor phase of sample jB
 _PHASE_BLOCK_ROWS = 64
 _PHASE_BLOCK_PHASES = 2**15
 # occupation sums as a Chebyshev form (``_occupation_form``): the degree cap,
@@ -133,43 +129,37 @@ def _times_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(ts), scalar
 
 
-def _direct_trig(ts, freqs):
-    """Slab source of cos and sin of the phases fl(ts[k] * freqs), all from libm."""
+def _block_trig(ts, dt, freqs):
+    """Block source of cos and sin of the phases fl(ts[k] * freqs).
 
-    def trig(start, stop):
-        phase = np.outer(ts[start:stop], freqs)
-        return np.cos(phase), np.sin(phase, out=phase)
-
-    return trig
-
-
-def _grid_trig(ts, dt, freqs):
-    """Block source of the same cos and sin on a uniform grid, with few libm calls.
-
-    Sample k = jB + r has the direct kernel's phase p = fl(ts[k] * freqs).
-    Its cos and sin are rotated from two phases that go through libm: the
-    anchor g = fl(ts[jB] * freqs) of its block, the direct phase of sample
-    jB, and b = fl(fl(r dt) * freqs), shared by all blocks.  With
-    cos(g + b) = cos g cos b - sin g sin b (and likewise sin), the remainder
-    d = (p - g) - b is applied to first order.  When the block's times lie
-    within a factor 2 of its anchor time, or that time is 0, p - g is exact
-    (Sterbenz) and d carries only a relative rounding; |d| is a few eps |p|,
-    at most ~3e-8 rad under the phase refusal bound, so each value is within
-    a few ulp of cos(p), sin(p).  The few blocks that miss the factor 2, all
-    next to t = 0, take cos(p) and sin(p) from libm.
+    For an array of times (``dt`` None) every value comes from libm.  On a
+    uniform grid of step ``dt``, sample k = jB + r keeps the phase
+    p = fl(ts[k] * freqs), but its cos and sin are rotated from two phases
+    that go through libm: the anchor g = fl(ts[jB] * freqs) of its block,
+    the phase of sample jB, and b = fl(fl(r dt) * freqs), shared by all
+    blocks.  With cos(g + b) = cos g cos b - sin g sin b (and likewise sin),
+    the remainder d = (p - g) - b is applied to first order.  When the
+    block's times lie within a factor 2 of its anchor time, or that time is
+    0, p - g is exact (Sterbenz) and d carries only a relative rounding; |d|
+    is a few eps |p|, at most ~3e-8 rad under the phase refusal bound, so
+    each value is within a few ulp of cos(p), sin(p).  The few blocks that
+    miss the factor 2, all next to t = 0, take cos(p) and sin(p) from libm.
 
     Returns (B, trig): ``trig(a, b)`` gives cos and sin of the whole block
     of samples a..b-1 (a = jB, b = min(a + B, T)) as views of four B x N
     scratch arrays, overwritten by the next call.
     """
     block = max(_PHASE_BLOCK_ROWS, _PHASE_BLOCK_PHASES // max(freqs.size, 1))
-    base = np.multiply.outer(dt * np.arange(min(block, ts.size)), freqs)
-    base_cos, base_sin = np.cos(base), np.sin(base)
-    scratch = np.empty((4,) + base.shape)
+    scratch = np.empty((4, min(block, ts.size), freqs.size))
+    if dt is not None:
+        base = np.multiply.outer(dt * np.arange(min(block, ts.size)), freqs)
+        base_cos, base_sin = np.cos(base), np.sin(base)
 
     def trig(a, stop):
         c, s, phase, t = scratch[:, :stop - a]
         np.multiply.outer(ts[a:stop], freqs, out=phase)
+        if dt is None:
+            return np.cos(phase, out=c), np.sin(phase, out=s)
         ta, tl = ts[a], ts[stop - 1]
         if not (ta == 0 or 0 < ta and tl <= 2 * ta or tl < 0 and 2 * tl <= ta):
             return np.cos(phase, out=c), np.sin(phase, out=s)
@@ -195,21 +185,22 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
     ``ts`` is an array of times or a ``TimeGrid``.  The sum is formed one
-    time slab at a time, as cos(phase) @ C and sin(phase) @ C: two real GEMMs
-    instead of one complex-by-real product.  ``reduce``, when given, maps
-    each complex slab and its times to the per-time result, so a caller that
-    needs only, say, |S|^2 @ q never holds the full (T, J) sum.
+    block of B samples at a time (``_block_trig``), as cos(phase) @ C and
+    sin(phase) @ C: two real GEMMs instead of one complex-by-real product,
+    taken while the block's cos and sin are still in cache.  ``reduce``,
+    when given, maps each complex block and its times to the per-time
+    result, so a caller that needs only, say, |S|^2 @ q never holds the full
+    (T, J) sum.  A sum holds O(B N + B J) scratch for N modes and J columns,
+    plus its output.
 
-    For an array every cos and sin comes from libm, and the phase matrices
-    of a whole slab are formed within a fixed memory budget.  For a grid
-    they are rotated from (T/B + B) N libm values, B >= 64 (``_grid_trig``),
-    and stay within a few ulp of the array path's values: both round the
-    phases to fl(t * freqs) with t = grid.times.  A grid forms the products
-    per block of B samples while its cos and sin are still in cache, so it
-    holds O(B N + slab J) memory for J columns, and a slab is whole blocks:
-    a sample's value depends only on its index, not on the slab.  Nor, with
-    OpenBLAS, on the BLAS thread count: a B-row product is not split across
-    threads in a way that changes its sums (a test pins this at 500 modes).
+    For an array every cos and sin comes from libm.  For a grid they are
+    rotated from (T/B + B) N libm values, B >= 64, and stay within a few ulp
+    of the array path's values: both round the phases to fl(t * freqs) with
+    t = grid.times.  A sample's value depends on its index and, in the last
+    block, on that block's row count.  With OpenBLAS it does not depend on
+    the BLAS thread count while each B-row product runs on one thread or is
+    split without changing its sums (a test pins this at 500 modes); the
+    64 x 2,501 products of the README continuum sum do change with it.
 
     A sum whose largest phase rounds by more than ``_PHASE_ROUNDING_LIMIT``
     rad (eps * max|freq| * max|t|), or is not finite, is refused with a
@@ -217,8 +208,10 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    grid = ts if isinstance(ts, TimeGrid) else None
-    ts = grid.times if grid is not None else np.atleast_1d(np.asarray(ts, dtype=float))
+    if isinstance(ts, TimeGrid):
+        dt, ts = ts.dt, ts.times
+    else:
+        dt, ts = None, np.atleast_1d(np.asarray(ts, dtype=float))
     if freqs.size and ts.size:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and refused below
             max_phase = np.abs(freqs).max() * np.abs(ts).max()
@@ -230,28 +223,20 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
                 f"{_PHASE_ROUNDING_LIMIT:g} rad; ask for a shorter time span"
             )
     cols = coeffs.reshape(freqs.size, -1)
-    step = max(1, _SLAB_BYTES // (8 * (2 * freqs.size + 4 * cols.shape[1])))
-    if grid is not None:
-        block, trig = _grid_trig(ts, grid.dt, freqs)
-        step = max(block, step - step % block)
-    else:
-        block, trig = step, _direct_trig(ts, freqs)
+    block, trig = _block_trig(ts, dt, freqs)
     out = None
-    # an empty time array still makes one (empty) slab, so out gets its shape
-    for start in range(0, max(ts.size, 1), step):
-        stop = min(start + step, ts.size)
-        slab = np.empty((stop - start, cols.shape[1]), dtype=complex)
-        for a in range(start, stop, block):
-            b = min(a + block, stop)
-            cos, sin = trig(a, b)
-            slab.real[a - start:b - start] = cos @ cols
-            slab.imag[a - start:b - start] = -(sin @ cols)
-            del cos, sin  # a direct slab's arrays are freed before the next are made
-        slab = slab.reshape((-1,) + coeffs.shape[1:])
-        res = slab if reduce is None else reduce(slab, ts[start:stop])
+    # an empty time array still makes one (empty) block, so out gets its shape
+    for a in range(0, max(ts.size, 1), block):
+        b = min(a + block, ts.size)
+        cos, sin = trig(a, b)
+        s = np.empty((b - a, cols.shape[1]), dtype=complex)
+        s.real = cos @ cols
+        s.imag = -(sin @ cols)
+        s = s.reshape((-1,) + coeffs.shape[1:])
+        res = s if reduce is None else reduce(s, ts[a:b])
         if out is None:
             out = np.empty((ts.size,) + res.shape[1:], dtype=res.dtype)
-        out[start:stop] = res
+        out[a:b] = res
     return out
 
 
@@ -315,11 +300,16 @@ class _OccupationForm:
     error_bound: float | None
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        """N at each row of a slab of S."""
+        """N at each row of a block of S.
+
+        H is real, so Re(conj(s) H s) = x H x + y H y for s = x + iy: two
+        real products instead of a complex one.
+        """
         h = self.hermitian
         if h.ndim == 1:
             return np.abs(s) ** 2 @ h + self.offset
-        return (s.conj() * (s @ h)).real.sum(axis=1) + self.offset
+        x, y = s.real, s.imag
+        return ((x @ h) * x + (y @ h) * y).sum(axis=1) + self.offset
 
     def mean(self) -> float:
         """Cesaro mean of N(t): offset + sum_nu A_nu H A_nu^T over the rows A_nu of A = coeffs."""

@@ -190,6 +190,27 @@ def test_file_errors_end_in_an_error_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# 10**17 float64 values are 8e17 bytes, past every 57-bit user address space,
+# so no overcommit policy can map the array
+HUGE = 10**17
+COUNT_FLAGS = {
+    "solve-n": ["solve", "--paper-defaults", "--n", HUGE],
+    "evolve-points": ["evolve", "--paper-defaults", "--n", 32, "--points", HUGE],
+    "langevin-points": ["langevin", "--paper-defaults", "--n", 32, "--points", HUGE],
+    "recurrence-points": ["recurrence", "--paper-defaults", "--n", 32, "--points", HUGE],
+    "continuum-survival-points": ["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
+                                  "--peak", 5e-4, "--half-width", 0.05,
+                                  "--survival-t-max", 1000, "--survival-points", HUGE],
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_FLAGS))
+def test_unallocatable_counts_end_in_an_error_line(tmp_path, capsys, case):
+    assert run(COUNT_FLAGS[case] + ["--out-dir", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 class TestEvolve:
     def test_series_and_plateau(self, tmp_path):
         code = run(["evolve", "--paper-defaults", "--n", 32, "--t-max", 2000,

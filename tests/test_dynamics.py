@@ -29,6 +29,7 @@ from qbmlab import (
     survival_amplitude,
     theta_profile,
 )
+from qbmlab.continuum import build_weight_table, lorentzian_density
 from qbmlab.langevin import langevin_table
 from conftest import random_model
 from test_eigensolve import run_single_threaded
@@ -324,8 +325,9 @@ class TestModeSum:
         ts = rng.uniform(-50.0, 50.0, 257)
         whole = mode_sum(freqs, coeffs, ts)
         np.testing.assert_allclose(whole, self.direct(freqs, coeffs, ts), rtol=0, atol=1e-13)
-        # a budget of a few rows per slab must not change the numbers
-        monkeypatch.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
+        # blocks of 7 rows, with a 5-row tail, must not change the numbers
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ROWS", 7)
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
         np.testing.assert_allclose(mode_sum(freqs, coeffs, ts), whole, rtol=0, atol=1e-13)
 
     def test_unresolvable_phases_are_refused(self):
@@ -366,9 +368,8 @@ class TestModeSum:
         for grid in (TimeGrid(0.0, 0.9, 257), TimeGrid(-50.2, 0.41, 257)):
             whole = mode_sum(freqs, coeffs, grid.times)
             assert np.all(np.abs(mode_sum(freqs, coeffs, grid) - whole) <= tol)
-            # a 7-row slab budget over 5-row blocks: slabs of one whole block each
+            # 5-row blocks: an anchor every 5 samples, and a 2-row tail block
             with monkeypatch.context() as mp:
-                mp.setattr(dynamics, "_SLAB_BYTES", 7 * 8 * (2 * 40 + 4 * 3))
                 mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", 5)
                 mp.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
                 assert np.all(np.abs(mode_sum(freqs, coeffs, grid) - whole) <= tol)
@@ -383,7 +384,8 @@ class TestModeSum:
         def check(data):
             n = data.draw(st.integers(1, 40), label="modes")
             block = data.draw(st.sampled_from([None, 1, 3, 8]), label="block rows")
-            slab = data.draw(st.sampled_from([None, 1, 5, 7, 16]), label="slab rows")
+            array_block = data.draw(st.sampled_from([None, 1, 5, 7, 16]),
+                                    label="array block rows")
             b = block or max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // n)
             count = data.draw(st.one_of(st.sampled_from([1, b - 1, b, b + 1, 2 * b + 3]),
                                         st.integers(1, 300)).filter(lambda c: c >= 1),
@@ -403,25 +405,15 @@ class TestModeSum:
                 if block:
                     mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", block)
                     mp.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
-                if slab:
-                    mp.setattr(dynamics, "_SLAB_BYTES", slab * 8 * (2 * n + 4 * 2))
                 got = mode_sum(freqs, coeffs, grid)
-            want = mode_sum(freqs, coeffs, grid.times)
+            with pytest.MonkeyPatch.context() as mp:
+                if array_block:
+                    mp.setattr(dynamics, "_PHASE_BLOCK_ROWS", array_block)
+                    mp.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
+                want = mode_sum(freqs, coeffs, grid.times)
             assert np.all(np.abs(got - want) <= 8 * eps * np.abs(coeffs).sum(axis=0))
 
         check()
-
-    def test_grid_values_ignore_the_slab_budget(self, monkeypatch):
-        # a grid sample is summed by its block's product alone, so any slab,
-        # from one 65-row block to the whole grid, gives the same bits
-        rng = np.random.default_rng(7)
-        freqs = rng.uniform(0.5, 1.5, 500)
-        coeffs = rng.normal(size=(500, 7))
-        grid = TimeGrid(-30.7, 0.93, 2000)
-        whole = mode_sum(freqs, coeffs, grid)
-        for rows in (1, 64, 66, 200, 1024, 1999, 10**6):
-            monkeypatch.setattr(dynamics, "_SLAB_BYTES", rows * 8 * (2 * 500 + 4 * 7))
-            np.testing.assert_array_equal(mode_sum(freqs, coeffs, grid), whole)
 
     def test_shapes_and_reduce(self):
         freqs = np.array([1.0, 2.0])
@@ -432,16 +424,26 @@ class TestModeSum:
         norms = mode_sum(freqs, np.eye(2), ts, reduce=lambda s, _: np.abs(s) ** 2 @ [1.0, 2.0])
         np.testing.assert_allclose(norms, 3.0, rtol=1e-15)
 
-    def test_reduce_gets_each_slab_with_its_times(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_SLAB_BYTES", 3 * 8 * (2 * 2 + 4 * 2))  # 3 rows
+    def test_reduce_gets_each_block_with_its_times(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_ROWS", 3)
+        monkeypatch.setattr(dynamics, "_PHASE_BLOCK_PHASES", 0)
         ts = np.linspace(0.0, 3.0, 11)
-        # column 0 is exp(-i t): undoing it with the slab's own times leaves 1
-        ones = mode_sum([1.0, 2.0], np.eye(2), ts, reduce=lambda s, t: s[:, 0] * np.exp(1j * t))
-        np.testing.assert_allclose(ones, 1.0, rtol=0, atol=1e-15)
+        rows = []
+
+        def undo(s, t):
+            # column 0 is exp(-i t): undoing it with the block's own times leaves 1
+            rows.append(len(t))
+            return s[:, 0] * np.exp(1j * t)
+
+        for times in (ts, TimeGrid(0.0, 0.3, 11)):
+            rows.clear()
+            np.testing.assert_allclose(mode_sum([1.0, 2.0], np.eye(2), times, reduce=undo),
+                                       1.0, rtol=0, atol=1e-15)
+            assert rows == [3, 3, 3, 2]
 
 
 class TestMemoryBudget:
-    """The mode sums run in slabs: no (T, N+1) array at N+1 = 500, T = 20000."""
+    """The mode sums run in blocks: no (T, N+1) array at N+1 = 500, T = 20000."""
 
     LIMIT = 96 * 2**20
 
@@ -465,8 +467,8 @@ class TestMemoryBudget:
     def test_grid_mode_sum_holds_blocks_not_slabs(self):
         # the recurrence-wide shape: N+1 = 2048, T = 2001, the 7-column
         # occupation form.  The grid path holds seven B x N arrays (B = 64
-        # here) and O(T J) of slab and output, within 8 B N floats (8 MiB); a
-        # slab of cos and sin rows would be 1024 x N each
+        # here), a B x J block and the T x J output, within 8 B N floats
+        # (8 MiB); a slab of cos and sin rows would be 1024 x N each
         modes = solve_normal_modes(paper_default_model(2048))
         form = dynamics._occupation_form(modes, InitialState.thermal(modes.model),
                                          modes.weights)
@@ -475,6 +477,20 @@ class TestMemoryBudget:
         block = max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // 2048)
         limit = 8 * block * 2048 * 8
         assert self.peak(lambda: mode_sum(modes.alphas, form.coeffs, grid)) < limit
+
+    def test_array_mode_sum_holds_blocks(self):
+        # the README continuum survival sum: 2,501 panel centres, 12 columns,
+        # 401 times.  An array of times holds four B x N phase arrays (B = 64)
+        # like a grid, within 8 B N floats (10.2 MB); whole-array cos and sin
+        # phase matrices would be 401 x N each
+        cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        table = build_weight_table(cm, 2501)
+        coeffs = (table.density * table.quad_weights).reshape(table.centres.size, -1)
+        assert coeffs.shape == (2501, 12)
+        ts = np.linspace(0.0, 1000.0, 401)
+        block = max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // 2501)
+        limit = 8 * block * 2501 * 8
+        assert self.peak(lambda: mode_sum(table.centres, coeffs, ts)) < limit
 
 
 def grid_columns(modes, init):
