@@ -8,19 +8,21 @@ difference quotient, which has a removable singularity) plus an analytic
 logarithm carrying the entire principal value.
 
 One self-energy Sigma(z) = Int g^2(w)/(z - w) dw (_self_energy) gives the
-shift, the resolvent boundary value and the second-sheet pole.  It and the
-dissipation integrals double the panel count of a composite Gauss-Legendre rule
+shift, the resolvent boundary value and the second-sheet pole (``refine_pole``:
+secant from the estimate and its fixed-point step).  It and the dissipation
+integrals double the panel count of a composite Gauss-Legendre rule
 (_panel_nodes) until three successive values agree within quad_tol * max(1, |I|)
 (absolute below |I| = 1, relative above), or raise a ContinuumError at
 _MAX_PANELS panels.  The weight table and its PV rule are the other node sets.
 
-Oscillatory time integrals use a fixed-panel Gauss rule whose panel width is
-tied to 1/t.  Panel node values of the resolvent are precomputed once per
-scheme (a WeightTable).  Every panel carries the same Gauss offsets h*x_q
-around its centre m_p, so the phase factors as
-exp(-i (m_p + h x_q) t) = exp(-i m_p t) exp(-i h x_q t): the amplitude at many
-times is one mode sum over the panel centres with one coefficient column per
-Gauss offset, followed by a weighted sum over the offsets.
+Oscillatory time integrals use a fixed-panel Gauss rule tied to 1/t by one
+phase bound on panel width x t_max, _PANEL_PHASE_LIMIT: an automatic table
+sits strictly below it, and a supplied one above it is refused.  Panel node
+values of the resolvent are precomputed once per scheme (a WeightTable).
+Every panel carries the same Gauss offsets h*x_q around its centre m_p, so
+the phase factors as exp(-i (m_p + h x_q) t) = exp(-i m_p t) exp(-i h x_q t):
+the amplitude at many times is one mode sum over the panel centres with one
+coefficient column per Gauss offset, followed by a weighted sum over them.
 
 The weight table needs the principal value at every panel node, a sum over
 the fixed PV rule in clusters of eight panels.  The PV nodes of the near
@@ -74,7 +76,8 @@ __all__ = [
 
 _GAUSS_ORDER = 12
 _MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
-_PANEL_PHASE_LIMIT = 0.5  # refuse schemes with panel_width * t above this
+_PANEL_PHASE_LIMIT = 0.5  # panel_width * t_max: automatic tables below, supplied ones refused above
+_POLE_MAX_STEPS, _POLE_STEP_TOL = 40, 1e-12  # refine_pole's step cap and relative step floor
 _PV_PANELS, _PV_ORDER = 401, 8
 _CLUSTER_PANELS = 8  # PV panels per cluster of the far field of the PV sums
 _NORM_TOL = 1e-6  # refusal bound on |completeness - 1| of a survival-sum scheme
@@ -359,48 +362,39 @@ def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
     return nodes, weights, mid, (0.5 * (hi - lo) / n_panels) * x
 
 
-def refine_pole(
-    cm: ContinuumModel,
-    start: complex | None = None,
-    quad_tol: float = 1e-10,
-    max_iter: int = 40,
-    tol: float = 1e-12,
-) -> complex:
-    """Polish the second-sheet zero by damped Newton from the estimate.
+def refine_pole(cm: ContinuumModel, start: complex | None = None,
+                quad_tol: float = 1e-10) -> complex:
+    """Polish the second-sheet zero by secant from the estimate and its fixed-point step.
 
     The continued function in the lower half plane is
     F(z) = z - omega_sub - Sigma(z) + 2*pi*i*g^2(z), which requires an
-    analytic continuation of the density.  quad_tol governs Sigma(z) at every
-    evaluation (``_self_energy``) and the default start (``pole_estimate``).
+    analytic continuation of the density.  The second point is
+    z0 - F(z0) = omega_sub + Sigma_II(z0).  The secant stops when F vanishes
+    or repeats, at a step below _POLE_STEP_TOL * max(|z0|, 1) or after
+    _POLE_MAX_STEPS steps, and returns its last iterate.  quad_tol governs
+    Sigma(z) at every evaluation (``_self_energy``) and the default start.
     """
     if cm.g_sq_complex is None:
         raise ContinuumError("pole refinement needs an analytic density continuation")
     z = complex(start) if start is not None else pole_estimate(cm, quad_tol).z0
     if not cmath.isfinite(z):
         raise ContinuumError(f"start must be finite, got {z!r}")
-    scale = max(abs(z), 1.0)
+    min_step = _POLE_STEP_TOL * max(abs(z), 1.0)
 
     def f(zz: complex) -> complex:
         return (zz - cm.omega_sub - _self_energy(cm, zz, quad_tol)
                 + 2.0j * math.pi * cm.g_sq_complex(zz))
 
-    fz = f(z)
-    for _ in range(max_iter):
-        h = 1e-7 * scale
-        deriv = (f(z + h) - f(z - h)) / (2.0 * h)
-        if deriv == 0:
-            raise ContinuumError("pole refinement stalled: zero derivative")
-        step = -fz / deriv
-        for _ in range(25):
-            z_new = z + step
-            f_new = f(z_new)
-            if abs(f_new) < abs(fz):
-                break
-            step *= 0.5
-        else:
+    z_prev, f_prev = z, f(z)
+    z = z_prev - f_prev
+    for _ in range(_POLE_MAX_STEPS):
+        fz = f(z)
+        if fz == 0 or fz == f_prev:
             break
-        z, fz = z_new, f_new
-        if abs(step) < tol * scale:
+        step = fz * (z - z_prev) / (fz - f_prev)
+        z_prev, f_prev = z, fz
+        z -= step
+        if abs(step) < min_step:
             break
     if z.imag >= 0:
         raise ContinuumError(f"pole refinement left the lower half plane: {complex(z)!r}")
@@ -428,14 +422,14 @@ class WeightTable:
 
 
 def _auto_panels(cm: ContinuumModel, t_max: float) -> float:
-    """Panels resolving the resonance peak and the phase at t_max.
+    """Panels resolving the resonance peak and the phase at t_max (below _PANEL_PHASE_LIMIT).
 
     A float, so that a count too large for any scheme reaches _check_work
     instead of overflowing an int conversion.
     """
     gamma_half = math.pi * float(cm.g_sq(np.asarray(cm.omega_sub)))
     n_peak = np.ceil(2.0 * cm.band / gamma_half)
-    n_phase = np.ceil(cm.band * max(t_max, 0.0) / 0.4) + 1.0
+    n_phase = np.ceil(cm.band * max(t_max, 0.0) / _PANEL_PHASE_LIMIT) + 1.0
     return max(64.0, n_peak, n_phase)
 
 

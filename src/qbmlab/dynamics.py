@@ -258,6 +258,11 @@ def _check_index(modes: NormalModes, n: int) -> int:
     return n - 1
 
 
+def _pole_column(modes: NormalModes, j: int) -> np.ndarray:
+    """Column j of the pole-ratio matrix, g_j / (alpha_nu - omega_j), built alone."""
+    return modes.model.couplings[j] / (modes.alphas - modes.model.bath_freqs[j])
+
+
 def _probability(modes: NormalModes, amp: np.ndarray, t):
     """|sum_nu amp_nu exp(-i alpha_nu t)|^2."""
     ts, scalar = _times_array(t)
@@ -268,15 +273,15 @@ def _probability(modes: NormalModes, amp: np.ndarray, t):
 def p_omega_n(modes: NormalModes, n: int, t):
     """Transition probability between the subsystem state and bath state n."""
     j = _check_index(modes, n)
-    return _probability(modes, modes.weights * modes.pole_ratios()[:, j], t)
+    return _probability(modes, modes.weights * _pole_column(modes, j), t)
 
 
 def p_nm(modes: NormalModes, n: int, m: int, t):
     """Transition probability between bath states n and m."""
     jn = _check_index(modes, n)
     jm = _check_index(modes, m)
-    k = modes.pole_ratios()
-    return _probability(modes, modes.weights * (k[:, jn] * k[:, jm]), t)
+    kn, km = _pole_column(modes, jn), _pole_column(modes, jm)
+    return _probability(modes, modes.weights * (kn * km), t)
 
 
 @dataclass(frozen=True)
@@ -479,7 +484,7 @@ def mean_subsystem_occupation(modes: NormalModes, init: InitialState, t):
 def mean_bath_occupation(modes: NormalModes, init: InitialState, n: int, t):
     """<N_n(t)> = kappa P_n0(t) + sum_m P_nm(t) nbar_m."""
     j = _check_index(modes, n)
-    return _occupation(modes, init, modes.weights * modes.pole_ratios()[:, j], t)
+    return _occupation(modes, init, modes.weights * _pole_column(modes, j), t)
 
 
 def mean_bath_occupations(modes: NormalModes, init: InitialState, t) -> np.ndarray:

@@ -13,6 +13,7 @@ from qbmlab import (
     paper_default_model,
     solve_normal_modes,
 )
+from qbmlab import continuum
 from qbmlab.continuum import (
     _panel_nodes,
     _pv_rule,
@@ -197,6 +198,33 @@ class TestPole:
             warnings.simplefilter("error")
             with pytest.raises(ContinuumError, match="must be finite"):
                 refine_pole(narrow, start=start)
+
+    @pytest.mark.parametrize("peak,half_width", [(5e-4, 0.05), (5e-6, 1e-4), (5e-7, 2e-5),
+                                                 (2e-3, 0.05)])
+    def test_secant_takes_few_self_energies(self, monkeypatch, peak, half_width):
+        # the estimate's self-energy included; measured 5-6
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return _self_energy(*args, **kwargs)
+
+        monkeypatch.setattr(continuum, "_self_energy", counted)
+        refine_pole(lorentzian_density(peak, half_width, 1.0, 0.5, 1.5))
+        assert 1 < len(calls) <= 8
+
+    @pytest.mark.parametrize("start", [complex(0.8, -0.05), complex(1.3, -0.001)])
+    def test_far_starts_reach_the_default_pole(self, narrow, start):
+        z = refine_pole(narrow, start=start)
+        assert z == pytest.approx(refine_pole(narrow), abs=1e-14)
+        f = (z - narrow.omega_sub - _self_energy(narrow, z, 1e-10)
+             + 2j * math.pi * narrow.g_sq_complex(z))
+        assert abs(f) <= 1e-14
+
+    def test_split_poles_refused(self):
+        # a strong coupling splits the resonance; the secant ends above the axis
+        with pytest.raises(ContinuumError, match="lower half plane"):
+            refine_pole(lorentzian_density(2e-2, 0.05, 1.0, 0.5, 1.5))
 
     def test_refinement_requires_continuation(self):
         cm = ContinuumModel(

@@ -492,6 +492,18 @@ class TestMemoryBudget:
         limit = 8 * block * 2501 * 8
         assert self.peak(lambda: mode_sum(table.centres, coeffs, ts)) < limit
 
+    def test_single_channel_observables_build_one_pole_column(self):
+        # at N+1 = 4096 the whole pole-ratio matrix is 128 MiB; one column
+        # and the mode sum's blocks stay below 8 MiB (measured 1.4-2.5 MiB)
+        model = paper_default_model(4096)
+        modes = solve_normal_modes(model)
+        init = InitialState.thermal(model)
+        ts = np.linspace(0.0, 50.0, 11)
+        for fn in (lambda: p_omega_n(modes, 2048, ts),
+                   lambda: p_nm(modes, 2048, 2051, ts),
+                   lambda: mean_bath_occupation(modes, init, 2048, ts)):
+            assert self.peak(fn) < 8 * 2**20
+
 
 def grid_columns(modes, init):
     """N_omega and P_surv of evolve_series and every langevin_table column over a
