@@ -1,7 +1,7 @@
 """Far field of Cauchy sums sum_j c_j / (t - s_j) over sorted real sources s_j:
-the secular sums of ``eigensolve`` and the principal-value sums of ``continuum``.
+the secular sums of ``eigensolve``.
 
-Each caller clusters its sources, puts its targets in one box per cluster and
+The solver clusters its sources, puts its targets in one box per cluster and
 sums the sources of the box's near window term by term.  ``FarField`` chooses
 the windows by distance and tabulates the sums over the other sources at
 Chebyshev points of the box: the single-level fast Cauchy-sum evaluation of
@@ -69,10 +69,10 @@ class FarField:
                 self.windows.append(None)
 
     def table(self, c: int, columns: tuple[np.ndarray, ...], buf: np.ndarray,
-              aux: np.ndarray, squares: bool = False) -> np.ndarray:
-        """Sums of each column's c/(t - s), and with ``squares`` of c/(t - s)^2,
-        over the sources below and above cluster c's window at the Chebyshev
-        points t of its box: [below..., above..., below squares..., above squares...].
+              aux: np.ndarray) -> np.ndarray:
+        """Sums of each column's c/(t - s) and c/(t - s)^2 over the sources below
+        and above cluster c's window at the Chebyshev points t of its box:
+        [below..., above..., below squares..., above squares...].
 
         t - s is (centre - s) + offset, since rounding t would move a point of
         a narrow box far from 0 by more than the truncation error.  Pairwise
@@ -80,7 +80,7 @@ class FarField:
         count; ``buf`` and ``aux`` are flat scratch."""
         window, k = self.windows[c], len(columns)
         offsets = self.halves[c] * self.cheb
-        table = np.zeros((POINTS, (4 if squares else 2) * k))
+        table = np.zeros((POINTS, 4 * k))
         for side, part in enumerate((slice(0, window.start),
                                      slice(window.stop, self.sources.size))):
             size = part.stop - part.start
@@ -96,9 +96,8 @@ class FarField:
                 for i, col in enumerate(columns):
                     np.divide(col[part], d, out=terms)
                     table[j:j + m, side * k + i] = terms.sum(axis=1)
-                    if squares:
-                        np.divide(terms, d, out=terms)
-                        table[j:j + m, (2 + side) * k + i] = terms.sum(axis=1)
+                    np.divide(terms, d, out=terms)
+                    table[j:j + m, (2 + side) * k + i] = terms.sum(axis=1)
         return table
 
     def evaluate(self, c: int, targets: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -7,13 +7,13 @@ by singularity subtraction: the integrand is split into a smooth part (the
 difference quotient, which has a removable singularity) plus an analytic
 logarithm carrying the entire principal value.
 
-One self-energy Sigma(z) = Int g^2(w)/(z - w) dw (_self_energy) gives the
-shift, the resolvent boundary value and the second-sheet pole (``refine_pole``:
-secant from the estimate and its fixed-point step).  It and the dissipation
-integrals double the panel count of a composite Gauss-Legendre rule
-(_panel_nodes) until three successive values agree within quad_tol * max(1, |I|)
-(absolute below |I| = 1, relative above), or raise a ContinuumError at
-_MAX_PANELS panels.  The weight table and its PV rule are the other node sets.
+Every integral of g^2 runs on one composite 12-point Gauss-Legendre mesh per
+density and tolerance, quad_tol relative to max g^2 (``_mesh``); a density it
+cannot resolve (one with a jump, say) is refused with a ContinuumError.  One
+self-energy Sigma(z) = Int g^2(w)/(z - w) dw (_self_energy) gives the shift,
+the resolvent boundary value and the second-sheet pole (``refine_pole``: secant
+from the estimate and its fixed-point step); the dissipation integrals
+subtract g^2 at the edge.
 
 Oscillatory time integrals use a fixed-panel Gauss rule tied to 1/t by one
 phase bound on panel width x t_max, _PANEL_PHASE_LIMIT: an automatic table
@@ -25,17 +25,9 @@ the amplitude at many times is one mode sum over the panel centres with one
 coefficient column per Gauss offset, followed by a weighted sum over them.
 
 The weight table needs the principal value at every panel node, a sum over
-the fixed PV rule in clusters of eight panels.  The PV nodes of the near
-window of a node's cluster (the cluster and its two neighbours on this
-uniform rule) enter as exact difference quotients, and the rest through the
-Chebyshev interpolants of the Cauchy-sum kernel (``_cauchy.FarField``).
-
-The work of a scheme (weight-table node pairs plus time-sum terms) is
-predicted before anything is allocated, and a scheme beyond ``_MAX_WORK`` is
-refused with a ContinuumError instead of running without bound.  The
-predicted table work is nodes x PV nodes, an upper bound on the near/far
-split's work (at the README size its near windows hold 6% of the pairs, and
-its tables cost 4% more).
+the nodes of the mesh to _NORM_TOL, the completeness the table must reach.  The
+work of a scheme (weight-table node pairs plus time-sum terms) is predicted
+before anything is allocated, and a scheme beyond ``_MAX_WORK`` is refused.
 """
 
 from __future__ import annotations
@@ -43,12 +35,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ._cauchy import POINTS, FarField
 from .dynamics import mode_sum
 from .model import SpectralModel, _bose_occupancies, thermal_occupancy
 
@@ -75,19 +68,22 @@ __all__ = [
 ]
 
 _GAUSS_ORDER = 12
-_MAX_PANELS = 2**16  # cap of the doubling rule of _gauss_integral, which starts at 8
+# the mesh is refused below this panel width (of the band) or above this panel count
+_MESH_MIN_WIDTH, _MESH_MAX_PANELS = 2.0**-40, 2**16
 _PANEL_PHASE_LIMIT = 0.5  # panel_width * t_max: automatic tables below, supplied ones refused above
 _POLE_MAX_STEPS, _POLE_STEP_TOL = 40, 1e-12  # refine_pole's step cap and relative step floor
-_PV_PANELS, _PV_ORDER = 401, 8
-_CLUSTER_PANELS = 8  # PV panels per cluster of the far field of the PV sums
-_NORM_TOL = 1e-6  # refusal bound on |completeness - 1| of a survival-sum scheme
-# each scratch buffer of the principal-value sums stays within this budget, so
-# their passes run from cache: on a 2-core Xeon (2 MiB L2 per core) the
-# 2,501-panel table took 57, 45 and 42 ms at 64, 256 and 512 KiB
+# refusal bound on |completeness - 1| of a survival-sum scheme, and the tolerance
+# of the mesh its weight table sums over
+_NORM_TOL = 1e-6
+# each scratch buffer of the table's principal-value sums stays within this
+# budget, so their passes run from cache: on a 2-core Xeon (2 MiB L2 per core)
+# the 2,001-panel README table took 18, 12, 12 and 17 ms at 64, 256, 512 KiB
+# and 4 MiB
 _TABLE_BLOCK_BYTES = 256 * 2**10
 # refusal bound on table node pairs plus time-sum terms (one multiply-add each,
-# a few seconds per 1e9 on 2 cores); the largest scheme in the tests builds
-# 4.3e8 (11,249 panels), the README and benchmark continuum runs 1.0e8
+# a few seconds per 1e9 on 2 cores: the README density at t_max = 1e5, 1.2e9,
+# took 3.7 s); the largest scheme in the tests builds 4.0e7 (12,733 panels),
+# the README and benchmark continuum runs 1.2e7
 _MAX_WORK = 5e9
 
 
@@ -260,49 +256,151 @@ def _check_quad_tol(quad_tol: float) -> None:
         raise ContinuumError(f"quad_tol must lie in (1e-14, 1e-6), got {quad_tol}")
 
 
-def _gauss_integral(f, lo: float, hi: float, quad_tol: float, what: str):
-    """Integral of the vectorized, real or complex f over [lo, hi], doubling the panel
-    count from 8 until three successive values lie within quad_tol * max(1, |I|) of
-    each other; two agreed by chance 10x quad_tol off on the kinked
-    density_from_discrete.  A real f gives a float."""
-    n_panels, values = 8, []
-    while n_panels <= _MAX_PANELS:
-        nodes, weights, _, _ = _panel_nodes(lo, hi, n_panels, _GAUSS_ORDER)
-        value = f(nodes) @ weights
-        values.append(complex(value) if np.iscomplexobj(value) else float(value))
-        if not cmath.isfinite(values[-1]):
-            raise ContinuumError(f"{what} is not finite")
-        last = values[-3:]
-        spread = max(abs(x - y) for x in last for y in last) if len(last) == 3 else math.inf
-        if spread <= quad_tol * max(1.0, abs(values[-1])):
-            return values[-1]
-        n_panels *= 2
-    raise ContinuumError(f"{what} did not converge in {_MAX_PANELS} panels "
-                         f"(last three values spread over {spread:.3e})")
+@functools.cache
+def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order, read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+@functools.cache
+def _interpolation_rows(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows taking a panel's node values to its interpolant at -1 and +1 (2 x order)
+    and to the interpolant's slopes at the nodes on [-1, 1] (order x order)."""
+    x, _ = _gauss_rule(order)
+    diff = x[:, None] - x
+    np.fill_diagonal(diff, 1.0)
+    lam = 1.0 / diff.prod(axis=1)  # barycentric weights
+    ends = lam / (np.array([[-1.0], [1.0]]) - x)
+    slopes = lam / lam[:, None] / diff
+    np.fill_diagonal(slopes, 0.0)
+    np.fill_diagonal(slopes, -slopes.sum(axis=1))
+    return ends / ends.sum(axis=1, keepdims=True), slopes
+
+
+def _rule(lo: np.ndarray, hi: np.ndarray, order: int = _GAUSS_ORDER):
+    """Gauss-Legendre nodes and weights of the panels [lo_p, hi_p], one row per panel."""
+    x, w = _gauss_rule(order)
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid[:, None] + half[:, None] * x, half[:, None] * w
+
+
+def _between(edges: np.ndarray, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel ends (lo, hi) from a to b, broken at the edges strictly between them."""
+    edges = np.r_[a, edges[(edges > a) & (edges < b)], b]
+    return edges[:-1], edges[1:]
+
+
+def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
+    """Composite Gauss-Legendre rule on [lo, hi]: nodes, weights, centres, offsets.
+
+    Node p*order + q is centres[p] + offsets[q] up to rounding of the panel
+    half-widths, which all equal (hi - lo) / (2 n_panels).
+    """
+    edges = np.linspace(lo, hi, n_panels + 1)
+    nodes, weights = _rule(edges[:-1], edges[1:], order)
+    return (nodes.ravel(), weights.ravel(), 0.5 * (edges[:-1] + edges[1:]),
+            (0.5 * (hi - lo) / n_panels) * _gauss_rule(order)[0])
+
+
+# panel edges, and at the ascending nodes the weights, g^2 and the slopes of each
+# panel's node interpolant
+_Mesh = namedtuple("_Mesh", "edges nodes weights g2 slopes")
+
+
+@functools.lru_cache(maxsize=16)
+def _mesh(cm: ContinuumModel, tol: float) -> _Mesh:
+    """The composite mesh of g^2 to ``tol``: breadth-first bisection of
+    [omega_min, omega_sub] and [omega_sub, omega_max].
+
+    A panel stays when its rule agrees with the sum over its halves within
+    tol * gmax * width and its node interpolant meets g^2 at both ends within
+    tol * gmax, gmax the largest |g^2| sampled but at least the smallest normal
+    float (a subnormal density is flat).  The end check catches a spike at
+    omega_sub that no node sees.  A panel below _MESH_MIN_WIDTH of the band, or
+    more than _MESH_MAX_PANELS panels, is refused.
+    """
+    (ends, slopes), w = _interpolation_rows(_GAUSS_ORDER), _gauss_rule(_GAUSS_ORDER)[1]
+    lo, hi = np.array([cm.omega_min, cm.omega_sub]), np.array([cm.omega_sub, cm.omega_max])
+    g2, kept, gmax = cm.g_sq(_rule(lo, hi)[0]), [], sys.float_info.min
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        half_nodes, half_weights = _rule(np.r_[lo, mid], np.r_[mid, hi])
+        halves, at_ends = cm.g_sq(half_nodes), cm.g_sq(np.stack([lo, hi], axis=1))
+        gmax = np.abs(np.r_[g2.ravel(), halves.ravel(), at_ends.ravel(), gmax]).max()
+        if not np.isfinite(gmax):
+            raise ContinuumError("the spectral density is not finite on the band")
+        parts = (halves * half_weights).sum(axis=1).reshape(2, -1).sum(axis=0)
+        whole = (g2 * w).sum(axis=1) * (0.5 * (hi - lo))
+        split = ((np.abs(whole - parts) > tol * gmax * (hi - lo))
+                 | (np.abs(np.einsum("pq,eq->pe", g2, ends) - at_ends).max(axis=1)
+                    > tol * gmax))
+        kept.append((lo[~split], hi[~split], g2[~split]))
+        if split.any() and (sum(k[0].size for k in kept) + 2 * split.sum() > _MESH_MAX_PANELS
+                            or (mid - lo)[split].min() < _MESH_MIN_WIDTH * cm.band):
+            raise ContinuumError(f"the mesh of g^2 did not converge to {tol:g} in {_MESH_MAX_PANELS} "
+                                 f"panels wider than {_MESH_MIN_WIDTH:g} of the band")
+        lo, hi = np.r_[lo[split], mid[split]], np.r_[mid[split], hi[split]]
+        g2 = halves.reshape(2, -1, _GAUSS_ORDER)[:, split].reshape(-1, _GAUSS_ORDER)
+    order = np.argsort(np.concatenate([k[0] for k in kept]))
+    lo, hi, g2 = (np.concatenate(parts)[order] for parts in zip(*kept))
+    nodes, weights = _rule(lo, hi)
+    mesh = _Mesh(np.r_[lo, hi[-1]], nodes.ravel(), weights.ravel(), g2.ravel(),
+                 (np.einsum("pq,nq->pn", g2, slopes) / (0.5 * (hi - lo))[:, None]).ravel())
+    for array in mesh:
+        array.flags.writeable = False
+    return mesh
 
 
 def _self_energy(cm: ContinuumModel, z: complex | float, quad_tol: float) -> complex:
-    """Sigma(z) = Int g^2(w)/(z - w) dw over the band: at real z inside it the boundary
-    value from above, PV - i*pi*g^2(z), and off the axis through ``g_sq_complex``.
-    The difference quotient (g^2(w) - g^2(z))/(z - w) is summed on each side of
-    Re z, and g^2(z) [log(z - omega_min) - log(z - omega_max)] carries the rest."""
+    """Sigma(z) = Int g^2(w)/(z - w) dw over the band, on the mesh to quad_tol: at real
+    z inside it the boundary value from above, PV - i*pi*g^2(z), and off the axis
+    through ``g_sq_complex``, as g^2(z) [log(z - omega_min) - log(z - omega_max)]
+    plus the mesh sum of the difference quotient (g^2(w) - g^2(z))/(z - w).
+
+    On the axis, [z - D, z + D] (D the distance to the nearer edge) folds into
+    Int_0^D (g^2(z - u) - g^2(z + u))/u du on nodes z + u and their exact mirrors
+    2z - (z + u), broken at the distances of the mesh edges of both sides; the
+    rest of the band sums the difference quotient, and
+    g^2(z) log((z - omega_min)/(omega_max - z)) carries the principal value.
+    """
     _check_quad_tol(quad_tol)
+    mesh = _mesh(cm, quad_tol)
     lo, hi = cm.omega_min, cm.omega_max
     if isinstance(z, complex):
-        g2z, logs = complex(cm.g_sq_complex(z)), cmath.log(z - lo) - cmath.log(z - hi)
-    else:  # log(z - hi + i0) = log(hi - z) + i*pi
-        g2z = float(cm.g_sq(np.asarray(z)))
-        logs = complex(math.log((z - lo) / (hi - z)), -math.pi)
-    split = min(max(z.real, lo), hi)
-    value = sum(_gauss_integral(lambda w: (cm.g_sq(w) - g2z) / (z - w), a, b, quad_tol,
-                                "self-energy quadrature") for a, b in ((lo, split), (split, hi)))
-    return value + g2z * logs
+        try:
+            g2z = complex(cm.g_sq_complex(z))
+        except (ZeroDivisionError, OverflowError):
+            g2z = complex(math.nan)
+        with np.errstate(all="ignore"):
+            value = (((mesh.g2 - g2z) / (z - mesh.nodes) * mesh.weights).sum()
+                     + g2z * (cmath.log(z - lo) - cmath.log(z - hi)))
+        if not cmath.isfinite(value):
+            raise ContinuumError(f"the self-energy is not finite at z = {z!r}")
+        return complex(value)
+    g2z = float(cm.g_sq(np.asarray(z)))
+    top = z + min(z - lo, hi - z)
+    u_lo, u_hi = _between(np.unique(np.abs(mesh.edges - z)), 0.0, top - z)
+    u, w = _rule(u_lo, u_hi)
+    x = z + u
+    with np.errstate(invalid="ignore"):
+        fold = (cm.g_sq(2 * z - x) - cm.g_sq(x)) / (x - z)
+    fold[x == z] = 0.0  # a node within half an ulp of z: a weight below an ulp
+    # the nodes sit at x - z, not u: a first-order step along each panel's
+    # interpolant moves them back (ulp(z)/u would limit a peak of width a to ulp(z)/a)
+    slopes = np.einsum("pq,nq->pn", fold, _interpolation_rows(_GAUSS_ORDER)[1])
+    fold += slopes / (0.5 * (u_hi - u_lo))[:, None] * (u - (x - z))
+    x, w2 = _rule(*_between(mesh.edges, top, hi) if z - lo <= hi - z
+                  else _between(mesh.edges, lo, 2 * z - top))
+    value = (fold * w).sum() + ((cm.g_sq(x) - g2z) / (z - x) * w2).sum()
+    return complex(value + g2z * math.log((z - lo) / (hi - z)), -math.pi * g2z)
 
 
 def pv_shift(cm: ContinuumModel, quad_tol: float = 1e-10) -> float:
-    """Frequency shift: PV integral of g^2(w)/(omega_sub - w) over the band,
-    converged to quad_tol * max(1, |I|) on each side, quad_tol in (1e-14, 1e-6):
-    the real part of the self-energy at omega_sub."""
+    """Frequency shift: PV integral of g^2(w)/(omega_sub - w) over the band, the real
+    part of the self-energy at omega_sub, on the mesh whose panels meet quad_tol in
+    (1e-14, 1e-6) relative to max g^2 (``_mesh``)."""
     return _self_energy(cm, cm.omega_sub, quad_tol).real
 
 
@@ -330,36 +428,8 @@ def resolvent_boundary(
 
 def pole_estimate(cm: ContinuumModel, quad_tol: float = 1e-10) -> PoleEstimate:
     """Second-order pole parameters: shift from the PV integral, width 2*pi*g^2."""
-    d_omega = pv_shift(cm, quad_tol)
-    gamma = width(cm)
-    return PoleEstimate(
-        delta_omega=d_omega,
-        gamma=gamma,
-        z0=complex(cm.omega_sub + d_omega, -0.5 * gamma),
-    )
-
-
-@functools.cache
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], built once per order, read-only."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
-def _panel_nodes(lo: float, hi: float, n_panels: int, order: int):
-    """Composite Gauss-Legendre rule on [lo, hi]: nodes, weights, centres, offsets.
-
-    Node p*order + q is centres[p] + offsets[q] up to rounding of the panel
-    half-widths, which all equal (hi - lo) / (2 n_panels).
-    """
-    x, w = _gauss_rule(order)
-    edges = np.linspace(lo, hi, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights, mid, (0.5 * (hi - lo) / n_panels) * x
+    d_omega, gamma = pv_shift(cm, quad_tol), width(cm)
+    return PoleEstimate(d_omega, gamma, complex(cm.omega_sub + d_omega, -0.5 * gamma))
 
 
 def refine_pole(cm: ContinuumModel, start: complex | None = None,
@@ -433,102 +503,58 @@ def _auto_panels(cm: ContinuumModel, t_max: float) -> float:
     return max(64.0, n_peak, n_phase)
 
 
-def _check_work(n_nodes: float, pv_nodes: int, n_times: int = 0) -> None:
-    """Refuse a scheme whose table node pairs (nodes x PV nodes, an upper bound on
-    its near and far work) plus time-sum terms exceed _MAX_WORK."""
-    work = n_nodes * (pv_nodes + n_times)
+def _check_work(n_nodes: float, mesh_nodes: int, n_times: int = 0) -> None:
+    """Refuse a scheme whose table node pairs (nodes x mesh nodes) plus time-sum
+    terms exceed _MAX_WORK."""
+    work = n_nodes * (mesh_nodes + n_times)
     if not work <= _MAX_WORK:
         raise ContinuumError(
             f"the quadrature needs {work:.3g} multiply-adds ({n_nodes:.4g} nodes, "
-            f"{pv_nodes} PV nodes, {n_times} times), more than the bound of "
+            f"{mesh_nodes} mesh nodes, {n_times} times), more than the bound of "
             f"{_MAX_WORK:.3g}; ask for a shorter time span or fewer times"
         )
 
 
-def _pv_rule(cm: ContinuumModel) -> tuple[np.ndarray, np.ndarray, FarField]:
-    """The PV rule's nodes, weights and far field (clusters of ``_CLUSTER_PANELS`` panels)."""
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, _PV_PANELS, _PV_ORDER)
-    first_panel = np.r_[0:_PV_PANELS:_CLUSTER_PANELS, _PV_PANELS]
-    edges = np.linspace(cm.omega_min, cm.omega_max, _PV_PANELS + 1)[first_panel]
-    return pv_nodes, pv_w, FarField(pv_nodes, first_panel * _PV_ORDER, edges)
-
-
 def _pv_sums(cm: ContinuumModel, nodes: np.ndarray, g2_nodes: np.ndarray) -> np.ndarray:
-    """PV-rule sums sum_q w_q (g^2(x_q) - g^2(a)) / (a - x_q) at ascending nodes a
-    inside the band, terms with |a - x_q| below 1e-14 of the band dropped.
+    """Mesh sums sum_i w_i (g^2(x_i) - g^2(a)) / (a - x_i) over the nodes x_i of the
+    table mesh ``_mesh(cm, _NORM_TOL)`` at nodes a inside the band.
 
-    A node sums the PV nodes of its cluster's near window (``_pv_rule``) as
-    exact difference quotients.  The far field is tabulated as
-    G = sum w (g_q - g_c)/(t - x_q) and F = sum w/(t - x_q), g_c = g^2 at the
-    cluster centre, and combined as G - (g^2(a) - g_c) F: subtracting g_c
-    avoids the cancellation of sum w g_q/(a - x_q) - g^2(a) sum w/(a - x_q).
-    Every scratch buffer holds at most ``_TABLE_BLOCK_BYTES``.
+    A mesh node within 1e-14 of the band of a contributes w_i times the limit
+    -g^2'(x_i), the slope of its panel's interpolant.  Rows go in blocks of
+    ``_TABLE_BLOCK_BYTES`` per scratch buffer, summed pairwise (not by BLAS).
     """
-    pv_nodes, pv_w, field = _pv_rule(cm)
-    g2_pv = cm.g_sq(pv_nodes)
-    node_start = np.searchsorted(nodes, field.bounds)
-    node_start[[0, -1]] = 0, nodes.size
-    g2_centres = cm.g_sq(field.centres)
-
-    budget = _TABLE_BLOCK_BYTES // 8
-    buf, ratio = np.empty(budget), np.empty(budget)
-    tiny = 1e-14 * cm.band
+    mesh = _mesh(cm, _NORM_TOL)
+    size, tiny = mesh.nodes.size, 1e-14 * cm.band
+    rows = max(1, _TABLE_BLOCK_BYTES // 8 // size)
+    d, q = np.empty((rows, size)), np.empty((rows, size))
+    # a mesh node closer than tiny to a node is one of its two sorted neighbours
+    pos = np.searchsorted(mesh.nodes, nodes).clip(1, size - 1)
+    gap = np.minimum(np.abs(nodes - mesh.nodes[pos - 1]), np.abs(nodes - mesh.nodes[pos]))
     sums = np.empty(nodes.size)
-    for k, window in enumerate(field.windows):
-        i0, i1 = node_start[k], node_start[k + 1]
-        if i0 == i1:
-            continue
-        lo, hi = (0, pv_nodes.size) if window is None else (window.start, window.stop)
-
-        # near field: the exact difference quotient
-        rows = max(1, budget // (hi - lo))
-        for i in range(i0, i1, rows):
-            n = min(rows, i1 - i)
-            a = nodes[i:i + n]
-            db = buf[:n * (hi - lo)].reshape(n, hi - lo)
-            rb = ratio[:n * (hi - lo)].reshape(n, hi - lo)
-            np.subtract(a[:, None], pv_nodes[lo:hi], out=db)
-            np.subtract(g2_pv[lo:hi], g2_nodes[i:i + n, None], out=rb)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(rb, db, out=rb)
-            # a PV node closer than tiny is one of the two sorted neighbours
-            pos = np.searchsorted(pv_nodes, a).clip(1, pv_nodes.size - 1)
-            gap = np.minimum(np.abs(a - pv_nodes[pos - 1]), np.abs(a - pv_nodes[pos]))
-            if gap.min() < tiny:
-                rb[np.abs(db) < tiny] = 0.0
-            sums[i:i + n] = rb @ pv_w[lo:hi]
-        if window is None:
-            continue
-
-        # far field: columns (G, F) below and above the window, added
-        g_c = g2_centres[k]
-        table = field.table(k, (pv_w * (g2_pv - g_c), pv_w), buf, ratio)
-        gf = table[:, :2] + table[:, 2:]
-        rows = budget // POINTS
-        for i in range(i0, i1, rows):
-            j = min(i + rows, i1)
-            far = field.evaluate(k, nodes[i:j], gf)
-            sums[i:j] += far[:, 0] - (g2_nodes[i:j] - g_c) * far[:, 1]
+    for i in range(0, nodes.size, rows):
+        n = min(rows, nodes.size - i)
+        np.subtract(nodes[i:i + n, None], mesh.nodes, out=d[:n])
+        np.subtract(mesh.g2, g2_nodes[i:i + n, None], out=q[:n])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(q[:n], d[:n], out=q[:n])
+        if gap[i:i + n].min() < tiny:
+            hit = np.abs(d[:n]) < tiny
+            q[:n][hit] = -np.broadcast_to(mesh.slopes, (n, size))[hit]
+        np.multiply(q[:n], mesh.weights, out=q[:n])
+        sums[i:i + n] = q[:n].sum(axis=1)
     return sums
 
 
-def build_weight_table(
-    cm: ContinuumModel,
-    n_panels: int,
-    order: int = _GAUSS_ORDER,
-) -> WeightTable:
+def build_weight_table(cm: ContinuumModel, n_panels: int, order: int = _GAUSS_ORDER) -> WeightTable:
     """Evaluate the weight density on all panel nodes.
 
-    The principal value at node a is the PV-rule sum of the difference
-    quotient (g^2(w) - g^2(a))/(a - w), with the terms at |a - w| below
-    1e-14 of the band dropped, plus the analytic edge logarithm.  The sum is
-    split into near and far fields (``_pv_sums``): the PV nodes of the near
-    window of a node's cluster enter term by term, in row blocks of
-    ``_TABLE_BLOCK_BYTES``, and the rest through the Cauchy-sum kernel's
-    Chebyshev interpolant per cluster.  A scheme whose node pairs exceed
-    ``_MAX_WORK`` is refused before anything is allocated (``_check_work``).
+    The principal value at node a is the sum of the difference quotient
+    (g^2(w) - g^2(a))/(a - w) over the mesh of g^2 to _NORM_TOL, the completeness
+    a survival sum must reach (``_pv_sums``), plus the analytic edge logarithm.
+    A scheme whose node pairs exceed ``_MAX_WORK`` is refused before anything is
+    allocated (``_check_work``).
     """
-    _check_work(n_panels * order, _PV_PANELS * _PV_ORDER)
+    _check_work(n_panels * order, _mesh(cm, _NORM_TOL).nodes.size)
     n_panels = int(n_panels)
     nodes, wq, centres, offsets = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
     g2_nodes = cm.g_sq(nodes)
@@ -541,23 +567,12 @@ def build_weight_table(
     # 1/(pi^2 g^2) ~ 1e-155 as its limit 0
     with np.errstate(over="ignore"):
         density = g2_nodes / (re * re + im * im)
-    completeness = float(density @ wq)
-    return WeightTable(
-        nodes=nodes,
-        quad_weights=wq,
-        density=density,
-        panel_width=cm.band / n_panels,
-        completeness=completeness,
-        centres=centres,
-        offsets=offsets,
-    )
+    return WeightTable(nodes=nodes, quad_weights=wq, density=density,
+                       panel_width=cm.band / n_panels, completeness=float(density @ wq),
+                       centres=centres, offsets=offsets)
 
 
-def survival_amplitude_continuum(
-    cm: ContinuumModel,
-    t,
-    table: WeightTable | None = None,
-):
+def survival_amplitude_continuum(cm: ContinuumModel, t, table: WeightTable | None = None):
     """Oscillatory quadrature of the weight density times exp(-i*alpha*t).
 
     Panels are auto-sized from the largest requested time unless a scheme is
@@ -578,7 +593,7 @@ def survival_amplitude_continuum(
 
     if table is None:
         panels = _auto_panels(cm, t_max)
-        _check_work(panels * _GAUSS_ORDER, _PV_PANELS * _PV_ORDER, ts.size)
+        _check_work(panels * _GAUSS_ORDER, _mesh(cm, _NORM_TOL).nodes.size, ts.size)
         table = build_weight_table(cm, panels)
     else:
         _check_work(table.nodes.size, 0, ts.size)
@@ -652,19 +667,16 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
     return float((table.density * occ) @ table.quad_weights)
 
 
-def _edge_regular_integral(cm: ContinuumModel, side: str, margin: float,
-                           quad_tol: float) -> float:
-    """Integral of g^2/(distance to edge) with a relative edge margin.
-
-    Uses the substitution u = log(distance), which removes the edge steepness.
-    """
-    sign, edge = (1.0, cm.omega_min) if side == "left" else (-1.0, cm.omega_max)
-
-    def f(u):
-        return cm.g_sq(edge + sign * np.exp(u))
-
-    return _gauss_integral(f, math.log(margin * cm.band), math.log(cm.band), quad_tol,
-                           f"{side} dissipation integral")
+def _edge_integral(cm: ContinuumModel, mesh: _Mesh, side: str, margin: float) -> float:
+    """Integral of g^2/(distance to the edge) beyond a relative edge margin:
+    g^2(edge) ln(1/margin), plus the mesh sum of (g^2(w) - g^2(edge))/|w - edge|
+    with the first panel edge moved to the margin."""
+    lo, hi, gap = cm.omega_min, cm.omega_max, margin * cm.band
+    edge, a, b = (lo, lo + gap, hi) if side == "left" else (hi, lo, hi - gap)
+    x, w = _rule(*_between(mesh.edges, a, b))
+    g2_edge = float(cm.g_sq(np.asarray(edge)))
+    return float(g2_edge * math.log(1.0 / margin)
+                 + ((cm.g_sq(x) - g2_edge) / np.abs(x - edge) * w).sum())
 
 
 def validate_continuum(cm: ContinuumModel, quad_tol: float = 1e-10,
@@ -677,25 +689,12 @@ def validate_continuum(cm: ContinuumModel, quad_tol: float = 1e-10,
     counts as a condition failure.  quad_tol is used as in ``pv_shift``.
     """
     _check_quad_tol(quad_tol)
-    left_bound = cm.omega_sub - cm.omega_min
-    right_bound = cm.omega_max - cm.omega_sub
-    values = {}
-    growth = {}
+    mesh = _mesh(cm, quad_tol)
+    bounds = (cm.omega_sub - cm.omega_min, cm.omega_max - cm.omega_sub)
+    values, growth = [], []
     for side in ("left", "right"):
-        coarse = _edge_regular_integral(cm, side, margin=1e4 * edge_margin,
-                                        quad_tol=quad_tol)
-        fine = _edge_regular_integral(cm, side, margin=edge_margin, quad_tol=quad_tol)
-        values[side] = fine
-        growth[side] = fine - coarse
-    bounds = {"left": left_bound, "right": right_bound}
-    diverged = {s: growth[s] > 0.05 * bounds[s] for s in ("left", "right")}
-    passes = {s: (not diverged[s]) and values[s] < bounds[s] for s in ("left", "right")}
-    return ContinuumValidityReport(
-        left_value=values["left"],
-        right_value=values["right"],
-        left_bound=left_bound,
-        right_bound=right_bound,
-        passes=(passes["left"], passes["right"]),
-        diverged=(diverged["left"], diverged["right"]),
-        edge_growth=(growth["left"], growth["right"]),
-    )
+        values.append(_edge_integral(cm, mesh, side, edge_margin))
+        growth.append(values[-1] - _edge_integral(cm, mesh, side, 1e4 * edge_margin))
+    diverged = tuple(g > 0.05 * b for g, b in zip(growth, bounds))
+    passes = tuple(not d and v < b for d, v, b in zip(diverged, values, bounds))
+    return ContinuumValidityReport(*values, *bounds, passes, diverged, tuple(growth))

@@ -444,7 +444,7 @@ def _chunks(w: np.ndarray, g2: np.ndarray, field: _cauchy.FarField | None, rows:
         if window is None:
             yield from exact(nus)
             continue
-        table = field.table(c, (g2,), buf, aux, squares=True)
+        table = field.table(c, (g2,), buf, aux)
         far = functools.partial(field.evaluate, c, table=table)
         size = max(1, buf.size // (window.stop - window.start))
         for i in range(0, nus.size, size):

@@ -46,9 +46,9 @@ def targets(field, c):
 
 @pytest.mark.parametrize("name", sorted(SOURCES))
 def test_far_sums_match_fsum(name):
-    """Signed columns and a column shifted per cluster (as the PV sums' g_c),
-    with their squares, within TOL (POINTS TOL for squares) of sum |terms| plus
-    the pairwise rounding the exact audit allows."""
+    """Signed columns and a column shifted per cluster, with their squares, within
+    TOL (POINTS TOL for squares) of sum |terms| plus the pairwise rounding the exact
+    audit allows."""
     field = field_of(name)
     s = field.sources
     rng = np.random.default_rng(3)
@@ -63,7 +63,7 @@ def test_far_sums_match_fsum(name):
         tabulated += 1
         shifted = weights * (smooth - math.cos(3.0 * field.centres[c]))
         columns = (signed, shifted)
-        table = field.table(c, columns, buf, aux, squares=True)
+        table = field.table(c, columns, buf, aux)
         x = targets(field, c)
         sums = field.evaluate(c, x, table)
         parts = (slice(0, window.start), slice(window.stop, N))

@@ -15,8 +15,10 @@ from qbmlab import (
 )
 from qbmlab import continuum
 from qbmlab.continuum import (
+    _NORM_TOL,
+    _auto_panels,
+    _mesh,
     _panel_nodes,
-    _pv_rule,
     _pv_sums,
     _self_energy,
     asymptotic_occupation,
@@ -234,6 +236,16 @@ class TestPole:
         with pytest.raises(ContinuumError, match="continuation"):
             refine_pole(cm)
 
+    @pytest.mark.parametrize("start", [complex(1.0, -0.05), complex(1.0, 0.05)])
+    def test_start_on_a_pole_of_the_continuation(self, narrow, start):
+        # g^2(z) = peak a^2/(a^2 + (z - 1)^2) divides by zero at z = 1 -+ 0.05i
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                assert refine_pole(narrow, start=start).imag < 0
+            except ContinuumError as err:
+                assert repr(start) in str(err)
+
 
 class TestSurvivalAmplitude:
     def test_completeness_at_t_zero(self, narrow, narrow_table):
@@ -355,6 +367,86 @@ class TestValidateContinuum:
         assert report.left_value < 1e-25 and report.right_value < 1e-25
 
 
+def lorentzian_sigma(mpmath, peak, a, lo, hi, z):
+    """Sigma(z) of lorentzian_density(peak, a, 1.0, lo, hi) in closed form at 40 digits,
+    the principal value at real z.  With q = 1 + ia,
+    g^2 = (peak a/2i) (1/(w - q) - 1/(w - conj q)), and
+    Int dw/((w - p)(z - w)) = (log((hi - p)/(lo - p)) + L)/(z - p), L = Int dw/(z - w)."""
+    with mpmath.workdps(40):
+        p, a, lo, hi = (mpmath.mpf(v) for v in (peak, a, lo, hi))
+        if isinstance(z, complex):
+            z = mpmath.mpc(z.real, z.imag)
+            logs = mpmath.log(z - lo) - mpmath.log(z - hi)
+        else:
+            z = mpmath.mpf(z)
+            logs = mpmath.log((z - lo) / (hi - z))
+
+        def part(q):
+            return (mpmath.log(hi - q) - mpmath.log(lo - q) + logs) / (z - q)
+
+        q = mpmath.mpc(1, a)
+        return complex(p * a / 2j * (part(q) - part(mpmath.conj(q))))
+
+
+def lorentzian_edge(mpmath, peak, a, lo, hi, side, margin=1e-8):
+    """Int g^2(w)/|w - edge| dw of the same density beyond margin * band from the edge,
+    in closed form at 40 digits: Int dw/((w - q)(w - e)) over [x0, x1] is
+    (log((x1 - q)/(x0 - q)) - log(|x1 - e|/|x0 - e|))/(q - e)."""
+    with mpmath.workdps(40):
+        p, a, lo, hi = (mpmath.mpf(v) for v in (peak, a, lo, hi))
+        gap = mpmath.mpf(margin) * (hi - lo)
+        e, x0, x1, sign = (lo, lo + gap, hi, 1) if side == "left" else (hi, lo, hi - gap, -1)
+
+        def part(q):
+            return (mpmath.log((x1 - q) / (x0 - q)) - mpmath.log(abs(x1 - e) / abs(x0 - e))) / (q - e)
+
+        q = mpmath.mpc(1, a)
+        return float(sign * (p * a / 2j * (part(q) - part(mpmath.conj(q)))).real)
+
+
+class TestNarrowLorentzians:
+    """Lorentzians of half-width down to 1e-6 of the band against closed forms."""
+
+    # measured 1.4e-16 of max |PV| at worst
+    @pytest.mark.parametrize("band", [(0.5, 1.5), (0.5, 1.7)])
+    @pytest.mark.parametrize("peak,half_width", [(5e-6, 1e-4), (5e-7, 2e-5), (1e-3, 1e-6)])
+    def test_real_axis_principal_value(self, band, peak, half_width):
+        # both edges to 1e-9 of the band, the peak +- a and 30 interior points
+        mpmath = pytest.importorskip("mpmath")
+        lo, hi = band
+        cm = lorentzian_density(peak, half_width, 1.0, lo, hi)
+        zs = [lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 1.0 - half_width,
+              1.0 + half_width, *np.linspace(lo, hi, 32)[1:-1].tolist()]
+        got = np.array([_self_energy(cm, z, 1e-10).real for z in zs])
+        ref = np.array([lorentzian_sigma(mpmath, peak, half_width, lo, hi, z).real for z in zs])
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
+
+    # measured 5.4e-14 and 4.3e-13
+    @pytest.mark.parametrize("peak,half_width", [(5e-7, 2e-5), (1e-3, 1e-6)])
+    def test_edge_integrals(self, peak, half_width):
+        mpmath = pytest.importorskip("mpmath")
+        report = validate_continuum(lorentzian_density(peak, half_width, 1.0, 0.5, 1.5))
+        for value, side in ((report.left_value, "left"), (report.right_value, "right")):
+            ref = lorentzian_edge(mpmath, peak, half_width, 0.5, 1.5, side)
+            assert value == pytest.approx(ref, rel=1e-12, abs=0)
+
+    def test_self_energy_off_the_axis(self):
+        # measured 5.3e-14
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(0.8, -0.05)
+        sigma = _self_energy(lorentzian_density(5e-7, 2e-5, 1.0, 0.5, 1.5), z, 1e-10)
+        assert abs(sigma / lorentzian_sigma(mpmath, 5e-7, 2e-5, 0.5, 1.5, z) - 1) <= 1e-11
+
+    def test_table_completeness(self):
+        # 12,733 panels, measured 1 + 2.3e-14
+        cm = lorentzian_density(5e-5, 5e-4, 1.0, 0.5, 1.5)
+        assert abs(build_weight_table(cm, _auto_panels(cm, 0.0)).completeness - 1) <= 1e-12
+
+    def test_symmetric_spike_has_no_shift(self):
+        # the fold's mirrored nodes cancel exactly
+        assert pv_shift(lorentzian_density(1e-3, 1e-6, 1.0, 0.5, 1.5)) == 0.0
+
+
 class TestKinkedDensityOracle:
     """The shift and the edge integrals of density_from_discrete(paper_default_model(32)),
     a piecewise-linear density, against 30-digit mpmath.quad split at its kinks."""
@@ -452,22 +544,21 @@ class TestDiscreteContinuumConsistency:
             density_from_discrete(m)
 
 
-def chunked_density(cm, n_panels, order=12, pv_panels=401, pv_order=8):
-    """Reference weight density: the whole node x PV-node ratio matrix in
-    2M-element chunks, with coincident pairs masked by np.where."""
+def chunked_density(cm, n_panels, order=12):
+    """Reference weight density: the whole node x mesh-node ratio matrix in
+    2M-element chunks, with coincident pairs given -g^2' of the mesh by np.where."""
     nodes, _, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, order)
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, pv_panels, pv_order)
-    g2_pv = cm.g_sq(pv_nodes)
+    mesh = _mesh(cm, _NORM_TOL)
     g2_nodes = cm.g_sq(nodes)
     pv_vals = np.empty(nodes.size)
-    chunk = max(1, 2_000_000 // pv_nodes.size)
+    chunk = max(1, 2_000_000 // mesh.nodes.size)
     for i in range(0, nodes.size, chunk):
         sl = slice(i, min(i + chunk, nodes.size))
-        d = nodes[sl, None] - pv_nodes[None, :]
+        d = nodes[sl, None] - mesh.nodes[None, :]
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = (g2_pv[None, :] - g2_nodes[sl, None]) / d
-        ratio = np.where(np.abs(d) < 1e-14 * cm.band, 0.0, ratio)
-        pv_vals[sl] = ratio @ pv_w
+            ratio = (mesh.g2[None, :] - g2_nodes[sl, None]) / d
+        ratio = np.where(np.abs(d) < 1e-14 * cm.band, -mesh.slopes, ratio)
+        pv_vals[sl] = ratio @ mesh.weights
     pv_vals += g2_nodes * np.log((nodes - cm.omega_min) / (cm.omega_max - nodes))
     re = nodes - cm.omega_sub - pv_vals
     im = math.pi * g2_nodes
@@ -500,11 +591,12 @@ class TestBlockedTable:
         assert np.all(np.isfinite(table.density)) and np.any(table.density == 0.0)
         assert table.completeness < 1e-150
 
-    def test_coincident_nodes_are_dropped_as_in_reference(self, narrow):
-        # table nodes equal to the PV nodes: every row has a pair with d = 0
-        table = build_weight_table(narrow, 401, order=8)
+    def test_coincident_nodes_take_the_mesh_slope_as_in_reference(self, narrow):
+        # 4 of the 16 table panels are panels of the 8-panel table mesh: 48 pairs with d = 0
+        table = build_weight_table(narrow, 16)
+        assert np.intersect1d(table.nodes, _mesh(narrow, _NORM_TOL).nodes).size == 48
         assert np.all(np.isfinite(table.density))
-        np.testing.assert_allclose(table.density, chunked_density(narrow, 401, order=8),
+        np.testing.assert_allclose(table.density, chunked_density(narrow, 16),
                                    rtol=1e-14, atol=0)
 
     # both sums round each phase alpha*t to ~alpha*t*eps; the panel counts keep
@@ -525,40 +617,40 @@ class TestBlockedTable:
 
 
 def fsum_pv_sums(cm, nodes):
-    """Reference PV-rule sums: math.fsum of every difference-quotient term at each
-    node (terms within 1e-14 of the band dropped), and the sum of their magnitudes."""
-    pv_nodes, pv_w, _, _ = _panel_nodes(cm.omega_min, cm.omega_max, 401, 8)
-    g2_pv = cm.g_sq(pv_nodes)
+    """Reference mesh sums: math.fsum of every difference-quotient term at each node
+    (a term within 1e-14 of the band takes -g^2' of the mesh), and the sum of their
+    magnitudes."""
+    mesh = _mesh(cm, _NORM_TOL)
     ref, scale = [], []
     for i in range(0, nodes.size, 500):
-        d = nodes[i:i + 500, None] - pv_nodes
+        d = nodes[i:i + 500, None] - mesh.nodes
         with np.errstate(divide="ignore", invalid="ignore"):
-            terms = pv_w * (g2_pv - cm.g_sq(nodes[i:i + 500, None])) / d
-        terms[np.abs(d) < 1e-14 * cm.band] = 0.0
+            terms = (mesh.g2 - cm.g_sq(nodes[i:i + 500, None])) / d
+        terms = mesh.weights * np.where(np.abs(d) < 1e-14 * cm.band, -mesh.slopes, terms)
         ref += [math.fsum(row) for row in terms.tolist()]
         scale.append(np.abs(terms).sum(axis=1))
     return np.array(ref), np.concatenate(scale)
 
 
-def cluster_edges(cm):
-    """Edges of the clusters of PV panels that split the near and far fields."""
-    return _pv_rule(cm)[2].bounds
+def mesh_edges(cm):
+    """Panel edges of the table mesh."""
+    return _mesh(cm, _NORM_TOL).edges
 
 
 class TestNearFarSums:
-    """The near/far PV-rule sums against math.fsum of all their terms, to 1e-14
-    of the sum of the terms' magnitudes (measured: 1.7e-15)."""
+    """The table's mesh sums against math.fsum of all their terms, to 1e-14 of the
+    sum of the terms' magnitudes."""
 
     def check(self, cm, nodes, stride=1):
-        """Every stride-th node and the nodes on either side of each cluster edge."""
+        """Every stride-th node and the nodes on either side of each mesh edge."""
         sums = _pv_sums(cm, nodes, cm.g_sq(nodes))
-        at_edges = np.searchsorted(nodes, cluster_edges(cm)[1:-1])
+        at_edges = np.searchsorted(nodes, mesh_edges(cm)[1:-1])
         sample = np.union1d(np.arange(0, nodes.size, stride),
                             np.clip(np.r_[at_edges - 1, at_edges], 0, nodes.size - 1))
         ref, scale = fsum_pv_sums(cm, nodes[sample])
         assert np.all(np.abs(sums[sample] - ref) <= 1e-14 * scale)
 
-    # (401, 8): every node is a PV node; (3, 4): 39 of the 51 clusters hold no node
+    # (3, 4): fewer table panels than mesh panels
     @pytest.mark.parametrize("n_panels,order", [(300, 12), (64, 12), (401, 8), (3, 4)])
     @pytest.mark.parametrize("name", sorted(DENSITIES))
     def test_panel_schemes(self, name, n_panels, order):
@@ -570,14 +662,12 @@ class TestNearFarSums:
         self.check(cm, _panel_nodes(cm.omega_min, cm.omega_max, 2501, 12)[0], stride=41)
 
     @pytest.mark.parametrize("name", sorted(DENSITIES))
-    def test_nodes_on_cluster_edges_and_chebyshev_points(self, name):
+    def test_nodes_on_mesh_edges_and_mesh_nodes(self, name):
         cm = DENSITIES[name]()
-        field = _pv_rule(cm)[2]
-        inner = field.bounds[1:-1]
-        cheb = np.concatenate([field.centres[k] + field.halves[k] * field.cheb
-                               for k in (0, 10, 50)])
+        mesh = _mesh(cm, _NORM_TOL)
+        inner = mesh.edges[1:-1]
         nodes = np.unique(np.concatenate([inner, np.nextafter(inner, -np.inf),
-                                          np.nextafter(inner, np.inf), cheb]))
+                                          np.nextafter(inner, np.inf), mesh.nodes[::5]]))
         self.check(cm, nodes)
 
 
@@ -642,17 +732,17 @@ def peak_mib(fn):
 
 
 class TestContinuumMemory:
-    """Benchmark size: 2,501 panels (30,012 nodes x 3,208 PV nodes), 401 times."""
+    """2,501 panels (30,012 nodes x 96 nodes of the table mesh), 401 times."""
 
     @pytest.fixture(scope="class")
     def cm(self):
         return lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
 
     def test_weight_table_peak(self, cm):
-        # measured 2.6 MiB (49 MiB with the chunked ratio matrix)
+        # measured 2.1 MiB (49 MiB with the chunked ratio matrix)
         assert peak_mib(lambda: build_weight_table(cm, 2501)) < 4.0
 
     def test_survival_amplitude_peak(self, cm):
-        # measured 16.4 MiB, table included (50 MiB with the direct node sum)
+        # measured 4.8 MiB, table included (50 MiB with the direct node sum)
         ts = np.linspace(0.0, 1000.0, 401)
         assert peak_mib(lambda: survival_amplitude_continuum(cm, ts)) < 25.0

@@ -21,7 +21,12 @@ from qbmlab import (
     solve_normal_modes,
     verify_closure,
 )
-from qbmlab.continuum import build_weight_table, lorentzian_density
+from qbmlab.continuum import (
+    build_weight_table,
+    lorentzian_density,
+    pv_shift,
+    validate_continuum,
+)
 from qbmlab.model import lorentzian_coupling, paper_default_model
 from conftest import random_model
 
@@ -495,6 +500,16 @@ class TestFarFieldSecular:
         check()
 
 
+def mesh_integrals():
+    """The README density's shift and edge integrals, and the edge integrals of a
+    Lorentzian of half-width 2e-5."""
+    cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+    report = validate_continuum(cm)
+    narrow = validate_continuum(lorentzian_density(5e-7, 2e-5, 1.0, 0.5, 1.5))
+    return np.array([pv_shift(cm), report.left_value, report.right_value,
+                     narrow.left_value, narrow.right_value])
+
+
 def run_single_threaded(script, out):
     """Run ``script`` with argument ``out`` in a fresh process with one BLAS thread."""
     src = Path(eigensolve.__file__).parents[1]
@@ -532,6 +547,14 @@ class TestBlasThreads:
         single = run_single_threaded(script, tmp_path / "density.npy")
         cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
         np.testing.assert_array_equal(single, build_weight_table(cm, 2501).density)
+
+    def test_mesh_integrals_ignore_the_blas_thread_count(self, tmp_path):
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from test_eigensolve import mesh_integrals\n"
+                  "np.save(sys.argv[1], mesh_integrals())\n")
+        single = run_single_threaded(script, tmp_path / "integrals.npy")
+        np.testing.assert_array_equal(single, mesh_integrals())
 
 
 class TestExactAudit:
