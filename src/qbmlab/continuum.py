@@ -567,8 +567,10 @@ def build_weight_table(cm: ContinuumModel, n_panels: int, order: int = _GAUSS_OR
     # 1/(pi^2 g^2) ~ 1e-155 as its limit 0
     with np.errstate(over="ignore"):
         density = g2_nodes / (re * re + im * im)
+    # a numpy sum, not density @ wq: BLAS ddot over this many nodes wakes
+    # OpenBLAS's threads and leaves one spinning
     return WeightTable(nodes=nodes, quad_weights=wq, density=density,
-                       panel_width=cm.band / n_panels, completeness=float(density @ wq),
+                       panel_width=cm.band / n_panels, completeness=float((density * wq).sum()),
                        centres=centres, offsets=offsets)
 
 
@@ -664,7 +666,7 @@ def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> fl
             "cannot form the thermal average"
         )
     occ = _bose_occupancies(cm.beta, table.nodes)
-    return float((table.density * occ) @ table.quad_weights)
+    return float((table.density * occ * table.quad_weights).sum())
 
 
 def _edge_integral(cm: ContinuumModel, mesh: _Mesh, side: str, margin: float) -> float:

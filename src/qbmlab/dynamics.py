@@ -2,11 +2,12 @@
 
 Everything here is a finite mode sum over the solved normal frequencies; no
 time stepping is involved, so samples are independent.  Every sum runs one
-loop over blocks of B samples (``mode_sum``), and a sample's value depends on
-its index and, in the last block, on that block's row count.  On a uniform
-``TimeGrid`` the phase factors come from anchored rotations instead of one
-cos/sin call per mode and sample; they reproduce the direct kernel's phases
-fl(t * omega) to a few ulp.
+loop over blocks of B samples, each summed over fixed panels of modes
+(``mode_sum``), and a sample's value depends on its index and, in the last
+block, on that block's row count.  On a uniform ``TimeGrid`` the phase
+factors come from anchored rotations instead of one cos/sin call per mode
+and sample; they reproduce the direct kernel's phases fl(t * omega) to a
+few ulp.
 
 All probability evaluations use the amplitude form: a single sum over modes
 followed by a modulus squared.  It is algebraically identical to the
@@ -60,10 +61,18 @@ _PHASE_ROUNDING_LIMIT = 1e-8
 # the anchor phase of sample jB
 _PHASE_BLOCK_ROWS = 64
 _PHASE_BLOCK_PHASES = 2**15
+# each block's product runs over panels of P modes, P the larger of
+# min(N, _PANEL_MIN_MODES) and _PANEL_MACS / (B J): 4x below the ~1e6
+# multiply-adds at which OpenBLAS splits a GEMM over its threads
+_PANEL_MACS = 250_000
+_PANEL_MIN_MODES = 256
 # occupation sums as a Chebyshev form (``_occupation_form``): the degree cap,
 # and the error bound it must meet, relative to max(kappa, max nbar)
 _FORM_MAX_DEGREE = 24
 _FORM_TOL = 1e-14
+# the form's QR goes by row blocks of at most this many rows
+# (``_triangular_factor``): a 340 x 27 QR wakes OpenBLAS's threads
+_QR_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,8 @@ def _times_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(ts), scalar
 
 
-def _block_trig(ts, dt, freqs):
-    """Block source of cos and sin of the phases fl(ts[k] * freqs).
+def _block_trig(ts, dt, freqs, cols):
+    """Tile source of cos and sin of the phases fl(ts[k] * freqs).
 
     For an array of times (``dt`` None) every value comes from libm.  On a
     uniform grid of step ``dt``, sample k = jB + r keeps the phase
@@ -145,29 +154,39 @@ def _block_trig(ts, dt, freqs):
     each value is within a few ulp of cos(p), sin(p).  The few blocks that
     miss the factor 2, all next to t = 0, take cos(p) and sin(p) from libm.
 
-    Returns (B, trig): ``trig(a, b)`` gives cos and sin of the whole block
-    of samples a..b-1 (a = jB, b = min(a + B, T)) as views of four B x N
-    scratch arrays, overwritten by the next call.
+    Returns (B, P, trig): ``trig(a, b, lo, hi)`` gives cos and sin of the
+    tile of samples a..b-1 (a = jB, b = min(a + B, T)) and modes lo..hi-1
+    (lo = iP, hi = min(lo + P, N)) as contiguous views of one scratch buffer
+    of 4 B P floats, overwritten by the next call.  A grid also holds b,
+    cos b and sin b, three B x N tables stored panel by panel, so that every
+    operand of a tile is contiguous.  P is chosen for ``cols`` coefficient
+    columns, as ``mode_sum`` says.
     """
     block = max(_PHASE_BLOCK_ROWS, _PHASE_BLOCK_PHASES // max(freqs.size, 1))
-    scratch = np.empty((4, min(block, ts.size), freqs.size))
+    panel = max(min(freqs.size, _PANEL_MIN_MODES), _PANEL_MACS // (block * max(cols, 1)))
+    rows = min(block, ts.size)
+    scratch = np.empty(4 * rows * min(panel, freqs.size))
     if dt is not None:
-        base = np.multiply.outer(dt * np.arange(min(block, ts.size)), freqs)
-        base_cos, base_sin = np.cos(base), np.sin(base)
+        steps = dt * np.arange(rows)
+        tables = []
+        for lo in range(0, freqs.size, panel):
+            base = np.multiply.outer(steps, freqs[lo:lo + panel])
+            tables.append((base, np.cos(base), np.sin(base)))
 
-    def trig(a, stop):
-        c, s, phase, t = scratch[:, :stop - a]
-        np.multiply.outer(ts[a:stop], freqs, out=phase)
+    def trig(a, stop, lo, hi):
+        n, w = stop - a, hi - lo
+        c, s, phase, t = scratch[:4 * n * w].reshape(4, n, w)
+        np.multiply.outer(ts[a:stop], freqs[lo:hi], out=phase)
         if dt is None:
             return np.cos(phase, out=c), np.sin(phase, out=s)
         ta, tl = ts[a], ts[stop - 1]
         if not (ta == 0 or 0 < ta and tl <= 2 * ta or tl < 0 and 2 * tl <= ta):
             return np.cos(phase, out=c), np.sin(phase, out=s)
-        anchor = ta * freqs
+        anchor = ta * freqs[lo:hi]
         gc, gs = np.cos(anchor), np.sin(anchor)
-        bc, bs = base_cos[:stop - a], base_sin[:stop - a]
+        base, bc, bs = (table[:n] for table in tables[lo // panel])
         phase -= anchor
-        phase -= base[:stop - a]          # d, exact to a relative rounding
+        phase -= base                     # d, exact to a relative rounding
         np.multiply(bc, gc, out=c)
         c -= np.multiply(bs, gs, out=t)   # cos(g + b)
         np.multiply(bc, gs, out=s)
@@ -178,29 +197,36 @@ def _block_trig(ts, dt, freqs):
         s += phase                        # sin(g + b) + d cos(g + b)
         return c, s
 
-    return block, trig
+    return block, panel, trig
 
 
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
     ``ts`` is an array of times or a ``TimeGrid``.  The sum is formed one
-    block of B samples at a time (``_block_trig``), as cos(phase) @ C and
-    sin(phase) @ C: two real GEMMs instead of one complex-by-real product,
-    taken while the block's cos and sin are still in cache.  ``reduce``,
-    when given, maps each complex block and its times to the per-time
-    result, so a caller that needs only, say, |S|^2 @ q never holds the full
-    (T, J) sum.  A sum holds O(B N + B J) scratch for N modes and J columns,
-    plus its output.
+    block of B samples at a time, and each block over panels of P modes
+    (``_block_trig``), as cos(phase) @ C and sin(phase) @ C: two real GEMMs
+    per B x P tile instead of one complex-by-real product, taken while the
+    tile's cos and sin are still in cache, and added panel by panel in mode
+    order.  ``reduce``, when given, maps each complex block and its times to
+    the per-time result, so a caller that needs only, say, |S|^2 @ q never
+    holds the full (T, J) sum.  A sum holds O(B P + B J) scratch for J
+    columns, plus its output (and, on a grid, three B x N rotation tables).
 
     For an array every cos and sin comes from libm.  For a grid they are
     rotated from (T/B + B) N libm values, B >= 64, and stay within a few ulp
     of the array path's values: both round the phases to fl(t * freqs) with
     t = grid.times.  A sample's value depends on its index and, in the last
-    block, on that block's row count.  With OpenBLAS it does not depend on
-    the BLAS thread count while each B-row product runs on one thread or is
-    split without changing its sums (a test pins this at 500 modes); the
-    64 x 2,501 products of the README continuum sum do change with it.
+    block, on that block's row count.
+
+    P is the larger of min(N, ``_PANEL_MIN_MODES``) and
+    ``_PANEL_MACS`` / (B J), so a tile's product takes at most 2.5e5
+    multiply-adds while J <= 2.5e5 / (B min(N, 256)), 15 columns where
+    N >= 512: OpenBLAS runs such products on the calling thread, so the
+    sum's bits do not depend on the BLAS thread count and no idle BLAS
+    worker is left spinning.  Wider coefficient sets, such as the dense
+    occupation form's N+1 columns, keep panels of min(N, 256) modes, and
+    their products may still be split over BLAS threads.
 
     A sum whose largest phase rounds by more than ``_PHASE_ROUNDING_LIMIT``
     rad (eps * max|freq| * max|t|), or is not finite, is refused with a
@@ -223,15 +249,24 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
                 f"{_PHASE_ROUNDING_LIMIT:g} rad; ask for a shorter time span"
             )
     cols = coeffs.reshape(freqs.size, -1)
-    block, trig = _block_trig(ts, dt, freqs)
+    block, panel, trig = _block_trig(ts, dt, freqs, cols.shape[1])
+    re, im, part = np.empty((3, min(block, ts.size), cols.shape[1]))
     out = None
     # an empty time array still makes one (empty) block, so out gets its shape
     for a in range(0, max(ts.size, 1), block):
         b = min(a + block, ts.size)
-        cos, sin = trig(a, b)
+        for lo in range(0, freqs.size, panel):
+            hi = min(lo + panel, freqs.size)
+            cos, sin = trig(a, b, lo, hi)
+            if lo == 0:
+                np.matmul(cos, cols[lo:hi], out=re[:b - a])
+                np.matmul(sin, cols[lo:hi], out=im[:b - a])
+            else:
+                re[:b - a] += np.matmul(cos, cols[lo:hi], out=part[:b - a])
+                im[:b - a] += np.matmul(sin, cols[lo:hi], out=part[:b - a])
         s = np.empty((b - a, cols.shape[1]), dtype=complex)
-        s.real = cos @ cols
-        s.imag = -(sin @ cols)
+        s.real = re[:b - a]
+        s.imag = -im[:b - a]
         s = s.reshape((-1,) + coeffs.shape[1:])
         res = s if reduce is None else reduce(s, ts[a:b])
         if out is None:
@@ -418,6 +453,19 @@ def _chebyshev_form(modes: NormalModes, kappa: float, amp: np.ndarray, b: np.nda
                            degree, fit_residual, fit_residual + rounding)
 
 
+def _triangular_factor(a: np.ndarray) -> np.ndarray:
+    """R of a = QR, up to the signs of its rows, by QRs of at most ``_QR_ROWS`` rows.
+
+    The R factors of the row blocks of a, stacked, have the R of a as their
+    own R, so no LAPACK call sees more than ``_QR_ROWS`` rows: OpenBLAS runs
+    those on the calling thread.  Needs a.shape[1] < ``_QR_ROWS``.
+    """
+    while a.shape[0] > _QR_ROWS:
+        a = np.concatenate([np.linalg.qr(a[i:i + _QR_ROWS], mode="r")
+                            for i in range(0, a.shape[0], _QR_ROWS)])
+    return np.linalg.qr(a, mode="r")
+
+
 def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _OccupationForm:
     """The occupation sum with mode amplitudes ``amp``: certified form, else dense.
 
@@ -428,10 +476,12 @@ def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) ->
     one QR factorization of [V, nbar], V the degree-cap Chebyshev-Vandermonde
     matrix: the fit of degree K solves the leading (K+1)-square block of R
     against the first K+1 entries of R's last column, which are Q^T nbar
-    (Golub & Van Loan, Matrix Computations, 5.3).  Amplitudes of a state,
-    a = w or a = w K_j, keep sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the
-    fit residual bounds the error of replacing nbar by p.  The fit is done
-    in units of max(kappa, max nbar), so huge occupancies do not overflow.
+    (Golub & Van Loan, Matrix Computations, 5.3); the signs of R's rows,
+    which the blocked QR (``_triangular_factor``) leaves open, cancel in
+    those solves.  Amplitudes of a state, a = w or a = w K_j, keep
+    sum_n |sum_nu a_nu K_nun x_nu|^2 <= 1, so the fit residual bounds the
+    error of replacing nbar by p.  The fit is done in units of
+    max(kappa, max nbar), so huge occupancies do not overflow.
     Below [V, nbar] sits [lambda I, 0], lambda = eps max(M, K) ||V||_F for the
     M x K matrix V: a ridge at the rank cutoff of lstsq's SVD, which keeps
     the fit bounded where the bath covers only part of the Chebyshev hull and
@@ -450,9 +500,10 @@ def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) ->
     stacked = np.zeros((rows + cols, cols + 1))
     stacked[:rows, :cols] = vander
     stacked[:rows, cols] = nbar / unit
+    # ||V||_F as a numpy sum: np.linalg.norm takes BLAS ddot
     np.fill_diagonal(stacked[rows:], np.finfo(float).eps * max(rows, cols)
-                     * np.linalg.norm(vander))
-    r = np.linalg.qr(stacked, mode="r")
+                     * math.sqrt(np.square(vander).sum()))
+    r = _triangular_factor(stacked)
     for degree in range(top + 1):
         size = degree + 1
         b = np.linalg.solve(r[:size, :size], r[:size, -1]) * unit

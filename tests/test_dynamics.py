@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -441,6 +446,34 @@ class TestModeSum:
                                        1.0, rtol=0, atol=1e-15)
             assert rows == [3, 3, 3, 2]
 
+    def test_wide_coefficient_sets_keep_256_mode_panels(self):
+        # the dense occupation form's shape: 2,048 modes, 2,049 columns.
+        # Panels of 256 modes take ~0.11 s on 2 vCPU, whole 64-row blocks
+        # ~0.10 s, panels of _PANEL_MACS / (B J) = 1 mode 8.2 s
+        rng = np.random.default_rng(6)
+        freqs = np.sort(rng.uniform(0.9, 1.1, 2048))
+        coeffs = rng.standard_normal((2048, 2049))
+        ts = np.linspace(0.0, 1000.0, 256)
+        assert dynamics._block_trig(ts, None, freqs, 2049)[:2] == (64, 256)
+        start = time.perf_counter()
+        mode_sum(freqs, coeffs, ts)
+        assert time.perf_counter() - start < 2.0
+
+    def test_panels_of_modes_sum_like_one_panel(self, monkeypatch, modes_500):
+        # panels of 7 modes (the last one 3 wide) against the single panel
+        # that 500 modes and 4 columns get by default; on a grid each tile
+        # takes its own slice of anchors and rotation tables
+        freqs = modes_500.alphas
+        coeffs = modes_500.weights[:, None] * np.array([1.0, -0.5, 0.25, 2.0])
+        samples = (np.linspace(0.0, 500.0, 150), TimeGrid(3.0, 2.5, 150))
+        wholes = [mode_sum(freqs, coeffs, times) for times in samples]
+        monkeypatch.setattr(dynamics, "_PANEL_MACS", 1)
+        monkeypatch.setattr(dynamics, "_PANEL_MIN_MODES", 7)
+        assert dynamics._block_trig(samples[0], None, freqs, 4)[1] == 7
+        for times, whole in zip(samples, wholes):
+            np.testing.assert_allclose(mode_sum(freqs, coeffs, times), whole,
+                                       rtol=0, atol=1e-14)
+
 
 class TestMemoryBudget:
     """The mode sums run in blocks: no (T, N+1) array at N+1 = 500, T = 20000."""
@@ -466,9 +499,10 @@ class TestMemoryBudget:
 
     def test_grid_mode_sum_holds_blocks_not_slabs(self):
         # the recurrence-wide shape: N+1 = 2048, T = 2001, the 7-column
-        # occupation form.  The grid path holds seven B x N arrays (B = 64
-        # here), a B x J block and the T x J output, within 8 B N floats
-        # (8 MiB); a slab of cos and sin rows would be 1024 x N each
+        # occupation form.  The grid path holds three B x N rotation tables
+        # (B = 64 here), four B x P tiles, B x J blocks and the T x J output,
+        # within 8 B N floats (8 MiB); a slab of cos and sin rows would be
+        # 1024 x N each
         modes = solve_normal_modes(paper_default_model(2048))
         form = dynamics._occupation_form(modes, InitialState.thermal(modes.model),
                                          modes.weights)
@@ -479,9 +513,9 @@ class TestMemoryBudget:
         assert self.peak(lambda: mode_sum(modes.alphas, form.coeffs, grid)) < limit
 
     def test_array_mode_sum_holds_blocks(self):
-        # the README continuum survival sum: 2,501 panel centres, 12 columns,
-        # 401 times.  An array of times holds four B x N phase arrays (B = 64)
-        # like a grid, within 8 B N floats (10.2 MB); whole-array cos and sin
+        # a continuum survival sum over 2,501 panel centres, 12 columns,
+        # 401 times.  An array of times holds four B x P tiles (B = 64,
+        # P = 325), within 8 B N floats (10.2 MB); whole-array cos and sin
         # phase matrices would be 401 x N each
         cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
         table = build_weight_table(cm, 2501)
@@ -491,6 +525,15 @@ class TestMemoryBudget:
         block = max(dynamics._PHASE_BLOCK_ROWS, dynamics._PHASE_BLOCK_PHASES // 2501)
         limit = 8 * block * 2501 * 8
         assert self.peak(lambda: mode_sum(table.centres, coeffs, ts)) < limit
+
+    def test_wide_survival_sum_holds_panels_not_blocks(self):
+        # 50,000 panel centres, 12 columns, 129 times: B x N phase blocks
+        # would be 97.7 MiB, four B x P tiles (P = 325) are 0.6 MiB
+        rng = np.random.default_rng(5)
+        freqs = np.sort(rng.uniform(0.5, 1.5, 50_000))
+        coeffs = rng.standard_normal((50_000, 12))
+        ts = np.linspace(0.0, 1000.0, 129)
+        assert self.peak(lambda: mode_sum(freqs, coeffs, ts)) <= 4 * 2**20
 
     def test_single_channel_observables_build_one_pole_column(self):
         # at N+1 = 4096 the whole pole-ratio matrix is 128 MiB; one column
@@ -514,6 +557,44 @@ def grid_columns(modes, init):
     return np.stack([*series.columns.values(), *table.columns.values()])
 
 
+def form_grid_sum(n_modes):
+    """The occupation form's mode sum at N+1 = ``n_modes`` over a 2,000-point grid."""
+    modes = solve_normal_modes(paper_default_model(n_modes))
+    form = dynamics._occupation_form(modes, InitialState.thermal(modes.model), modes.weights)
+    return mode_sum(modes.alphas, form.coeffs, TimeGrid(0.0, 1.0, 2000))
+
+
+# cpu minus wall time of a busy loop after the CLI's linear algebra, with two
+# OpenBLAS threads: a worker left spinning by a two-thread call shows as
+# ~0.13 s of extra cpu.  The loop before the calls lets the workers that
+# start-up woke go idle.
+SPIN_PROBE = """
+import time
+import numpy as np
+from qbmlab import InitialState, dynamics, paper_default_model, solve_normal_modes
+from qbmlab.continuum import (_auto_panels, build_weight_table, lorentzian_density,
+                              survival_amplitude_continuum)
+
+def excess(seconds):
+    cpu, wall = time.process_time(), time.perf_counter()
+    while time.perf_counter() - wall < seconds:
+        pass
+    return (time.process_time() - cpu) - (time.perf_counter() - wall)
+
+excess(0.4)
+modes = solve_normal_modes(paper_default_model(2048))
+dynamics._occupation_form(modes, InitialState.thermal(modes.model), modes.weights)
+cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+table = build_weight_table(cm, _auto_panels(cm, 1000.0))
+survival_amplitude_continuum(cm, np.linspace(0.0, 1000.0, 401), table)
+print(excess(0.2))
+"""
+
+
+def usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 class TestBlasThreads:
     """A single-threaded BLAS in a fresh process gives the same grid mode sums."""
 
@@ -527,6 +608,27 @@ class TestBlasThreads:
                   "np.save(sys.argv[1], grid_columns(modes, InitialState.thermal(modes.model)))\n")
         single = run_single_threaded(script, tmp_path / "columns.npy")
         np.testing.assert_array_equal(single, grid_columns(modes_500, init_500))
+
+    def test_form_sum_at_4096_modes_ignores_the_blas_thread_count(self, tmp_path):
+        # 64 x 4096 @ 4096 x 7 is past the ~1e6 multiply-adds at which
+        # OpenBLAS splits a product; the sum takes it in panels of 558 modes
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from test_dynamics import form_grid_sum\n"
+                  "np.save(sys.argv[1], form_grid_sum(4096))\n")
+        single = run_single_threaded(script, tmp_path / "sum.npy")
+        default = form_grid_sum(4096)
+        assert default.shape == (2000, 7)
+        np.testing.assert_array_equal(single, default)
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="a spinning BLAS worker needs a second CPU")
+    def test_no_blas_worker_spins_after_the_sums(self):
+        src = Path(dynamics.__file__).parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="2",
+                   PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-c", SPIN_PROBE], env=env, check=True,
+                              capture_output=True, text=True)
+        assert float(done.stdout) < 0.03
 
 
 def dense_occupation(modes, init, amp, ts):
@@ -602,6 +704,14 @@ def lstsq_forms(modes, init, amp):
 
 class TestOccupationForm:
     """<N(t)> as a Chebyshev low-rank Hermitian form against the dense [a, a K] sum."""
+
+    def test_blocked_qr_gives_r_up_to_row_signs(self):
+        # 3,000 rows: twelve 256-row blocks, whose stacked R's (312 rows) take
+        # a second pass of blocks before the last QR
+        a = np.random.default_rng(7).standard_normal((3000, 26))
+        r = dynamics._triangular_factor(a)
+        ref = np.linalg.qr(a, mode="r")
+        np.testing.assert_allclose(np.abs(r), np.abs(ref), rtol=0, atol=1e-12 * np.abs(ref).max())
 
     def test_polynomial_occupancies_match_dense(self):
         hyp = pytest.importorskip("hypothesis")

@@ -25,6 +25,7 @@ from qbmlab.continuum import (
     build_weight_table,
     lorentzian_density,
     pv_shift,
+    survival_amplitude_continuum,
     validate_continuum,
 )
 from qbmlab.model import lorentzian_coupling, paper_default_model
@@ -547,6 +548,23 @@ class TestBlasThreads:
         single = run_single_threaded(script, tmp_path / "density.npy")
         cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
         np.testing.assert_array_equal(single, build_weight_table(cm, 2501).density)
+
+    def test_continuum_survival_sum_ignores_the_blas_thread_count(self, tmp_path):
+        # the README continuum command's sum: 2,001 panel centres, 12
+        # columns, 401 times; its whole 64-row block products differ
+        # between one and two OpenBLAS threads, its panels do not
+        script = ("import sys\n"
+                  "import numpy as np\n"
+                  "from qbmlab.continuum import lorentzian_density, "
+                  "survival_amplitude_continuum\n"
+                  "cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, "
+                  "omega_max=1.5)\n"
+                  "np.save(sys.argv[1], "
+                  "survival_amplitude_continuum(cm, np.linspace(0.0, 1000.0, 401)))\n")
+        single = run_single_threaded(script, tmp_path / "survival.npy")
+        cm = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        np.testing.assert_array_equal(
+            single, survival_amplitude_continuum(cm, np.linspace(0.0, 1000.0, 401)))
 
     def test_mesh_integrals_ignore_the_blas_thread_count(self, tmp_path):
         script = ("import sys\n"
