@@ -68,19 +68,19 @@ class FarField:
             else:
                 self.windows.append(None)
 
-    def table(self, c: int, columns: tuple[np.ndarray, ...], buf: np.ndarray,
+    def table(self, c: int, coeffs: np.ndarray, buf: np.ndarray,
               aux: np.ndarray) -> np.ndarray:
-        """Sums of each column's c/(t - s) and c/(t - s)^2 over the sources below
-        and above cluster c's window at the Chebyshev points t of its box:
-        [below..., above..., below squares..., above squares...].
+        """Sums of coeffs/(t - s) and coeffs/(t - s)^2 over the sources below and
+        above cluster c's window at the Chebyshev points t of its box, one row
+        per point: [below, above, below squares, above squares].
 
         t - s is (centre - s) + offset, since rounding t would move a point of
         a narrow box far from 0 by more than the truncation error.  Pairwise
         row sums, not BLAS, leave the table independent of the BLAS thread
         count; ``buf`` and ``aux`` are flat scratch."""
-        window, k = self.windows[c], len(columns)
+        window = self.windows[c]
         offsets = self.halves[c] * self.cheb
-        table = np.zeros((POINTS, 4 * k))
+        table = np.zeros((POINTS, 4))
         for side, part in enumerate((slice(0, window.start),
                                      slice(window.stop, self.sources.size))):
             size = part.stop - part.start
@@ -93,11 +93,10 @@ class FarField:
                 d = buf[:m * size].reshape(m, size)
                 terms = aux[:m * size].reshape(m, size)
                 np.add(gaps, offsets[j:j + m, None], out=d)
-                for i, col in enumerate(columns):
-                    np.divide(col[part], d, out=terms)
-                    table[j:j + m, side * k + i] = terms.sum(axis=1)
-                    np.divide(terms, d, out=terms)
-                    table[j:j + m, (2 + side) * k + i] = terms.sum(axis=1)
+                np.divide(coeffs[part], d, out=terms)
+                table[j:j + m, side] = terms.sum(axis=1)
+                np.divide(terms, d, out=terms)
+                table[j:j + m, 2 + side] = terms.sum(axis=1)
         return table
 
     def evaluate(self, c: int, targets: np.ndarray, table: np.ndarray) -> np.ndarray:

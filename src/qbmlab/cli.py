@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .continuum import (
+    QUAD_TOL,
     ContinuumError,
     asymptotic_occupation,
     lorentzian_density,
@@ -36,8 +37,8 @@ from .continuum import (
     width_from_discrete,
 )
 from .dynamics import OBSERVABLES, TimeGrid, evolve_series
-from .eigensolve import _REL_TOL_MAX, _REL_TOL_MIN, EigensolveError, solve_normal_modes
-from .langevin import DEFAULT_WRONSKIAN_TOL, langevin_table
+from .eigensolve import REL_TOL, EigensolveError, solve_normal_modes
+from .langevin import WRONSKIAN_TOL, langevin_table
 from .model import (
     InitialState,
     ModelError,
@@ -124,15 +125,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _finite_float_rel_tol(text: str) -> float:
-    """argparse type of --rel-tol: the open interval solve_normal_modes accepts."""
-    value = _finite_float(text)
-    if not _REL_TOL_MIN < value < _REL_TOL_MAX:
-        raise argparse.ArgumentTypeError(
-            f"expected a value in ({_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}), got {text!r}")
-    return value
-
-
 def _positive_int(text: str) -> int:
     """argparse type of counts such as --n and --points."""
     try:
@@ -168,12 +160,6 @@ def _add_paper_model_args(sub: argparse.ArgumentParser) -> None:
                      help="initial subsystem quanta")
 
 
-def _add_solver_args(sub: argparse.ArgumentParser) -> None:
-    """Options of the normal-mode solve, for the subcommands that run one."""
-    sub.add_argument("--rel-tol", type=_finite_float_rel_tol, default=1e-13,
-                     help="root iteration stops at a relative model step this small")
-
-
 def _model_overrides(args) -> dict:
     """--omega, --beta and --kappa as model fields, where given."""
     given = {"omega_sub": args.omega, "beta": args.beta, "kappa": args.kappa}
@@ -201,7 +187,7 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> SpectralModel:
 def _solved(args, parser: argparse.ArgumentParser):
     """The solved model and its manifest fields: model, derived scales, solver effort."""
     model = _resolve_model(args, parser)
-    modes = solve_normal_modes(model, rel_tol=args.rel_tol)
+    modes = solve_normal_modes(model)
     tp = poincare_time(modes)
     derived = {
         "t_poincare": tp.t_poincare,
@@ -281,7 +267,8 @@ def _argv_effective(args, sub: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-# the tolerance options a subcommand has, all recorded in its manifest
+# the tolerances a subcommand has, all recorded in its manifest: the fixed ones
+# are namespace defaults of its parser, --threshold an option
 _TOLERANCES = ("rel_tol", "wronskian_tol", "threshold", "quad_tol")
 
 
@@ -372,7 +359,7 @@ def _cmd_evolve(args, parser) -> _Run:
 def _cmd_langevin(args, parser) -> _Run:
     modes, record = _solved(args, parser)
     grid = _make_grid(args, fallback_t_max=500.0 / modes.model.omega_sub)
-    table = langevin_table(modes, grid, wronskian_tol=args.wronskian_tol)
+    table = langevin_table(modes, grid)
     csv_path = _out(args, "_langevin.csv")
     _write_csv(csv_path, {"t": table.times, **table.columns, "valid": table.valid})
     record["invalid_samples"] = int(np.count_nonzero(~table.valid))
@@ -414,8 +401,8 @@ def _continuum_model(args, parser):
 
 def _cmd_continuum(args, parser) -> _Run:
     cm = _continuum_model(args, parser)
-    est = pole_estimate(cm, quad_tol=args.quad_tol)
-    validity = validate_continuum(cm, quad_tol=args.quad_tol)
+    est = pole_estimate(cm)
+    validity = validate_continuum(cm)
     payload = {
         "delta_omega": est.delta_omega,
         "gamma": est.gamma,
@@ -449,7 +436,7 @@ def _cmd_continuum(args, parser) -> _Run:
 
 
 def _sweep_member(n_plus_1: int, args):
-    modes = solve_normal_modes(_paper_model(args, n_plus_1), rel_tol=args.rel_tol)
+    modes = solve_normal_modes(_paper_model(args, n_plus_1))
     gamma = width_from_discrete(modes.model)
     series, report = _recurrence_report(args, modes, 1.5 / gamma)
     rescaled = None
@@ -533,12 +520,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="normal frequencies and weights")
     _add_model_args(p_solve)
-    _add_solver_args(p_solve)
+    p_solve.set_defaults(rel_tol=REL_TOL)
     _add_output_args(p_solve, "solve")
 
     p_evolve = subs.add_parser("evolve", help="mean-observable time series")
     _add_model_args(p_evolve)
-    _add_solver_args(p_evolve)
+    p_evolve.set_defaults(rel_tol=REL_TOL)
     _add_grid_args(p_evolve)
     p_evolve.add_argument("--obs", default="N_omega",
                           help=f"comma-separated subset of {','.join(OBSERVABLES)}")
@@ -548,14 +535,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lan = subs.add_parser("langevin", help="rotation kernels and damping coefficients")
     _add_model_args(p_lan)
-    _add_solver_args(p_lan)
+    p_lan.set_defaults(rel_tol=REL_TOL, wronskian_tol=WRONSKIAN_TOL)
     _add_grid_args(p_lan)
-    p_lan.add_argument("--wronskian-tol", type=_finite_float, default=DEFAULT_WRONSKIAN_TOL)
     _add_output_args(p_lan, "langevin")
 
     p_rec = subs.add_parser("recurrence", help="revival detection and decay fit")
     _add_model_args(p_rec)
-    _add_solver_args(p_rec)
+    p_rec.set_defaults(rel_tol=REL_TOL)
     _add_grid_args(p_rec)
     p_rec.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_output_args(p_rec, "recurrence")
@@ -571,16 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--half-width", type=_finite_float, default=None)
     p_cont.add_argument("--c1", type=_finite_float, default=None)
     p_cont.add_argument("--c2", type=_finite_float, default=None)
-    p_cont.add_argument("--quad-tol", type=_finite_float, default=1e-10)
     p_cont.add_argument("--survival-t-max", type=_finite_float, default=None)
     p_cont.add_argument("--survival-points", type=_positive_int, default=401)
+    p_cont.set_defaults(quad_tol=QUAD_TOL)
     _add_output_args(p_cont, "continuum")
 
     p_sweep = subs.add_parser("sweep", help="one run per bath size")
     p_sweep.add_argument("--n-list", required=True,
                          help="comma-separated N+1 values, e.g. 10,32,100,500")
     _add_paper_model_args(p_sweep)
-    _add_solver_args(p_sweep)
+    p_sweep.set_defaults(rel_tol=REL_TOL)
     p_sweep.add_argument("--t-max", type=_finite_float, default=None)
     p_sweep.add_argument("--points", type=_positive_int, default=1201)
     p_sweep.add_argument("--rescaled-series", action="store_true",

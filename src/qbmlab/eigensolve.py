@@ -60,7 +60,11 @@ __all__ = [
     "solve_normal_modes",
     "dense_oracle",
     "verify_closure",
+    "REL_TOL",
 ]
+
+# the root iteration stops at a model step of at most REL_TOL * |x|
+REL_TOL = 1e-13
 
 # each of the two chunk x N scratch buffers of the root iteration stays within
 # this budget, so the passes over them run from cache: at N = 4096 on a 2-core
@@ -68,7 +72,6 @@ __all__ = [
 # or 4 rows 1.5-2x slower
 _SCRATCH_BYTES = 1 << 20
 _MAX_ITER = 300
-_REL_TOL_MIN, _REL_TOL_MAX = 1e-16, 1e-6
 _DENSE_CAP = 4096
 # a solve with fewer than _MIN_CLUSTERS clusters (N < 1024) keeps every sweep
 # exact: its per-cluster chunks cost more interpreter time than the far field
@@ -143,7 +146,7 @@ class NormalModes:
         """Bath coefficients phi[nu, n] = g_n Phi_nu / (alpha_nu - omega_n)."""
         return self.amplitudes[:, None] * self.pole_ratios()
 
-    def validate(self, rel_tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Assert the exact-solution invariants; raises EigensolveError.
 
         Besides interlacing, the weight sum and the trace, an exact audit
@@ -170,7 +173,7 @@ class NormalModes:
         if abs(self.weights.sum() - 1.0) > 1e-8:
             raise EigensolveError(f"weights sum to {float(self.weights.sum())!r}, not 1")
         trace = self.model.omega_sub + w.sum()
-        if abs(a.sum() - trace) > rel_tol * abs(trace):
+        if abs(a.sum() - trace) > 1e-10 * abs(trace):
             raise EigensolveError("eigenvalue sum does not match matrix trace")
         self.audit_residual_error, self.audit_weight_error = _audit(self)
         limit = _audit_limit(w.size)
@@ -292,21 +295,19 @@ def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
     return alphas - omega_sub - d.sum(axis=1)
 
 
-def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalModes:
+def solve_normal_modes(model: SpectralModel) -> NormalModes:
     """Find all N+1 roots and weights of the secular equation.
 
     Each root is found by a safeguarded rational iteration inside its pole
     bracket (see the module docstring).  It stops when f is exactly zero, when
     |f| is within its rounding-error bound, or when a model step is at most
-    ``rel_tol * |x|``; the last model iterate is then returned.  Iterates that
-    leave the bracket are replaced by its midpoint.  Raises EigensolveError
-    when a root has not converged after ``_MAX_ITER`` evaluations.  Emits
-    ConditioningWarning when a root lies within 1e-13 * omega_sub of a bath
-    pole, where the weight formula loses digits.
+    ``REL_TOL`` * |x| = 1e-13 |x|, a fixed tolerance; the last model iterate
+    is then returned.  Iterates that leave the bracket are replaced by its
+    midpoint.  Raises EigensolveError when a root has not converged after
+    ``_MAX_ITER`` evaluations.  Emits ConditioningWarning when a root lies
+    within 1e-13 * omega_sub of a bath pole, where the weight formula loses
+    digits.
     """
-    if not (_REL_TOL_MIN < rel_tol < _REL_TOL_MAX):
-        raise ValueError(
-            f"rel_tol must lie in ({_REL_TOL_MIN:g}, {_REL_TOL_MAX:g}), got {rel_tol}")
     omega_sub = model.omega_sub
     w = model.bath_freqs
     g = model.couplings
@@ -354,7 +355,7 @@ def solve_normal_modes(model: SpectralModel, rel_tol: float = 1e-13) -> NormalMo
     evaluations = fallbacks = 0
     for nus, window, far in _chunks(w, g2, field, rows, buf, aux):
         x, steps, falls = _iterate_chunk(
-            nus, lo[nus], hi[nus], omega_sub, w, g2, window, far, rel_tol, buf, aux)
+            nus, lo[nus], hi[nus], omega_sub, w, g2, window, far, buf, aux)
         evaluations += steps
         fallbacks += falls
         alphas[nus] = x
@@ -444,7 +445,7 @@ def _chunks(w: np.ndarray, g2: np.ndarray, field: _cauchy.FarField | None, rows:
         if window is None:
             yield from exact(nus)
             continue
-        table = field.table(c, (g2,), buf, aux)
+        table = field.table(c, g2, buf, aux)
         far = functools.partial(field.evaluate, c, table=table)
         size = max(1, buf.size // (window.stop - window.start))
         for i in range(0, nus.size, size):
@@ -528,8 +529,8 @@ def _model_step(x: np.ndarray, split: np.ndarray, f: np.ndarray, left: np.ndarra
 
 
 def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: float,
-                   w: np.ndarray, g2: np.ndarray, window: slice, far, rel_tol: float,
-                   buf: np.ndarray, aux: np.ndarray) -> tuple[np.ndarray, int, int]:
+                   w: np.ndarray, g2: np.ndarray, window: slice, far, buf: np.ndarray,
+                   aux: np.ndarray) -> tuple[np.ndarray, int, int]:
     """Roots ``nus`` from their brackets; returns roots, evaluations, fallbacks.
 
     The poles in ``window`` are summed term by term and ``far`` adds the rest
@@ -555,7 +556,7 @@ def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: f
         in_noise = np.abs(f) <= 8.0 * eps * (np.abs(x) + abs(omega_sub) + (below - above))
         a, b = lo[live], hi[live]
         converged = ((y >= a) & (y <= b)
-                     & ((np.abs(step) <= rel_tol * np.abs(x)) | (y == x)))
+                     & ((np.abs(step) <= REL_TOL * np.abs(x)) | (y == x)))
         inside = (y > a) & (y < b)
         mid = 0.5 * (a + b)
         # no float lies strictly inside the bracket: x is as close as it gets

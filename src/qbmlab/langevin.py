@@ -29,12 +29,12 @@ __all__ = [
     "langevin_coefficients",
     "langevin_table",
     "verify_langevin_ode",
-    "DEFAULT_WRONSKIAN_TOL",
+    "WRONSKIAN_TOL",
 ]
 
 # Below this fraction of omega_sub the wronskian denominator is treated as
 # singular and the sample flagged invalid (isolated times only).
-DEFAULT_WRONSKIAN_TOL = 1e-12
+WRONSKIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,15 @@ def kernel_arrays(modes: NormalModes, ts: np.ndarray | TimeGrid):
     return s[:, 0].real, -s[:, 0].imag, s[:, 1].imag, s[:, 1].real, -s[:, 2].real, s[:, 2].imag
 
 
-def _langevin_pass(modes: NormalModes, ts, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL):
+def _langevin_pass(modes: NormalModes, ts):
     """Kernels (a, b, da, db, dda, ddb), omega_sq, gamma and valid flags over the times.
 
-    A sample is valid where |a b' - b a'| >= wronskian_tol * omega_sub; the
+    A sample is valid where |a b' - b a'| >= WRONSKIAN_TOL * omega_sub; the
     coefficients of an invalid sample are NaN.
     """
     arrays = a, b, da, db, dda, ddb = kernel_arrays(modes, ts)
     wr = a * db - b * da
-    valid = np.abs(wr) >= wronskian_tol * modes.model.omega_sub
+    valid = np.abs(wr) >= WRONSKIAN_TOL * modes.model.omega_sub
     with np.errstate(divide="ignore", invalid="ignore"):
         omega_sq = (da * ddb - db * dda) / wr
         gamma = (b * dda - a * ddb) / wr
@@ -113,41 +113,36 @@ def kernels(modes: NormalModes, t: float) -> KernelSample:
     return KernelSample(t=float(t), a=a, b=b, da=da, db=db, dda=dda, ddb=ddb)
 
 
-def langevin_coefficients(
-    modes: NormalModes, t: float, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL
-) -> LangevinSample:
+def langevin_coefficients(modes: NormalModes, t: float) -> LangevinSample:
     """Instantaneous omega_sq(t) and gamma(t); invalid near wronskian zeros."""
-    _, omega_sq, gamma, valid = _langevin_pass(modes, [t], wronskian_tol)
+    _, omega_sq, gamma, valid = _langevin_pass(modes, [t])
     return LangevinSample(t=float(t), omega_sq=float(omega_sq[0]), gamma=float(gamma[0]),
                           valid=bool(valid[0]))
 
 
-def langevin_table(
-    modes: NormalModes, grid: TimeGrid, wronskian_tol: float = DEFAULT_WRONSKIAN_TOL
-) -> TimeSeries:
-    """Kernel and coefficient columns over a grid: a, b, delta, omega_sq, gamma."""
-    (a, b, *_), omega_sq, gamma, valid = _langevin_pass(modes, grid, wronskian_tol)
+def langevin_table(modes: NormalModes, grid: TimeGrid) -> TimeSeries:
+    """Kernel and coefficient columns over a grid: a, b, delta, omega_sq, gamma.
+
+    A sample is invalid, its omega_sq and gamma NaN, where the wronskian
+    |a b' - b a'| falls below the fixed WRONSKIAN_TOL = 1e-12 of omega_sub.
+    """
+    (a, b, *_), omega_sq, gamma, valid = _langevin_pass(modes, grid)
     columns = {"a": a, "b": b, "delta": a**2 + b**2, "omega_sq": omega_sq, "gamma": gamma}
     return TimeSeries(grid=grid, columns=columns, valid=valid)
 
 
-def verify_langevin_ode(
-    modes: NormalModes,
-    grid: TimeGrid,
-    n_trials: int = 4,
-    seed: int = 20,
-    wronskian_tol: float = DEFAULT_WRONSKIAN_TOL,
-) -> OdeResidualReport:
+def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
+                        n_trials: int = 4) -> OdeResidualReport:
     """Plug the analytic trajectories back into the eliminated equation.
 
     The coefficients are constructed by elimination, so the residual should be
     pure rounding for every initial condition; a large residual indicates an
-    inconsistency between kernels and coefficients.  Invalid (singular)
-    samples are excluded and counted.
+    inconsistency between kernels and coefficients.  The initial conditions
+    are drawn from a fixed seed.  Invalid (singular) samples are excluded and
+    counted.
     """
-    (a, b, da, db, dda, ddb), omega_sq, gamma, valid = _langevin_pass(
-        modes, grid, wronskian_tol)
-    rng = np.random.default_rng(seed)
+    (a, b, da, db, dda, ddb), omega_sq, gamma, valid = _langevin_pass(modes, grid)
+    rng = np.random.default_rng(20)
     worst = 0.0
     x_scale = 0.0
     for _ in range(n_trials):

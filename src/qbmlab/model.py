@@ -138,13 +138,14 @@ class SpectralModel:
     def band_width(self) -> float:
         return float(self.bath_freqs[-1] - self.bath_freqs[0])
 
-    def uniform_spacing(self, rel_tol: float = 1e-9) -> float | None:
-        """Common grid spacing if the bath is equidistant, else None."""
+    def uniform_spacing(self) -> float | None:
+        """Common grid spacing if the bath is equidistant (every spacing within
+        1e-9 of the mean, relative), else None."""
         if self.n_osc < 2:
             return None
         d = np.diff(self.bath_freqs)
         a = float(d.mean())
-        if np.all(np.abs(d - a) <= rel_tol * abs(a)):
+        if np.all(np.abs(d - a) <= 1e-9 * abs(a)):
             return a
         return None
 

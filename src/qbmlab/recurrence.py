@@ -217,7 +217,15 @@ def analyze(
     init: InitialState | None = None,
     threshold: float = 0.5,
 ) -> RecurrenceReport:
-    """Full recurrence report: t_P, revivals, and quasi-exponential fit."""
+    """Full recurrence report: t_P, revivals, and quasi-exponential fit.
+
+    With ``init`` the plateau is the long-time mean of <N_sub(t)> from that
+    state, so ``column`` must then be "N_omega"; without it, the column's
+    median.
+    """
+    if init is not None and column != "N_omega":
+        raise RecurrenceError(
+            f"init gives the plateau of N_omega, not of {column!r}; omit init")
     tp = poincare_time(modes)
     if init is not None:
         plateau = _plateau(modes, init, series)

@@ -63,16 +63,15 @@ def test_far_sums_match_fsum(name):
         tabulated += 1
         shifted = weights * (smooth - math.cos(3.0 * field.centres[c]))
         columns = (signed, shifted)
-        table = field.table(c, columns, buf, aux)
         x = targets(field, c)
-        sums = field.evaluate(c, x, table)
+        sums = [field.evaluate(c, x, field.table(c, col, buf, aux)) for col in columns]
         parts = (slice(0, window.start), slice(window.stop, N))
         for i, t in enumerate(x.tolist()):
             for side, part in enumerate(parts):
                 d = t - s[part]
                 for j, col in enumerate(columns):
                     terms, squares = col[part] / d, col[part] / d**2
-                    value, square = sums[i, 2 * side + j], sums[i, 4 + 2 * side + j]
+                    value, square = sums[j][i, side], sums[j][i, 2 + side]
                     assert abs(value - math.fsum(terms.tolist())) <= (
                         (_cauchy.TOL + limit) * np.abs(terms).sum())
                     assert abs(square - math.fsum(squares.tolist())) <= (

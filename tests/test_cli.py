@@ -15,7 +15,6 @@ import qbmlab
 from qbmlab import dynamics, eigensolve
 from qbmlab.cli import (
     _finite_float,
-    _finite_float_rel_tol,
     _fmt,
     _positive_int,
     _subparsers,
@@ -545,6 +544,17 @@ RERUNS = {
 }
 COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "tolerances",
                "outputs", "threads"}
+# each subcommand's fixed tolerances, and the recurrence run's --threshold
+TOLERANCES = {
+    "solve": {"rel_tol": 1e-13},
+    "evolve": {"rel_tol": 1e-13},
+    "evolve-negative-p0": {"rel_tol": 1e-13},
+    "langevin": {"rel_tol": 1e-13, "wronskian_tol": 1e-12},
+    "recurrence": {"rel_tol": 1e-13, "threshold": 0.4},
+    "continuum": {"quad_tol": 1e-10},
+    "sweep": {"rel_tol": 1e-13},
+    "validate": {},
+}
 
 
 class TestManifest:
@@ -555,6 +565,7 @@ class TestManifest:
         manifest = read_manifest(tmp_path / "a" / "m_manifest.json")
         assert set(manifest) == COMMON_KEYS | extra_keys
         assert manifest["command"] == argv[0]
+        assert manifest["tolerances"] == TOLERANCES[command]
         # one line names every file the run wrote, the manifest last
         wrote = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("wrote ")]
@@ -569,6 +580,16 @@ class TestManifest:
             outputs + ["m_manifest.json"])
         for name in outputs:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
+    @pytest.mark.parametrize("flag", ["--rel-tol", "--quad-tol", "--wronskian-tol"])
+    def test_tolerances_are_not_options(self, tmp_path, capsys, command, flag):
+        argv = RERUNS[command][0]
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [flag, 1e-12, "--out-dir", tmp_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", sorted(_subparsers(build_parser())))
     def test_every_option_is_named_after_its_dest(self, command):
@@ -586,10 +607,9 @@ def _typed_options():
                 yield command, action.option_strings[-1], action.nargs or 1, action.type
 
 
-# values each checked type must refuse; --rel-tol takes only (1e-16, 1e-6)
+# values each checked type must refuse
 BAD_VALUES = {
     _finite_float: ("nan", "inf", "-inf"),
-    _finite_float_rel_tol: ("nan", "inf", "-inf", "1", "0", "1e-17"),
     _positive_int: ("0", "-3", "2.5"),
 }
 

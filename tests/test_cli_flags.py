@@ -64,7 +64,7 @@ def test_finite_float_flag_round_trip(command, flag, dest, nargs, value):
 # draw, and the numeric flags drawn on top; small solves and grids keep every
 # example to milliseconds
 MODEL_FLAGS = ["--band-width", "--d-over-a", "--omega", "--beta", "--kappa"]
-GRID_FLAGS = MODEL_FLAGS + ["--rel-tol", "--t0", "--t-max"]
+GRID_FLAGS = MODEL_FLAGS + ["--t0", "--t-max"]
 
 
 def _model_argv(n, points):
@@ -76,17 +76,16 @@ def _grid_argv(n, points):
 
 
 COMMANDS = {
-    "solve": (_model_argv, MODEL_FLAGS + ["--rel-tol"]),
+    "solve": (_model_argv, MODEL_FLAGS),
     "evolve": (_grid_argv, GRID_FLAGS + ["--x0", "--p0"]),
-    "langevin": (_grid_argv, GRID_FLAGS + ["--wronskian-tol"]),
+    "langevin": (_grid_argv, GRID_FLAGS),
     "recurrence": (_grid_argv, GRID_FLAGS + ["--threshold"]),
     "validate": (_model_argv, MODEL_FLAGS + ["--delta"]),
     "sweep": (lambda n, points: ["--n-list", str(n), "--points", str(points)],
-              MODEL_FLAGS + ["--rel-tol", "--t-max"]),
+              MODEL_FLAGS + ["--t-max"]),
     "continuum": (lambda n, points: ["--band", "0.5", "1.5", "--peak", "1.0",
                                      "--half-width", "0.1", "--survival-points", str(points)],
-                  ["--omega", "--beta", "--peak", "--half-width", "--quad-tol",
-                   "--survival-t-max"]),
+                  ["--omega", "--beta", "--peak", "--half-width", "--survival-t-max"]),
 }
 NUMBERS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),

@@ -274,12 +274,6 @@ class TestSolverEffort:
 
 
 class TestSolverBehavior:
-    def test_rel_tol_domain(self, model_32):
-        with pytest.raises(ValueError):
-            solve_normal_modes(model_32, rel_tol=1e-5)
-        with pytest.raises(ValueError):
-            solve_normal_modes(model_32, rel_tol=1e-17)
-
     def test_iteration_cap_is_an_error(self, model_32, monkeypatch):
         monkeypatch.setattr(eigensolve, "_MAX_ITER", 2)
         with pytest.raises(EigensolveError,

@@ -139,7 +139,7 @@ class TestExponentialRegimeWidth:
 
         gamma = width_from_discrete(modes_500.model)
         ts = np.linspace(50.0, 2000.0, 2500)
-        _, _, gamma_t, valid = _langevin_pass(modes_500, ts, 1e-12)
+        _, _, gamma_t, valid = _langevin_pass(modes_500, ts)
         median = float(np.median(gamma_t[valid]))
         assert median == pytest.approx(gamma, rel=0.2)
 

@@ -141,6 +141,16 @@ class TestReferenceModelAnalysis:
         assert report.gamma_fit is not None and report.gamma_fit > 0
         assert report.plateau == pytest.approx(0.609, abs=0.01)
 
+    def test_init_plateau_only_for_occupation(self, modes_32, init_32):
+        # init's plateau is <N_sub>'s mean (0.609), not P_surv's (sum w^2 = 0.064)
+        tp = poincare_time(modes_32).t_poincare
+        grid = TimeGrid(t0=0.0, dt=3.0 * tp / 4000, count=4001)
+        series = evolve_series(modes_32, init_32, grid, ["N_omega", "P_surv"])
+        with pytest.raises(RecurrenceError, match="P_surv"):
+            analyze(modes_32, series, "P_surv", init=init_32)
+        report = analyze(modes_32, series, "P_surv")
+        assert report.plateau == pytest.approx(np.median(series.column("P_surv")))
+
     def test_symmetric_grid_gives_mirrored_peaks(self, modes_32, init_32):
         tp = poincare_time(modes_32).t_poincare
         half = int(1.5 * tp / 4.0)
