@@ -28,7 +28,6 @@ from . import __version__
 from .continuum import (
     QUAD_TOL,
     ContinuumError,
-    asymptotic_occupation,
     lorentzian_density,
     pole_estimate,
     survival_amplitude_continuum,
@@ -45,6 +44,7 @@ from .model import (
     SpectralModel,
     load_model,
     paper_default_model,
+    thermal_occupancy,
     validate_dissipation,
 )
 from .recurrence import RecurrenceError, analyze, poincare_time
@@ -184,9 +184,9 @@ def _resolve_model(args, parser: argparse.ArgumentParser) -> SpectralModel:
     parser.error("give either --config or --paper-defaults")
 
 
-def _solved(args, parser: argparse.ArgumentParser):
-    """The solved model and its manifest fields: model, derived scales, solver effort."""
-    model = _resolve_model(args, parser)
+def _solved(args, model: SpectralModel):
+    """The solved model and its manifest fields: model, derived scales, solver
+    effort, and the solver's tolerance."""
     modes = solve_normal_modes(model)
     tp = poincare_time(modes)
     derived = {
@@ -194,8 +194,9 @@ def _solved(args, parser: argparse.ArgumentParser):
         "min_gap": tp.min_gap,
         "coupling_peak": float(np.abs(model.couplings).max()),
     }
-    if args.paper_defaults:
-        n_osc = args.n - 1
+    source = getattr(args, "config", None)  # sweep members have no --config
+    if source is None:
+        n_osc = model.n_osc
         derived["spacing_prose"] = args.band_width / (n_osc - 2)
         derived["spacing_formula"] = args.band_width / (n_osc - 1)
         derived["lorentz_half_width"] = derived[
@@ -204,8 +205,9 @@ def _solved(args, parser: argparse.ArgumentParser):
     if model.uniform_spacing() is not None:
         derived["gamma_width"] = width_from_discrete(model)
     return modes, {
+        "tolerances": {"rel_tol": REL_TOL},
         "model": {
-            "source": str(args.config) if args.config else "paper-defaults",
+            "source": str(source) if source else "paper-defaults",
             "omega_sub": model.omega_sub,
             "beta": model.beta,
             "kappa": model.kappa,
@@ -229,14 +231,6 @@ def _solved(args, parser: argparse.ArgumentParser):
             "weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0),
         },
     }
-
-
-def _occupation_diagnostics(modes, series) -> dict:
-    """Closure of the weights and, where ``series`` summed N_omega, how it did."""
-    out = {"weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0)}
-    if series.occupation_form is not None:
-        out["occupation_form"] = series.occupation_form
-    return out
 
 
 def _dissipation_record(validity) -> dict:
@@ -267,19 +261,16 @@ def _argv_effective(args, sub: argparse.ArgumentParser) -> list[str]:
     return argv
 
 
-# the tolerances a subcommand has, all recorded in its manifest: the fixed ones
-# are namespace defaults of its parser, --threshold an option
-_TOLERANCES = ("rel_tol", "wronskian_tol", "threshold", "quad_tol")
-
-
 def _write_manifest(args, parser, written: list[Path], **fields) -> Path:
-    """Write <prefix>_manifest.json: how to repeat the run and what it produced."""
+    """Write <prefix>_manifest.json: how to repeat the run and what it produced.
+
+    ``fields`` come from the subcommand's handler, ``tolerances`` among them.
+    """
     payload = {
         "command": args.command,
         "argv_effective": _argv_effective(args, parser),
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
-        "tolerances": {dest: getattr(args, dest) for dest in _TOLERANCES if dest in args},
         "outputs": [path.name for path in written],
         "threads": os.cpu_count() or 1,
         **fields,
@@ -325,13 +316,13 @@ _Run = tuple[int, list[Path], dict]  # exit code, paths written, manifest fields
 
 def _recurrence_report(args, modes, fallback_t_max: float, **analyze_kw):
     """N_omega of the thermal state over the run's grid, and its recurrence report."""
-    init = InitialState.thermal(modes.model)
-    series = evolve_series(modes, init, _make_grid(args, fallback_t_max), ["N_omega"])
-    return series, analyze(modes, series, "N_omega", init=init, **analyze_kw)
+    series = evolve_series(modes, InitialState.thermal(modes.model),
+                           _make_grid(args, fallback_t_max), ["N_omega"])
+    return series, analyze(modes, series, "N_omega", **analyze_kw)
 
 
 def _cmd_solve(args, parser) -> _Run:
-    modes, record = _solved(args, parser)
+    modes, record = _solved(args, _resolve_model(args, parser))
     csv_path = _out(args, "_modes.csv")
     _write_csv(csv_path, {"nu": np.arange(modes.n_modes), "alpha": modes.alphas,
                           "weight": modes.weights, "residual": modes.residuals})
@@ -344,7 +335,7 @@ def _cmd_evolve(args, parser) -> _Run:
     unknown = [o for o in observables if o not in OBSERVABLES]
     if unknown:
         parser.error(f"unknown observables {unknown}; choose from {OBSERVABLES}")
-    modes, record = _solved(args, parser)
+    modes, record = _solved(args, _resolve_model(args, parser))
     grid = _make_grid(args, fallback_t_max=poincare_time(modes).t_poincare / 2.0)
     series = evolve_series(modes, InitialState.thermal(modes.model), grid, observables,
                            x0=args.x0, p0=args.p0)
@@ -352,22 +343,24 @@ def _cmd_evolve(args, parser) -> _Run:
     _write_csv(csv_path, {"t": series.times, **series.columns})
     plot_path = _out(args, "_series.gp")
     _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
-    record["diagnostics"].update(_occupation_diagnostics(modes, series))
+    if series.occupation_form is not None:
+        record["diagnostics"]["occupation_form"] = series.occupation_form
     return 0, [csv_path, plot_path], record
 
 
 def _cmd_langevin(args, parser) -> _Run:
-    modes, record = _solved(args, parser)
+    modes, record = _solved(args, _resolve_model(args, parser))
     grid = _make_grid(args, fallback_t_max=500.0 / modes.model.omega_sub)
     table = langevin_table(modes, grid)
     csv_path = _out(args, "_langevin.csv")
     _write_csv(csv_path, {"t": table.times, **table.columns, "valid": table.valid})
     record["invalid_samples"] = int(np.count_nonzero(~table.valid))
+    record["tolerances"]["wronskian_tol"] = WRONSKIAN_TOL
     return 0, [csv_path], record
 
 
 def _cmd_recurrence(args, parser) -> _Run:
-    modes, record = _solved(args, parser)
+    modes, record = _solved(args, _resolve_model(args, parser))
     series, report = _recurrence_report(args, modes, 3.0 * poincare_time(modes).t_poincare,
                                         threshold=args.threshold)
     payload = {
@@ -382,7 +375,8 @@ def _cmd_recurrence(args, parser) -> _Run:
     }
     json_path = _out(args, "_recurrence.json")
     _write_json(json_path, payload)
-    record["diagnostics"].update(_occupation_diagnostics(modes, series))
+    record["diagnostics"]["occupation_form"] = series.occupation_form
+    record["tolerances"]["threshold"] = args.threshold
     return 0, [json_path], record
 
 
@@ -415,7 +409,7 @@ def _cmd_continuum(args, parser) -> _Run:
             "pass": validity.all_pass,
             "diverged": list(validity.diverged),
         },
-        "asymptotic_occupation_weak": asymptotic_occupation(cm, weak_coupling=True),
+        "asymptotic_occupation_weak": thermal_occupancy(cm.beta, cm.omega_sub),
     }
 
     written = []
@@ -432,11 +426,13 @@ def _cmd_continuum(args, parser) -> _Run:
     json_path = _out(args, "_continuum.json")
     _write_json(json_path, payload)
     written.append(json_path)
-    return 0, written, {"density": args.density, "band": list(args.band)}
+    return 0, written, {"density": args.density, "band": list(args.band),
+                        "tolerances": {"quad_tol": QUAD_TOL}}
 
 
 def _sweep_member(n_plus_1: int, args):
-    modes = solve_normal_modes(_paper_model(args, n_plus_1))
+    """One bath size, solved and analysed as ``recurrence`` does, over 1.5 decay times."""
+    modes, record = _solved(args, _paper_model(args, n_plus_1))
     gamma = width_from_discrete(modes.model)
     series, report = _recurrence_report(args, modes, 1.5 / gamma)
     rescaled = None
@@ -450,13 +446,14 @@ def _sweep_member(n_plus_1: int, args):
         "gamma_fit": report.gamma_fit,
         "gamma_width": gamma,
         "rescaled": rescaled,
-        "diagnostics": {"n_plus_1": n_plus_1, **_occupation_diagnostics(modes, series)},
+        "diagnostics": {"n_plus_1": n_plus_1, **record["diagnostics"],
+                        "occupation_form": series.occupation_form},
     }
 
 
 def _cmd_sweep(args, parser) -> _Run:
     try:
-        n_values = [int(v) for v in args.n_list.split(",") if v.strip()]
+        n_values = list(dict.fromkeys(int(v) for v in args.n_list.split(",") if v.strip()))
     except ValueError:
         parser.error(f"cannot parse --n-list {args.n_list!r}")
     if not n_values:
@@ -467,7 +464,7 @@ def _cmd_sweep(args, parser) -> _Run:
     for n in n_values:
         try:
             rows.append(_sweep_member(n, args))
-        except Exception as exc:  # abort but keep earlier rows
+        except _KNOWN_ERRORS as exc:  # abort but keep earlier rows
             failed = {"n_plus_1": n, "error": str(exc)}
             break
 
@@ -489,7 +486,8 @@ def _cmd_sweep(args, parser) -> _Run:
         print(f"error: sweep aborted at N+1={failed['n_plus_1']}: {failed['error']}",
               file=sys.stderr)
     fields = {"convention": args.convention, "status": "failed" if failed else "ok",
-              "failed_member": failed, "diagnostics": [r["diagnostics"] for r in rows]}
+              "failed_member": failed, "diagnostics": [r["diagnostics"] for r in rows],
+              "tolerances": {"rel_tol": REL_TOL}}
     return (1 if failed else 0), written, fields
 
 
@@ -507,7 +505,8 @@ def _cmd_validate(args, parser) -> _Run:
     if not report.all_pass:
         print("model violates the positivity conditions; dissipation is not guaranteed",
               file=sys.stderr)
-    return (0 if report.all_pass else 1), [], {"dissipation": _dissipation_record(report)}
+    return (0 if report.all_pass else 1), [], {"dissipation": _dissipation_record(report),
+                                               "tolerances": {}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,12 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = subs.add_parser("solve", help="normal frequencies and weights")
     _add_model_args(p_solve)
-    p_solve.set_defaults(rel_tol=REL_TOL)
     _add_output_args(p_solve, "solve")
 
     p_evolve = subs.add_parser("evolve", help="mean-observable time series")
     _add_model_args(p_evolve)
-    p_evolve.set_defaults(rel_tol=REL_TOL)
     _add_grid_args(p_evolve)
     p_evolve.add_argument("--obs", default="N_omega",
                           help=f"comma-separated subset of {','.join(OBSERVABLES)}")
@@ -535,13 +532,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lan = subs.add_parser("langevin", help="rotation kernels and damping coefficients")
     _add_model_args(p_lan)
-    p_lan.set_defaults(rel_tol=REL_TOL, wronskian_tol=WRONSKIAN_TOL)
     _add_grid_args(p_lan)
     _add_output_args(p_lan, "langevin")
 
     p_rec = subs.add_parser("recurrence", help="revival detection and decay fit")
     _add_model_args(p_rec)
-    p_rec.set_defaults(rel_tol=REL_TOL)
     _add_grid_args(p_rec)
     p_rec.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_output_args(p_rec, "recurrence")
@@ -559,14 +554,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cont.add_argument("--c2", type=_finite_float, default=None)
     p_cont.add_argument("--survival-t-max", type=_finite_float, default=None)
     p_cont.add_argument("--survival-points", type=_positive_int, default=401)
-    p_cont.set_defaults(quad_tol=QUAD_TOL)
     _add_output_args(p_cont, "continuum")
 
     p_sweep = subs.add_parser("sweep", help="one run per bath size")
     p_sweep.add_argument("--n-list", required=True,
                          help="comma-separated N+1 values, e.g. 10,32,100,500")
     _add_paper_model_args(p_sweep)
-    p_sweep.set_defaults(rel_tol=REL_TOL)
     p_sweep.add_argument("--t-max", type=_finite_float, default=None)
     p_sweep.add_argument("--points", type=_positive_int, default=1201)
     p_sweep.add_argument("--rescaled-series", action="store_true",

@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .dynamics import mode_sum
-from .model import SpectralModel, _bose_occupancies, thermal_occupancy
+from .model import SpectralModel, _bose_occupancies
 
 __all__ = [
     "ContinuumError",
@@ -650,16 +650,14 @@ def khalfin_tail(cm: ContinuumModel, t_range: tuple[float, float]) -> float:
     return float(slope)
 
 
-def asymptotic_occupation(cm: ContinuumModel, weak_coupling: bool = False) -> float:
-    """Long-time subsystem occupation.
+def asymptotic_occupation(cm: ContinuumModel) -> float:
+    """Long-time subsystem occupation: the thermal occupancy averaged over the
+    weight density.
 
     In the vanishing-coupling limit the weight density contracts to a delta at
-    omega_sub and the value is the bare thermal occupancy 1/(exp(beta W) - 1);
-    at finite coupling it is the thermal occupancy averaged over the weight
-    density.
+    omega_sub and the value tends to the bare thermal occupancy
+    1/(exp(beta W) - 1), ``thermal_occupancy(cm.beta, cm.omega_sub)``.
     """
-    if weak_coupling:
-        return thermal_occupancy(cm.beta, cm.omega_sub)
     table = build_weight_table(cm, _auto_panels(cm, 0.0))
     if abs(table.completeness - 1.0) > 1e-4:
         raise ContinuumError(

@@ -102,16 +102,16 @@ class TimeSeries:
 
     Invalid samples carry NaN and valid=False; every column has grid length.
     ``occupation_form`` is how N_omega was summed, as the form's ``kind``,
-    ``degree``, ``fit_residual`` and ``error_bound``; None without N_omega.
+    ``degree``, ``fit_residual`` and ``error_bound``, and ``plateau`` is the
+    Cesaro mean of N_omega, the mean of that same form
+    (``asymptotic_mean_occupation``); both are None without N_omega.
     """
 
     grid: TimeGrid
     columns: dict[str, np.ndarray]
     valid: np.ndarray = field(default=None)
     occupation_form: dict | None = None
-    # (modes, init, form) of the N_omega column: the plateau of the same modes
-    # and state is that form's mean (``_plateau``), not a second build
-    _form: tuple | None = field(default=None, repr=False, compare=False)
+    plateau: float | None = None
 
     def __post_init__(self):
         if self.valid is None:
@@ -597,14 +597,6 @@ def asymptotic_mean_occupation(modes: NormalModes, init: InitialState) -> float:
     return _occupation_form(modes, init, modes.weights).mean()
 
 
-def _plateau(modes: NormalModes, init: InitialState, series: TimeSeries) -> float:
-    """asymptotic_mean_occupation(modes, init), from the form that summed the
-    series' N_omega when that form belongs to the same modes and state."""
-    if series._form is not None and series._form[0] is modes and series._form[1] is init:
-        return series._form[2].mean()
-    return asymptotic_mean_occupation(modes, init)
-
-
 OBSERVABLES = ("P_surv", "N_omega", "N_total", "X_mean", "P_tilde_mean")
 
 
@@ -623,10 +615,11 @@ def evolve_series(
     for the survival amplitude and the position columns, O(N K) for N_omega
     with its K+1 Chebyshev columns, whose first column is s(t) itself (O(N^2)
     where N_omega falls back to the dense sum; the result's
-    ``occupation_form`` says which ran).  N_total is the conserved total
-    kappa + sum nbar, written in closed form.  An empty selection returns an
-    empty column set.  A start point with 2|x0 + i p0| not finite is refused
-    with a ModelError.
+    ``occupation_form`` says which ran, and its ``plateau`` is that form's
+    mean, asymptotic_mean_occupation(modes, init)).  N_total is the
+    conserved total kappa + sum nbar, written in closed form.  An empty
+    selection returns an empty column set.  A start point with
+    2|x0 + i p0| not finite is refused with a ModelError.
     """
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
@@ -634,7 +627,7 @@ def evolve_series(
         raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
     start = _start_point(x0, p0)
     columns: dict[str, np.ndarray] = {}
-    record = owned = None
+    record = plateau = None
     if "N_omega" in names:
         form = _occupation_form(modes, init, modes.weights)  # column 0 is w: s(t)
         record = {key: getattr(form, key)
@@ -643,7 +636,7 @@ def evolve_series(
                         reduce=lambda e, _: np.column_stack([e[:, 0], form(e)]))
         s = both[:, 0]
         columns["N_omega"] = both[:, 1].real
-        owned = (modes, init, form)
+        plateau = form.mean()
     elif {"P_surv", "X_mean", "P_tilde_mean"} & set(names):
         s = mode_sum(modes.alphas, modes.weights, grid)
     if "P_surv" in names:
@@ -655,4 +648,4 @@ def evolve_series(
         rotated = s * start
         columns["X_mean"], columns["P_tilde_mean"] = rotated.real, rotated.imag
     columns = {name: columns[name] for name in names}
-    return TimeSeries(grid=grid, columns=columns, occupation_form=record, _form=owned)
+    return TimeSeries(grid=grid, columns=columns, occupation_form=record, plateau=plateau)

@@ -8,9 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import TimeSeries, _plateau
+from .dynamics import TimeSeries
 from .eigensolve import NormalModes
-from .model import InitialState
 
 __all__ = [
     "RecurrenceError",
@@ -214,21 +213,18 @@ def analyze(
     modes: NormalModes,
     series: TimeSeries,
     column: str = "N_omega",
-    init: InitialState | None = None,
     threshold: float = 0.5,
 ) -> RecurrenceReport:
     """Full recurrence report: t_P, revivals, and quasi-exponential fit.
 
-    With ``init`` the plateau is the long-time mean of <N_sub(t)> from that
-    state, so ``column`` must then be "N_omega"; without it, the column's
-    median.
+    The plateau of "N_omega" is the series' own ``plateau``, the long-time
+    mean of <N_sub(t)> that ``evolve_series`` stores with the column; any
+    other column, and an N_omega column without a stored plateau, takes the
+    column's median.
     """
-    if init is not None and column != "N_omega":
-        raise RecurrenceError(
-            f"init gives the plateau of N_omega, not of {column!r}; omit init")
     tp = poincare_time(modes)
-    if init is not None:
-        plateau = _plateau(modes, init, series)
+    if column == "N_omega" and series.plateau is not None:
+        plateau = series.plateau
     else:
         plateau = float(np.median(series.column(column)))
     peaks = detect_revivals(series, column, threshold=threshold,

@@ -448,8 +448,46 @@ class TestSweep:
         assert manifest["status"] == "ok"
         assert [d["n_plus_1"] for d in manifest["diagnostics"]] == [10, 32]
         for member in manifest["diagnostics"]:
-            assert set(member) == {"n_plus_1", "occupation_form", "weight_sum_error"}
+            assert set(member) == {"n_plus_1", "occupation_form", "weight_sum_error"} | {
+                "secular_evaluations", "safeguard_fallbacks", "min_pole_offset",
+                "tabulated_clusters", "exact_clusters", "chebyshev_points",
+                "far_field_bound", "residual_ratio", "audit_residual_error",
+                "audit_weight_error"}
             assert member["occupation_form"]["kind"] == "chebyshev"
+
+    def test_member_diagnostics_match_a_solo_recurrence_run(self, tmp_path):
+        grid = ["--t-max", 900.0, "--points", 301, "--out-dir", tmp_path]
+        assert run(["sweep", "--n-list", "32", "--prefix", "w", *grid]) == 0
+        assert run(["recurrence", "--paper-defaults", "--n", 32, "--prefix", "r", *grid]) == 0
+        member, = read_manifest(tmp_path / "w_manifest.json")["diagnostics"]
+        solo = read_manifest(tmp_path / "r_manifest.json")["diagnostics"]
+        assert member == {"n_plus_1": 32, **solo}
+        rows = (tmp_path / "w_sweep.csv").read_text().splitlines()
+        report = json.loads((tmp_path / "r_recurrence.json").read_text())
+        assert float(rows[1].split(",")[3]) == report["plateau"]
+
+    def test_repeated_sizes_run_once(self, tmp_path, capsys):
+        assert run(["sweep", "--n-list", "10,10", "--rescaled-series", "--points", 301,
+                    "--out-dir", tmp_path, "--prefix", "dup"]) == 0
+        rows = (tmp_path / "dup_sweep.csv").read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith("10,")
+        manifest = read_manifest(tmp_path / "dup_manifest.json")
+        assert manifest["outputs"] == ["dup_sweep.csv", "dup_n10_rescaled.csv", "dup_sweep.gp"]
+        assert [d["n_plus_1"] for d in manifest["diagnostics"]] == [10]
+        wrote, = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("wrote ")]
+        assert wrote.count("dup_n10_rescaled.csv") == 1
+
+    def test_a_bug_in_a_member_raises(self, tmp_path, monkeypatch):
+        # only known errors end a sweep with its earlier rows kept; a bug is a traceback
+        def broken(*args, **kwargs):
+            raise TypeError("broken analysis")
+
+        monkeypatch.setattr(qbmlab.cli, "analyze", broken)
+        with pytest.raises(TypeError, match="broken analysis"):
+            run(["sweep", "--n-list", "10,32", "--points", 301,
+                 "--out-dir", tmp_path, "--prefix", "bug"])
+        assert list(tmp_path.iterdir()) == []
 
     def test_single_member_matches_solo_run(self, tmp_path):
         run(["sweep", "--n-list", "10", "--points", 301,

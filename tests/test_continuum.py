@@ -12,6 +12,7 @@ from qbmlab import (
     ContinuumModel,
     paper_default_model,
     solve_normal_modes,
+    thermal_occupancy,
 )
 from qbmlab import continuum
 from qbmlab.continuum import (
@@ -307,7 +308,7 @@ class TestKhalfinTail:
 
 class TestAsymptoticOccupation:
     def test_weak_coupling_value(self, narrow):
-        assert asymptotic_occupation(narrow, weak_coupling=True) == pytest.approx(
+        assert thermal_occupancy(narrow.beta, narrow.omega_sub) == pytest.approx(
             1.0 / (math.e - 1.0), rel=1e-14
         )
 
@@ -316,7 +317,7 @@ class TestAsymptoticOccupation:
             peak=5e-4, half_width=0.05, omega_sub=1.0,
             omega_min=0.5, omega_max=1.5, beta=1e4,
         )
-        assert asymptotic_occupation(cold, weak_coupling=True) < 1e-30
+        assert asymptotic_occupation(cold) < 1e-30
         # finite coupling where exp(beta * omega) overflows: exactly 0, no warning
         frozen = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5,
                                     omega_max=1.5, beta=1e300)

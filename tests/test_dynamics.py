@@ -284,8 +284,9 @@ class TestEvolveSeries:
         form = dynamics._occupation_form(modes_32, init_32, modes_32.weights)
         assert record == {"kind": "chebyshev", "degree": form.degree,
                           "fit_residual": form.fit_residual, "error_bound": form.error_bound}
-        # no occupation sum ran
-        assert evolve_series(modes_32, init_32, grid, ["P_surv"]).occupation_form is None
+        # no occupation sum ran, and no plateau was taken
+        survival = evolve_series(modes_32, init_32, grid, ["P_surv"])
+        assert survival.occupation_form is None and survival.plateau is None
         assert langevin_table(modes_32, grid).occupation_form is None
 
     def test_start_point_without_finite_modulus_is_refused(self, modes_32, init_32):
@@ -834,7 +835,7 @@ class TestOccupationForm:
         monkeypatch.setattr(NormalModes, "pole_ratios", refuse)
         grid = TimeGrid(0.0, 3.0 * poincare_time(modes).t_poincare / 1000, 1001)
         series = evolve_series(modes, init, grid, ["N_omega", "P_surv"])
-        report = analyze(modes, series, "N_omega", init=init)
+        report = analyze(modes, series, "N_omega")
         assert report.plateau == asymptotic_mean_occupation(modes, init)
         assert series.column("N_omega")[0] == pytest.approx(init.kappa, abs=1e-12)
 
@@ -850,13 +851,9 @@ class TestOccupationForm:
         grid = TimeGrid(0.0, poincare_time(modes).t_poincare / 200, 201)
         series = evolve_series(modes, init, grid, ["N_omega"])
         assert series.occupation_form["kind"] == "dense"
-        report = analyze(modes, series, "N_omega", init=init)
+        report = analyze(modes, series, "N_omega")
         assert len(builds) == 1
-        assert report.plateau == want
-        # another state's plateau is not read from this series
-        other = InitialState.thermal(WIDE_COLD)
-        assert analyze(modes, series, "N_omega", init=other).plateau == want
-        assert len(builds) == 2
+        assert report.plateau == series.plateau == want
 
     def test_form_search_runs_no_lstsq(self, monkeypatch):
         def refuse(*args, **kwargs):

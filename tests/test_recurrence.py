@@ -115,7 +115,7 @@ def report_and_series(modes_32, init_32):
     tp = poincare_time(modes_32).t_poincare
     grid = TimeGrid(t0=0.0, dt=3.0 * tp / 4000, count=4001)
     series = evolve_series(modes_32, init_32, grid, ["N_omega"])
-    report = analyze(modes_32, series, "N_omega", init=init_32)
+    report = analyze(modes_32, series, "N_omega")
     return report, series
 
 
@@ -142,14 +142,13 @@ class TestReferenceModelAnalysis:
         assert report.plateau == pytest.approx(0.609, abs=0.01)
 
     def test_init_plateau_only_for_occupation(self, modes_32, init_32):
-        # init's plateau is <N_sub>'s mean (0.609), not P_surv's (sum w^2 = 0.064)
+        # the series' plateau is <N_sub>'s mean (0.609), not P_surv's (sum w^2 = 0.064)
         tp = poincare_time(modes_32).t_poincare
         grid = TimeGrid(t0=0.0, dt=3.0 * tp / 4000, count=4001)
         series = evolve_series(modes_32, init_32, grid, ["N_omega", "P_surv"])
-        with pytest.raises(RecurrenceError, match="P_surv"):
-            analyze(modes_32, series, "P_surv", init=init_32)
         report = analyze(modes_32, series, "P_surv")
         assert report.plateau == pytest.approx(np.median(series.column("P_surv")))
+        assert analyze(modes_32, series, "N_omega").plateau == series.plateau
 
     def test_symmetric_grid_gives_mirrored_peaks(self, modes_32, init_32):
         tp = poincare_time(modes_32).t_poincare
