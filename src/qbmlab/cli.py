@@ -86,15 +86,16 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_plot_script(path: Path, csv_name: str, columns: list[str], title: str) -> None:
+    """Gnuplot script plotting CSV columns 2.. of ``columns`` against column 1, the x axis."""
     plots = ", ".join(
         f"'{csv_name}' using 1:{i + 2} with lines title '{name}'"
-        for i, name in enumerate(columns)
+        for i, name in enumerate(columns[1:])
     )
     path.write_text(
         "set datafile separator ','\n"
         f"set title '{title}'\n"
         "set key autotitle columnhead\n"
-        "set xlabel 't'\n"
+        f"set xlabel '{columns[0]}'\n"
         f"plot {plots}\n",
         encoding="utf-8",
     )
@@ -342,7 +343,7 @@ def _cmd_evolve(args, parser) -> _Run:
     csv_path = _out(args, "_series.csv")
     _write_csv(csv_path, {"t": series.times, **series.columns})
     plot_path = _out(args, "_series.gp")
-    _write_plot_script(plot_path, csv_path.name, observables, "mean-value evolution")
+    _write_plot_script(plot_path, csv_path.name, ["t", *observables], "mean-value evolution")
     if series.occupation_form is not None:
         record["diagnostics"]["occupation_form"] = series.occupation_form
     return 0, [csv_path, plot_path], record
@@ -479,7 +480,7 @@ def _cmd_sweep(args, parser) -> _Run:
             _write_csv(member_path, {"t_over_tp": ts_scaled, "N_omega": values})
             written.append(member_path)
     plot_path = _out(args, "_sweep.gp")
-    _write_plot_script(plot_path, csv_path.name, ["t_poincare"], "recurrence time sweep")
+    _write_plot_script(plot_path, csv_path.name, header[:2], "recurrence time sweep")
     written.append(plot_path)
 
     if failed:

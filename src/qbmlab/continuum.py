@@ -592,8 +592,7 @@ def survival_amplitude_continuum(cm: ContinuumModel, t, table: WeightTable | Non
     s(t) = sum_q exp(-i offsets_q t) sum_p c_pq exp(-i centres_p t), one
     ``mode_sum`` over the P panel centres with Q coefficient columns.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    scalar = np.asarray(t).ndim == 0
+    ts = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise ContinuumError("survival amplitude is defined for finite t >= 0")
     t_max = float(ts.max()) if ts.size else 0.0
@@ -620,8 +619,7 @@ def survival_amplitude_continuum(cm: ContinuumModel, t, table: WeightTable | Non
     def over_offsets(block, t_block):
         return (block * np.exp(-1j * np.outer(t_block, table.offsets))).sum(axis=1)
 
-    s = mode_sum(table.centres, coeffs, ts, reduce=over_offsets)
-    return complex(s[0]) if scalar else s
+    return mode_sum(table.centres, coeffs, ts, reduce=over_offsets)
 
 
 def khalfin_tail(cm: ContinuumModel, t_range: tuple[float, float]) -> float:

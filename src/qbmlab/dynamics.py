@@ -1,13 +1,13 @@
 """Closed-form time evolution of mean observables and transition probabilities.
 
 Everything here is a finite mode sum over the solved normal frequencies; no
-time stepping is involved, so samples are independent.  Every sum runs one
-loop over blocks of B samples, each summed over fixed panels of modes
-(``mode_sum``), and a sample's value depends on its index and, in the last
-block, on that block's row count.  On a uniform ``TimeGrid`` the phase
-factors come from anchored rotations instead of one cos/sin call per mode
-and sample; they reproduce the direct kernel's phases fl(t * omega) to a
-few ulp.
+time stepping is involved, so samples are independent.  Every function of
+time passes its times to ``mode_sum``, which alone shapes the result.  Every
+sum runs one loop over blocks of B samples, each summed over fixed panels of
+modes, and a sample's value depends on its index and, in the last block, on
+that block's row count.  On a uniform ``TimeGrid`` the phase factors come
+from anchored rotations instead of one cos/sin call per mode and sample;
+they reproduce the direct kernel's phases fl(t * omega) to a few ulp.
 
 All probability evaluations use the amplitude form: a single sum over modes
 followed by a modulus squared.  It is algebraically identical to the
@@ -132,12 +132,6 @@ class TimeSeries:
         return self.columns[name]
 
 
-def _times_array(t) -> tuple[np.ndarray, bool]:
-    ts = np.asarray(t, dtype=float)
-    scalar = ts.ndim == 0
-    return np.atleast_1d(ts), scalar
-
-
 def _block_trig(ts, dt, freqs, cols):
     """Tile source of cos and sin of the phases fl(ts[k] * freqs).
 
@@ -203,15 +197,18 @@ def _block_trig(ts, dt, freqs, cols):
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
-    ``ts`` is an array of times or a ``TimeGrid``.  The sum is formed one
-    block of B samples at a time, and each block over panels of P modes
-    (``_block_trig``), as cos(phase) @ C and sin(phase) @ C: two real GEMMs
-    per B x P tile instead of one complex-by-real product, taken while the
-    tile's cos and sin are still in cache, and added panel by panel in mode
-    order.  ``reduce``, when given, maps each complex block and its times to
-    the per-time result, so a caller that needs only, say, |S|^2 @ q never
-    holds the full (T, J) sum.  A sum holds O(B P + B J) scratch for J
-    columns, plus its output (and, on a grid, three B x N rotation tables).
+    ``ts`` is an array or a ``TimeGrid`` of T times, or a single time (0-d),
+    which gives its one row: a numpy scalar where a row is one value, else
+    that row.  No other function of the package shapes a result by its
+    times.  The sum is formed one block of B samples at a time, and each
+    block over panels of P modes (``_block_trig``), as cos(phase) @ C and
+    sin(phase) @ C: two real GEMMs per B x P tile instead of one
+    complex-by-real product, taken while the tile's cos and sin are still in
+    cache, and added panel by panel in mode order.  ``reduce``, when given,
+    maps each complex block and its times to the per-time result, so a
+    caller that needs only, say, |S|^2 @ q never holds the full (T, J) sum.
+    A sum holds O(B P + B J) scratch for J columns, plus its output (and, on
+    a grid, three B x N rotation tables).
 
     For an array every cos and sin comes from libm.  For a grid they are
     rotated from (T/B + B) N libm values, B >= 64, and stay within a few ulp
@@ -235,9 +232,10 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
     if isinstance(ts, TimeGrid):
-        dt, ts = ts.dt, ts.times
+        dt, ts, scalar = ts.dt, ts.times, False
     else:
-        dt, ts = None, np.atleast_1d(np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        dt, ts, scalar = None, np.atleast_1d(ts), ts.ndim == 0
     if freqs.size and ts.size:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and refused below
             max_phase = np.abs(freqs).max() * np.abs(ts).max()
@@ -272,19 +270,17 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
         if out is None:
             out = np.empty((ts.size,) + res.shape[1:], dtype=res.dtype)
         out[a:b] = res
-    return out
+    return out[0] if scalar else out
 
 
 def survival_amplitude(modes: NormalModes, t):
     """s(t) = sum_nu |Phi_nu|^2 exp(-i alpha_nu t); s(0) = 1."""
-    ts, scalar = _times_array(t)
-    s = mode_sum(modes.alphas, modes.weights, ts)
-    return complex(s[0]) if scalar else s
+    return mode_sum(modes.alphas, modes.weights, t)
 
 
 def p_omega_omega(modes: NormalModes, t):
     """Survival probability |s(t)|^2."""
-    return abs(survival_amplitude(modes, t)) ** 2
+    return _probability(modes, modes.weights, t)
 
 
 def _check_index(modes: NormalModes, n: int) -> int:
@@ -300,9 +296,8 @@ def _pole_column(modes: NormalModes, j: int) -> np.ndarray:
 
 def _probability(modes: NormalModes, amp: np.ndarray, t):
     """|sum_nu amp_nu exp(-i alpha_nu t)|^2."""
-    ts, scalar = _times_array(t)
-    p = np.abs(mode_sum(modes.alphas, amp, ts)) ** 2
-    return float(p[0]) if scalar else p
+    # ufuncs: a numpy scalar's abs() and ** can round unlike the array loops
+    return np.square(np.abs(mode_sum(modes.alphas, amp, t)))
 
 
 def p_omega_n(modes: NormalModes, n: int, t):
@@ -521,10 +516,8 @@ def _occupation(modes: NormalModes, init: InitialState, amp: np.ndarray, t):
     The occupation of the state whose mode amplitudes are ``amp``, summed by
     its certified Chebyshev form where there is one, else densely.
     """
-    ts, scalar = _times_array(t)
     form = _occupation_form(modes, init, amp)
-    out = mode_sum(modes.alphas, form.coeffs, ts, reduce=lambda s, _: form(s))
-    return float(out[0]) if scalar else out
+    return mode_sum(modes.alphas, form.coeffs, t, reduce=lambda s, _: form(s))
 
 
 def mean_subsystem_occupation(modes: NormalModes, init: InitialState, t):
@@ -539,15 +532,13 @@ def mean_bath_occupation(modes: NormalModes, init: InitialState, n: int, t):
 
 
 def mean_bath_occupations(modes: NormalModes, init: InitialState, t) -> np.ndarray:
-    """All bath occupations at once; shape (T, N).
+    """All bath occupations at once; shape (T, N), or (N,) at a single time.
 
     Costs O(N^2) per sample and bath oscillator, O(T N^3) in all: this is the
     oracle for quanta conservation, which evolve_series writes in closed form.
     """
-    ts, scalar = _times_array(t)
-    out = np.stack([mean_bath_occupation(modes, init, n, ts)
-                    for n in range(1, modes.model.n_osc + 1)], axis=1)
-    return out[0] if scalar else out
+    return np.stack([mean_bath_occupation(modes, init, n, t)
+                     for n in range(1, modes.model.n_osc + 1)], axis=-1)
 
 
 def _start_point(x0: float, p0: float) -> complex:
@@ -561,13 +552,20 @@ def _start_point(x0: float, p0: float) -> complex:
 
 
 def mean_position(modes: NormalModes, x0: float, p0: float, t):
-    """<X(t)> for a thermal bath (bath first moments vanish)."""
-    return (_start_point(x0, p0) * survival_amplitude(modes, t)).real
+    """<X(t)> for a thermal bath (bath first moments vanish).
+
+    Re s(t) (x0 + i p0), multiplied as ``evolve_series`` multiplies, by the
+    array loop with s first: numpy's scalar product, and the loop with the
+    operands swapped, can round the imaginary part differently.
+    """
+    start = _start_point(x0, p0)
+    return np.multiply(survival_amplitude(modes, t), start).real
 
 
 def mean_momentum_tilde(modes: NormalModes, x0: float, p0: float, t):
-    """<P(t)>/(M Omega), the momentum conjugate in rotation form."""
-    return (_start_point(x0, p0) * survival_amplitude(modes, t)).imag
+    """<P(t)>/(M Omega), the momentum conjugate in rotation form; as ``mean_position``."""
+    start = _start_point(x0, p0)
+    return np.multiply(survival_amplitude(modes, t), start).imag
 
 
 def theta_profile(modes: NormalModes) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "LangevinSample",
     "OdeResidualReport",
     "kernels",
-    "kernel_arrays",
     "langevin_coefficients",
     "langevin_table",
     "verify_langevin_ode",
@@ -39,33 +38,37 @@ WRONSKIAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KernelSample:
-    """Rotation kernels and their first two time derivatives at one time."""
+    """Rotation kernels a(t), b(t) and their first two time derivatives.
 
-    t: float
-    a: float
-    b: float
-    da: float
-    db: float
-    dda: float
-    ddb: float
+    Every field, ``delta`` and ``wronskian`` are shaped as ``mode_sum`` shapes t.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    dda: np.ndarray
+    ddb: np.ndarray
 
     @property
-    def delta(self) -> float:
+    def delta(self) -> np.ndarray:
         """Squared rotation amplitude a^2 + b^2 (1 at t=0, <=1 after)."""
-        return self.a**2 + self.b**2
+        # np.square: a numpy scalar's ** can round unlike the array loop
+        return np.square(self.a) + np.square(self.b)
 
     @property
-    def wronskian(self) -> float:
+    def wronskian(self) -> np.ndarray:
         """a b' - b a'; equals omega_sub at t = 0."""
         return self.a * self.db - self.b * self.da
 
 
 @dataclass(frozen=True)
 class LangevinSample:
-    t: float
-    omega_sq: float
-    gamma: float
-    valid: bool
+    """omega_sq(t), gamma(t) and the valid flags, shaped as ``KernelSample``'s fields."""
+
+    omega_sq: np.ndarray
+    gamma: np.ndarray
+    valid: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,46 +81,38 @@ class OdeResidualReport:
     n_invalid: int
 
 
-def kernel_arrays(modes: NormalModes, ts: np.ndarray | TimeGrid):
-    """Arrays (a, b, da, db, dda, ddb) over the given times (an array or a TimeGrid).
+def kernels(modes: NormalModes, t) -> KernelSample:
+    """Kernels and their derivatives at t: a time, an array of times or a TimeGrid.
 
     With S_j = sum w alpha^j exp(-i alpha t), the kernels are a - i b = S_0,
     their first derivatives db + i da = S_1 and second -dda + i ddb = S_2.
     """
     w = modes.weights
     wa = w * modes.alphas
-    s = mode_sum(modes.alphas, np.column_stack([w, wa, wa * modes.alphas]), ts)
-    return s[:, 0].real, -s[:, 0].imag, s[:, 1].imag, s[:, 1].real, -s[:, 2].real, s[:, 2].imag
+    s0, s1, s2 = mode_sum(modes.alphas, np.column_stack([w, wa, wa * modes.alphas]), t).T
+    return KernelSample(a=s0.real, b=-s0.imag, da=s1.imag, db=s1.real, dda=-s2.real, ddb=s2.imag)
 
 
-def _langevin_pass(modes: NormalModes, ts):
-    """Kernels (a, b, da, db, dda, ddb), omega_sq, gamma and valid flags over the times.
-
-    A sample is valid where |a b' - b a'| >= WRONSKIAN_TOL * omega_sub; the
-    coefficients of an invalid sample are NaN.
-    """
-    arrays = a, b, da, db, dda, ddb = kernel_arrays(modes, ts)
-    wr = a * db - b * da
+def _langevin_pass(modes: NormalModes, t) -> tuple[KernelSample, LangevinSample]:
+    """Kernels and coefficients at t, both shaped as ``kernels`` shapes t."""
+    k = kernels(modes, t)
+    wr = k.wronskian
     valid = np.abs(wr) >= WRONSKIAN_TOL * modes.model.omega_sub
     with np.errstate(divide="ignore", invalid="ignore"):
-        omega_sq = (da * ddb - db * dda) / wr
-        gamma = (b * dda - a * ddb) / wr
-    omega_sq = np.where(valid, omega_sq, np.nan)
-    gamma = np.where(valid, gamma, np.nan)
-    return arrays, omega_sq, gamma, valid
+        omega_sq = (k.da * k.ddb - k.db * k.dda) / wr
+        gamma = (k.b * k.dda - k.a * k.ddb) / wr
+    # [()] turns the 0-d arrays of a single time into numpy scalars
+    return k, LangevinSample(omega_sq=np.where(valid, omega_sq, np.nan)[()],
+                             gamma=np.where(valid, gamma, np.nan)[()], valid=valid)
 
 
-def kernels(modes: NormalModes, t: float) -> KernelSample:
-    """Kernels and derivatives at a single time."""
-    a, b, da, db, dda, ddb = (float(v[0]) for v in _langevin_pass(modes, [t])[0])
-    return KernelSample(t=float(t), a=a, b=b, da=da, db=db, dda=dda, ddb=ddb)
+def langevin_coefficients(modes: NormalModes, t) -> LangevinSample:
+    """omega_sq(t) and gamma(t) at a time, an array of times or a TimeGrid.
 
-
-def langevin_coefficients(modes: NormalModes, t: float) -> LangevinSample:
-    """Instantaneous omega_sq(t) and gamma(t); invalid near wronskian zeros."""
-    _, omega_sq, gamma, valid = _langevin_pass(modes, [t])
-    return LangevinSample(t=float(t), omega_sq=float(omega_sq[0]), gamma=float(gamma[0]),
-                          valid=bool(valid[0]))
+    A sample is valid where |a b' - b a'| >= WRONSKIAN_TOL * omega_sub; the
+    coefficients of an invalid sample, near a wronskian zero, are NaN.
+    """
+    return _langevin_pass(modes, t)[1]
 
 
 def langevin_table(modes: NormalModes, grid: TimeGrid) -> TimeSeries:
@@ -126,9 +121,9 @@ def langevin_table(modes: NormalModes, grid: TimeGrid) -> TimeSeries:
     A sample is invalid, its omega_sq and gamma NaN, where the wronskian
     |a b' - b a'| falls below the fixed WRONSKIAN_TOL = 1e-12 of omega_sub.
     """
-    (a, b, *_), omega_sq, gamma, valid = _langevin_pass(modes, grid)
-    columns = {"a": a, "b": b, "delta": a**2 + b**2, "omega_sq": omega_sq, "gamma": gamma}
-    return TimeSeries(grid=grid, columns=columns, valid=valid)
+    k, c = _langevin_pass(modes, grid)
+    columns = {"a": k.a, "b": k.b, "delta": k.delta, "omega_sq": c.omega_sq, "gamma": c.gamma}
+    return TimeSeries(grid=grid, columns=columns, valid=c.valid)
 
 
 def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
@@ -141,17 +136,17 @@ def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
     are drawn from a fixed seed.  Invalid (singular) samples are excluded and
     counted.
     """
-    (a, b, da, db, dda, ddb), omega_sq, gamma, valid = _langevin_pass(modes, grid)
+    k, c = _langevin_pass(modes, grid)
     rng = np.random.default_rng(20)
     worst = 0.0
     x_scale = 0.0
     for _ in range(n_trials):
         x0, p0 = rng.uniform(-1.0, 1.0, size=2)
-        x = a * x0 + b * p0
-        dx = da * x0 + db * p0
-        ddx = dda * x0 + ddb * p0
-        resid = ddx + omega_sq * x + gamma * dx
-        finite = valid & np.isfinite(resid)
+        x = k.a * x0 + k.b * p0
+        dx = k.da * x0 + k.db * p0
+        ddx = k.dda * x0 + k.ddb * p0
+        resid = ddx + c.omega_sq * x + c.gamma * dx
+        finite = c.valid & np.isfinite(resid)
         if finite.any():
             worst = max(worst, float(np.abs(resid[finite]).max()))
         x_scale = max(x_scale, float(np.abs(x).max()))
@@ -159,5 +154,5 @@ def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
         max_residual=worst,
         x_scale=x_scale,
         n_samples=grid.count * n_trials,
-        n_invalid=int(np.count_nonzero(~valid)) * n_trials,
+        n_invalid=int(np.count_nonzero(~c.valid)) * n_trials,
     )

@@ -128,6 +128,12 @@ class SpectralModel:
                 "a normal frequency and the mode-coefficient formula is valid only for "
                 "nonzero couplings"
             )
+        with np.errstate(over="ignore"):  # the solver refuses couplings that strong
+            underflow = coups * coups == 0.0
+        if np.any(underflow):
+            bad = int(np.flatnonzero(underflow)[0])
+            raise ModelError(f"coupling g[{bad + 1}] = {float(coups[bad]):g} squares to zero: "
+                             "the secular equation would see that bath frequency as uncoupled")
 
     @property
     def n_osc(self) -> int:

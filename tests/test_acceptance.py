@@ -43,7 +43,7 @@ from qbmlab.continuum import (
     ullersma_density,
 )
 from qbmlab.eigensolve import EigensolveError
-from qbmlab.langevin import kernel_arrays, langevin_coefficients
+from qbmlab.langevin import kernels, langevin_coefficients
 from qbmlab.model import lorentzian_coupling
 from qbmlab.recurrence import analyze, fit_exponential
 from conftest import random_model
@@ -195,7 +195,8 @@ def test_criterion_08_decay_rate_consistency(model_500, modes_500, init_500):
     rec = analyze(modes_500, series, "N_omega")
     occ_ratio = rec.gamma_fit / gamma if rec.gamma_fit else float("inf")
     ts = np.linspace(3.0, 2.0 / gamma, 900)
-    a, b, *_ = kernel_arrays(modes_500, ts)
+    k = kernels(modes_500, ts)
+    a, b = k.a, k.b
     slope, _ = np.polyfit(ts, np.log(np.sqrt(a**2 + b**2)), 1)
     env_ratio = -slope / (gamma / 2.0)
     ok = abs(occ_ratio - 1.0) <= 0.15 and abs(env_ratio - 1.0) <= 0.15

@@ -150,6 +150,16 @@ class TestSolve:
             run(["bogus-subcommand"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "validate"])
+    def test_coupling_whose_square_underflows_is_named(self, tmp_path, capsys, command):
+        # couplings of ~1e-303 square to 0, which the solver took for a degenerate bath
+        code = run([command, "--paper-defaults", "--n", 10, "--d-over-a", 1e-300,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: coupling g[1] = 1.11504e-303 squares to zero")
+        assert "Traceback" not in err
+
 
 def _not_utf8(tmp_path):
     path = tmp_path / "latin1.txt"
@@ -444,6 +454,10 @@ class TestSweep:
         assert rows[2].startswith("32,")
         rescaled = (tmp_path / "w_n32_rescaled.csv").read_text().splitlines()
         assert rescaled[0] == "t_over_tp,N_omega"
+        # the plot's x axis is the CSV's first column
+        script = (tmp_path / "w_sweep.gp").read_text().splitlines()
+        assert "set xlabel 'n_plus_1'" in script
+        assert script[-1] == "plot 'w_sweep.csv' using 1:2 with lines title 't_poincare'"
         manifest = read_manifest(tmp_path / "w_manifest.json")
         assert manifest["status"] == "ok"
         assert [d["n_plus_1"] for d in manifest["diagnostics"]] == [10, 32]

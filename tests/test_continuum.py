@@ -249,6 +249,9 @@ class TestSurvivalAmplitude:
         assert narrow_table.completeness == pytest.approx(1.0, abs=1e-10)
         s0 = survival_amplitude_continuum(narrow, 0.0, table=narrow_table)
         assert s0 == pytest.approx(1.0 + 0.0j, abs=1e-10)
+        # a single time is element 0 of a one-element array
+        assert isinstance(s0, np.complex128)
+        assert s0 == survival_amplitude_continuum(narrow, [0.0], table=narrow_table)[0]
 
     def test_mid_time_exponential_with_residue_correction(self, narrow, narrow_table):
         gamma = width(narrow)

@@ -255,6 +255,8 @@ class TestEvolveSeries:
         np.testing.assert_allclose(
             series.column("P_surv"), np.cos(0.1 * grid.times) ** 2, atol=1e-12
         )
+        # the same mode sum over the same grid: the same bits
+        assert np.array_equal(series.column("P_surv"), p_omega_omega(modes, grid))
 
     def test_total_quanta_constant(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=13.0, count=150)
@@ -271,6 +273,17 @@ class TestEvolveSeries:
             series.column("X_mean"), mean_position(modes_32, 0.2, 0.4, grid.times),
             rtol=1e-14,
         )
+        # without N_omega the series sums s(t) as survival_amplitude does
+        assert np.array_equal(series.column("X_mean"), mean_position(modes_32, 0.2, 0.4, grid))
+        assert np.array_equal(series.column("P_tilde_mean"),
+                              mean_momentum_tilde(modes_32, 0.2, 0.4, grid))
+
+    def test_occupation_column_is_the_wrapper_on_the_grid(self, modes_32, init_32):
+        grid = TimeGrid(t0=0.0, dt=13.0, count=150)
+        series = evolve_series(modes_32, init_32, grid, ["N_omega"])
+        assert series.occupation_form["kind"] == "chebyshev"
+        assert np.array_equal(series.column("N_omega"),
+                              mean_subsystem_occupation(modes_32, init_32, grid))
 
     def test_empty_selection(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=1.0, count=10)
@@ -318,6 +331,41 @@ class TestEvolveSeries:
         for t0, dt in [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0)]:
             with pytest.raises(ValueError, match="finite"):
                 TimeGrid(t0=t0, dt=dt, count=3)
+
+
+# every function of time in dynamics, as f(modes, init, t)
+WRAPPERS = {
+    "survival_amplitude": lambda modes, init, t: survival_amplitude(modes, t),
+    "p_omega_omega": lambda modes, init, t: p_omega_omega(modes, t),
+    "p_omega_n": lambda modes, init, t: p_omega_n(modes, 5, t),
+    "p_nm": lambda modes, init, t: p_nm(modes, 5, 9, t),
+    "mean_subsystem_occupation": mean_subsystem_occupation,
+    "mean_bath_occupation": lambda modes, init, t: mean_bath_occupation(modes, init, 5, t),
+    "mean_bath_occupations": mean_bath_occupations,
+    "mean_position": lambda modes, init, t: mean_position(modes, 0.2, 0.4, t),
+    "mean_momentum_tilde": lambda modes, init, t: mean_momentum_tilde(modes, 0.2, 0.4, t),
+}
+
+
+class TestTimeArgument:
+    """Each function of time passes its times to mode_sum, which alone shapes the result."""
+
+    @pytest.mark.parametrize("name", sorted(WRAPPERS))
+    def test_scalar_is_element_0_of_a_one_element_array(self, name, modes_32, init_32):
+        f = WRAPPERS[name]
+        one, arr = f(modes_32, init_32, 37.1), f(modes_32, init_32, np.array([37.1]))
+        assert arr.shape[0] == 1 and np.shape(one) == arr.shape[1:]
+        assert np.array_equal(one, arr[0])
+        if np.ndim(one) == 0:
+            assert isinstance(one, (np.float64, np.complex128))
+
+    @pytest.mark.parametrize("name", sorted(WRAPPERS))
+    def test_grid_gives_the_shape_of_its_times(self, name, modes_32, init_32):
+        f = WRAPPERS[name]
+        grid = TimeGrid(t0=0.0, dt=7.0, count=70)
+        on_grid, on_times = f(modes_32, init_32, grid), f(modes_32, init_32, grid.times)
+        assert on_grid.shape == on_times.shape and on_grid.shape[0] == grid.count
+        np.testing.assert_allclose(on_grid, on_times, rtol=0, atol=1e-13)
 
 
 class TestModeSum:
@@ -425,6 +473,11 @@ class TestModeSum:
         freqs = np.array([1.0, 2.0])
         assert mode_sum(freqs, np.array([0.5, 0.5]), np.linspace(0, 1, 5)).shape == (5,)
         assert mode_sum(freqs, np.ones((2, 4)), [0.3]).shape == (1, 4)
+        # a single time gives its one row: a numpy scalar for a 1-D coefficient vector
+        assert mode_sum(freqs, np.ones((2, 4)), 0.3).shape == (4,)
+        single = mode_sum(freqs, np.array([0.5, 0.5]), 0.3)
+        assert isinstance(single, np.complex128)
+        assert single == mode_sum(freqs, np.array([0.5, 0.5]), [0.3])[0]
         assert mode_sum(freqs, np.ones((2, 4)), []).shape == (0, 4)
         ts = np.linspace(0.0, 3.0, 11)
         norms = mode_sum(freqs, np.eye(2), ts, reduce=lambda s, _: np.abs(s) ** 2 @ [1.0, 2.0])
@@ -789,6 +842,8 @@ class TestOccupationForm:
             series = evolve_series(modes, init, grid, ["N_omega"])
             assert np.array_equal(series.column("N_omega"),
                                   dense_occupation(modes, init, modes.weights, grid))
+            assert np.array_equal(series.column("N_omega"),
+                                  mean_subsystem_occupation(modes, init, grid))
             assert series.occupation_form == {"kind": "dense", "degree": None,
                                               "fit_residual": None, "error_bound": None}
             amp = modes.weights * modes.pole_ratios()[:, 7]

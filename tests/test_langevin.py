@@ -11,7 +11,6 @@ from qbmlab import (
     solve_normal_modes,
     verify_langevin_ode,
 )
-from qbmlab.langevin import kernel_arrays
 from conftest import random_model
 
 
@@ -57,7 +56,8 @@ class TestKernels:
 
     def test_kernels_bounded(self, modes_32):
         ts = np.linspace(0.0, 3000.0, 900)
-        a, b, *_ = kernel_arrays(modes_32, ts)
+        k = kernels(modes_32, ts)
+        a, b = k.a, k.b
         assert np.all(np.abs(a) <= 1.0 + 1e-12)
         assert np.all(np.abs(b) <= 1.0 + 1e-12)
         assert np.all(a**2 + b**2 <= 1.0 + 1e-12)
@@ -68,13 +68,38 @@ class TestKernels:
         modes = solve_normal_modes(m)
         h = 1e-4
         for t in (0.9, 7.3, 40.0):
-            a, b, da, db, dda, ddb = (v[0] for v in kernel_arrays(modes, [t]))
-            ap, bp, dap, dbp, *_ = (v[0] for v in kernel_arrays(modes, [t + h]))
-            am, bm, dam, dbm, *_ = (v[0] for v in kernel_arrays(modes, [t - h]))
+            k, kp, km = (kernels(modes, s) for s in (t, t + h, t - h))
+            da, db, dda, ddb = k.da, k.db, k.dda, k.ddb
+            ap, bp, dap, dbp = kp.a, kp.b, kp.da, kp.db
+            am, bm, dam, dbm = km.a, km.b, km.da, km.db
             assert da == pytest.approx((ap - am) / (2 * h), abs=5e-7)
             assert db == pytest.approx((bp - bm) / (2 * h), abs=5e-7)
             assert dda == pytest.approx((dap - dam) / (2 * h), abs=5e-7)
             assert ddb == pytest.approx((dbp - dbm) / (2 * h), abs=5e-7)
+
+    def test_scalar_is_element_0_of_a_one_element_array(self, modes_32):
+        two = two_mode(0.9, 1.1)
+        # t = 0, a generic time, and a wronskian zero, whose sample is invalid
+        for modes, t in [(modes_32, 0.0), (modes_32, 37.1), (two, np.pi / 0.2)]:
+            for sample in (kernels, langevin_coefficients):
+                one, arr = sample(modes, t), sample(modes, np.array([t]))
+                names = list(vars(one)) + (["delta", "wronskian"] if sample is kernels else [])
+                for name in names:
+                    value = getattr(one, name)
+                    assert np.ndim(value) == 0 and isinstance(value, np.generic), name
+                    assert np.array_equal(value, getattr(arr, name)[0], equal_nan=True), name
+
+    def test_grid_gives_the_langevin_table_columns(self, modes_32):
+        grid = TimeGrid(t0=0.0, dt=0.25, count=2001)
+        k = kernels(modes_32, grid)
+        table = langevin_table(modes_32, grid)
+        assert np.array_equal(k.a, table.column("a"))
+        assert np.array_equal(k.b, table.column("b"))
+        assert np.array_equal(k.delta, table.column("delta"))
+        c = langevin_coefficients(modes_32, grid)
+        assert np.array_equal(c.omega_sq, table.column("omega_sq"), equal_nan=True)
+        assert np.array_equal(c.gamma, table.column("gamma"), equal_nan=True)
+        assert np.array_equal(c.valid, table.valid)
 
 
 class TestCoefficients:
@@ -135,11 +160,10 @@ class TestOdeResidual:
 class TestExponentialRegimeWidth:
     def test_gamma_median_matches_continuum_width(self, modes_500):
         from qbmlab import width_from_discrete
-        from qbmlab.langevin import _langevin_pass
-
         gamma = width_from_discrete(modes_500.model)
         ts = np.linspace(50.0, 2000.0, 2500)
-        _, _, gamma_t, valid = _langevin_pass(modes_500, ts)
+        coefficients = langevin_coefficients(modes_500, ts)
+        gamma_t, valid = coefficients.gamma, coefficients.valid
         median = float(np.median(gamma_t[valid]))
         assert median == pytest.approx(gamma, rel=0.2)
 
@@ -148,7 +172,8 @@ class TestInverseRelation:
     def test_initial_conditions_recovered(self, modes_32):
         rng = np.random.default_rng(6)
         ts = np.linspace(0.0, 400.0, 230)
-        a, b, *_ = kernel_arrays(modes_32, ts)
+        k = kernels(modes_32, ts)
+        a, b = k.a, k.b
         delta = a**2 + b**2
         mask = delta > 1e-6
         for _ in range(3):

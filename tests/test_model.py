@@ -120,6 +120,10 @@ class TestSpectralModelInvariants:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ModelError, match="nonzero"):
             SpectralModel(1.0, 1.0, 1.0, [0.9, 1.0, 1.1], [0.1, 0.0, 0.1])
+        # a coupling whose square underflows is as good as zero to the secular equation
+        with pytest.raises(ModelError, match=r"g\[3\] = -1e-170 squares to zero"):
+            SpectralModel(1.0, 1.0, 1.0, [0.9, 1.0, 1.1], [0.1, 0.1, -1e-170])
+        SpectralModel(1.0, 1.0, 1.0, [0.9, 1.0, 1.1], [0.1, 0.1, 1e-160])  # g^2 subnormal
 
     def test_empty_bath_rejected(self):
         with pytest.raises(ModelError):
