@@ -22,21 +22,16 @@ from .model import (
     validate_dissipation,
 )
 from .eigensolve import (
-    ClosureReport,
     ConditioningWarning,
     EigensolveError,
     NormalModes,
-    dense_oracle,
-    secular_value,
     solve_normal_modes,
-    verify_closure,
 )
 from .dynamics import (
     TimeGrid,
     TimeSeries,
     asymptotic_mean_occupation,
     evolve_series,
-    long_time_average_survival,
     mean_bath_occupation,
     mean_bath_occupations,
     mean_momentum_tilde,
@@ -47,16 +42,13 @@ from .dynamics import (
     p_omega_n,
     p_omega_omega,
     survival_amplitude,
-    theta_profile,
 )
 from .langevin import (
     KernelSample,
     LangevinSample,
-    OdeResidualReport,
     kernels,
     langevin_coefficients,
     langevin_table,
-    verify_langevin_ode,
 )
 from .recurrence import (
     ExponentialFit,

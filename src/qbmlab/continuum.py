@@ -557,8 +557,11 @@ def build_weight_table(cm: ContinuumModel, n_panels: int) -> WeightTable:
     (g^2(w) - g^2(a))/(a - w) over the mesh of g^2 to _NORM_TOL, the completeness
     a survival sum must reach (``_pv_sums``), plus the analytic edge logarithm.
     A scheme whose node pairs exceed ``_MAX_WORK`` is refused before anything is
-    allocated (``_check_work``).
+    allocated (``_check_work``), and a panel count that is not a positive whole
+    number (an infinite one counts as too much work) is refused.
     """
+    if not (n_panels >= 1 and (n_panels == math.inf or float(n_panels).is_integer())):
+        raise ContinuumError(f"panel count must be a positive whole number, got {n_panels}")
     _check_work(n_panels * _GAUSS_ORDER, _mesh(cm, _NORM_TOL).nodes.size)
     n_panels = int(n_panels)
     nodes, wq, centres, offsets = _panel_nodes(cm.omega_min, cm.omega_max, n_panels, _GAUSS_ORDER)

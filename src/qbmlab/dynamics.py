@@ -45,8 +45,6 @@ __all__ = [
     "mean_bath_occupations",
     "mean_position",
     "mean_momentum_tilde",
-    "theta_profile",
-    "long_time_average_survival",
     "asymptotic_mean_occupation",
     "evolve_series",
     "OBSERVABLES",
@@ -77,7 +75,7 @@ _QR_ROWS = 256
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: t0 + dt * [0, count)."""
+    """Uniform sampling grid: t0 + dt * [0, count); a refused grid raises ModelError."""
 
     t0: float
     dt: float
@@ -85,11 +83,12 @@ class TimeGrid:
 
     def __post_init__(self):
         if not (math.isfinite(self.t0) and math.isfinite(self.dt)):
-            raise ValueError(f"t0 and dt must be finite, got {self.t0}, {self.dt}")
+            raise ModelError(f"t0 and dt must be finite, got {self.t0}, {self.dt}")
         if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
+            raise ModelError(f"dt must be positive, got {self.dt}")
+        if not (self.count >= 1 and float(self.count).is_integer()):
+            raise ModelError(f"count must be a whole number >= 1, got {self.count}")
+        object.__setattr__(self, "count", int(self.count))
 
     @property
     def times(self) -> np.ndarray:
@@ -197,14 +196,16 @@ def _block_trig(ts, dt, freqs, cols):
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
-    ``ts`` is an array or a ``TimeGrid`` of T times, or a single time (0-d),
-    which gives its one row: a numpy scalar where a row is one value, else
-    that row.  No other function of the package shapes a result by its
-    times.  The sum is formed one block of B samples at a time, and each
-    block over panels of P modes (``_block_trig``), as cos(phase) @ C and
-    sin(phase) @ C: two real GEMMs per B x P tile instead of one
-    complex-by-real product, taken while the tile's cos and sin are still in
-    cache, and added panel by panel in mode order.  ``reduce``, when given,
+    ``ts`` is a 1-d array or a ``TimeGrid`` of T times, or a single time
+    (0-d), which gives its one row: a numpy scalar where a row is one value,
+    else that row.  No other function of the package shapes a result by its
+    times.  Times of more dimensions, and coefficients whose first axis is
+    not ``freqs.size``, are refused with a ModelError.  The sum is formed one
+    block of B samples at a time, and each block over panels of P modes
+    (``_block_trig``), as cos(phase) @ C and sin(phase) @ C: two real GEMMs
+    per B x P tile instead of one complex-by-real product, taken while the
+    tile's cos and sin are still in cache, and added panel by panel in mode
+    order.  ``reduce``, when given,
     maps each complex block and its times to the per-time result, so a
     caller that needs only, say, |S|^2 @ q never holds the full (T, J) sum.
     A sum holds O(B P + B J) scratch for J columns, plus its output (and, on
@@ -235,7 +236,12 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
         dt, ts, scalar = ts.dt, ts.times, False
     else:
         ts = np.asarray(ts, dtype=float)
+        if ts.ndim > 1:
+            raise ModelError(f"times must be 0-d, 1-d or a TimeGrid, got shape {ts.shape}")
         dt, ts, scalar = None, np.atleast_1d(ts), ts.ndim == 0
+    if coeffs.shape[:1] != (freqs.size,):
+        raise ModelError(f"coefficients of shape {coeffs.shape} need a first axis of "
+                         f"{freqs.size}, one row per frequency")
     if freqs.size and ts.size:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and refused below
             max_phase = np.abs(freqs).max() * np.abs(ts).max()
@@ -284,9 +290,9 @@ def p_omega_omega(modes: NormalModes, t):
 
 
 def _check_index(modes: NormalModes, n: int) -> int:
-    if not 1 <= n <= modes.model.n_osc:
-        raise IndexError(f"bath index {n} outside 1..{modes.model.n_osc}")
-    return n - 1
+    if not (1 <= n <= modes.model.n_osc and float(n).is_integer()):
+        raise IndexError(f"bath index {n} is not a whole number in 1..{modes.model.n_osc}")
+    return int(n) - 1
 
 
 def _pole_column(modes: NormalModes, j: int) -> np.ndarray:
@@ -566,21 +572,6 @@ def mean_momentum_tilde(modes: NormalModes, x0: float, p0: float, t):
     """<P(t)>/(M Omega), the momentum conjugate in rotation form; as ``mean_position``."""
     start = _start_point(x0, p0)
     return np.multiply(survival_amplitude(modes, t), start).imag
-
-
-def theta_profile(modes: NormalModes) -> np.ndarray:
-    """Long-time transfer profile theta_N(omega_n) = sum_nu (|Phi_nu|^2 K_nun)^2.
-
-    Equals the time average of P_0n(t); peaks at the resonant bath frequency
-    and sharpens toward a delta profile as the bath becomes dense.
-    """
-    k = modes.pole_ratios()
-    return ((modes.weights[:, None] * k) ** 2).sum(axis=0)
-
-
-def long_time_average_survival(modes: NormalModes) -> float:
-    """Cesaro mean of the survival probability: sum_nu |Phi_nu|^4."""
-    return float(np.sum(modes.weights**2))
 
 
 def asymptotic_mean_occupation(modes: NormalModes, init: InitialState) -> float:

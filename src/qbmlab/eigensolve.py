@@ -55,11 +55,7 @@ __all__ = [
     "EigensolveError",
     "ConditioningWarning",
     "NormalModes",
-    "ClosureReport",
-    "secular_value",
     "solve_normal_modes",
-    "dense_oracle",
-    "verify_closure",
     "REL_TOL",
 ]
 
@@ -72,7 +68,6 @@ REL_TOL = 1e-13
 # or 4 rows 1.5-2x slower
 _SCRATCH_BYTES = 1 << 20
 _MAX_ITER = 300
-_DENSE_CAP = 4096
 # a solve with fewer than _MIN_CLUSTERS clusters (N < 1024) keeps every sweep
 # exact: its per-cluster chunks cost more interpreter time than the far field
 # saves (on 2 cores N+1 = 200 and 500 solved 2.5x and 1.4x slower with 3 and 7
@@ -142,10 +137,6 @@ class NormalModes:
             self.alphas[:, None] - self.model.bath_freqs[None, :]
         )
 
-    def bath_matrix(self) -> np.ndarray:
-        """Bath coefficients phi[nu, n] = g_n Phi_nu / (alpha_nu - omega_n)."""
-        return self.amplitudes[:, None] * self.pole_ratios()
-
     def validate(self) -> None:
         """Assert the exact-solution invariants; raises EigensolveError.
 
@@ -153,8 +144,9 @@ class NormalModes:
         recomputes from exact sums (``_exact_sums``) the residual of both
         exterior roots, of the root closest to a pole and of the first root of
         every tabulated cluster, and the weight of each where the weights come
-        from the normalization formula (``secular_evaluations > 0``; the
-        dense oracle's come from eigenvectors).  It raises when a residual is
+        from the normalization formula (``secular_evaluations > 0``; modes
+        built without the solver, say from eigenvectors, keep their weights
+        unaudited).  It raises when a residual is
         off by more than ``_audit_limit(N)`` of |alpha - omega_sub| +
         sum |g^2/(alpha - omega_n)|, the scale of its rounding, or a weight by
         more than ``_audit_limit(N)`` relative, and records the worst
@@ -230,7 +222,8 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
         terms = np.zeros((2 * k, n + 2))
         terms[:k, 0], terms[:k, 1] = a[nus], -model.omega_sub
         d = a[nus, None] - w
-        # a dense-oracle root may fall on a pole; its deviation is then nan, not raised
+        # a root not found by the solver may fall on a pole; its deviation is then
+        # nan, not raised
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(-g**2, d, out=terms[:k, 2:n + 2])
             np.square(np.divide(g, d, out=terms[k:, :n]), out=terms[k:, :n])
@@ -268,27 +261,11 @@ def _exact_sums(t: np.ndarray) -> np.ndarray:
         return hi.sum(axis=1) + (t - hi).sum(axis=1)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    """Max residuals of the completeness/orthogonality identities."""
-
-    weight_norm: float      # |sum_nu |Phi_nu|^2 - 1|
-    cross_max: float        # max_n |sum_nu Phi_nu phi_{nu,n}|
-    bath_orth_max: float    # max_{n,m} |sum_nu phi_{nu,n} phi_{nu,m} - delta_nm|
-
-
-def secular_value(alpha: float, model: SpectralModel) -> float:
-    """Evaluate f(alpha); O(N) with pairwise summation in ascending n."""
-    if np.any(alpha == model.bath_freqs):
-        raise EigensolveError(f"alpha = {float(alpha)!r} is a pole of the secular function")
-    return float(_secular_batch(np.array([alpha], dtype=float), model.omega_sub,
-                                model.bath_freqs, model.couplings**2)[0])
-
-
 def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
                    g2: np.ndarray) -> np.ndarray:
-    """f at each alpha, in one alphas.size x N block, the sum pairwise in ascending n:
-    ``secular_value``, the exterior-bracket check and the dense oracle's residuals."""
+    """f at each alpha, in one alphas.size x N block, the sum pairwise in ascending n;
+    ``solve_normal_modes`` checks its exterior brackets with it.  An alpha on a
+    pole gives an infinite f."""
     d = alphas[:, None] - w[None, :]
     with np.errstate(divide="ignore"):
         np.divide(g2[None, :], d, out=d)
@@ -573,49 +550,4 @@ def _iterate_chunk(nus: np.ndarray, lo: np.ndarray, hi: np.ndarray, omega_sub: f
     raise EigensolveError(
         f"root {int(nus[bad])} did not converge in {_MAX_ITER} secular evaluations; "
         f"last bracket [{float(lo[bad])!r}, {float(hi[bad])!r}]"
-    )
-
-
-def dense_oracle(model: SpectralModel) -> NormalModes:
-    """Cross-check path: assemble the full arrowhead matrix and diagonalize it.
-
-    Weights come from the squared first component of each normalized
-    eigenvector.  Size-capped: this is the O(N^3) reference, not the
-    production path.
-    """
-    n = model.n_osc
-    if n > _DENSE_CAP:
-        raise EigensolveError(f"dense oracle capped at N = {_DENSE_CAP}, got {n}")
-    h = np.zeros((n + 1, n + 1))
-    h[0, 0] = model.omega_sub
-    h[0, 1:] = model.couplings
-    h[1:, 0] = model.couplings
-    diag = np.arange(1, n + 1)
-    h[diag, diag] = model.bath_freqs
-    vals, vecs = np.linalg.eigh(h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        residuals = _secular_batch(vals, model.omega_sub, model.bath_freqs,
-                                   model.couplings**2)
-    modes = NormalModes(
-        model=model,
-        alphas=vals,
-        weights=vecs[0, :] ** 2,
-        residuals=residuals,
-    )
-    modes.validate()
-    return modes
-
-
-def verify_closure(modes: NormalModes) -> ClosureReport:
-    """Residuals of the three completeness/orthogonality identities."""
-    phi = modes.bath_matrix()
-    amp = modes.amplitudes
-    n = modes.model.n_osc
-    weight_norm = abs(float(modes.weights.sum()) - 1.0)
-    cross = amp @ phi
-    gram = phi.T @ phi - np.eye(n)
-    return ClosureReport(
-        weight_norm=weight_norm,
-        cross_max=float(np.abs(cross).max()),
-        bath_orth_max=float(np.abs(gram).max()),
     )

@@ -23,11 +23,9 @@ from .eigensolve import NormalModes
 __all__ = [
     "KernelSample",
     "LangevinSample",
-    "OdeResidualReport",
     "kernels",
     "langevin_coefficients",
     "langevin_table",
-    "verify_langevin_ode",
     "WRONSKIAN_TOL",
 ]
 
@@ -69,16 +67,6 @@ class LangevinSample:
     omega_sq: np.ndarray
     gamma: np.ndarray
     valid: np.ndarray
-
-
-@dataclass(frozen=True)
-class OdeResidualReport:
-    """Worst-case residual of the eliminated-momentum equation."""
-
-    max_residual: float
-    x_scale: float          # max |<X>| over the grid and trials
-    n_samples: int
-    n_invalid: int
 
 
 def kernels(modes: NormalModes, t) -> KernelSample:
@@ -124,35 +112,3 @@ def langevin_table(modes: NormalModes, grid: TimeGrid) -> TimeSeries:
     k, c = _langevin_pass(modes, grid)
     columns = {"a": k.a, "b": k.b, "delta": k.delta, "omega_sq": c.omega_sq, "gamma": c.gamma}
     return TimeSeries(grid=grid, columns=columns, valid=c.valid)
-
-
-def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
-                        n_trials: int = 4) -> OdeResidualReport:
-    """Plug the analytic trajectories back into the eliminated equation.
-
-    The coefficients are constructed by elimination, so the residual should be
-    pure rounding for every initial condition; a large residual indicates an
-    inconsistency between kernels and coefficients.  The initial conditions
-    are drawn from a fixed seed.  Invalid (singular) samples are excluded and
-    counted.
-    """
-    k, c = _langevin_pass(modes, grid)
-    rng = np.random.default_rng(20)
-    worst = 0.0
-    x_scale = 0.0
-    for _ in range(n_trials):
-        x0, p0 = rng.uniform(-1.0, 1.0, size=2)
-        x = k.a * x0 + k.b * p0
-        dx = k.da * x0 + k.db * p0
-        ddx = k.dda * x0 + k.ddb * p0
-        resid = ddx + c.omega_sq * x + c.gamma * dx
-        finite = c.valid & np.isfinite(resid)
-        if finite.any():
-            worst = max(worst, float(np.abs(resid[finite]).max()))
-        x_scale = max(x_scale, float(np.abs(x).max()))
-    return OdeResidualReport(
-        max_residual=worst,
-        x_scale=x_scale,
-        n_samples=grid.count * n_trials,
-        n_invalid=int(np.count_nonzero(~c.valid)) * n_trials,
-    )

@@ -20,7 +20,6 @@ __all__ = [
     "poincare_time",
     "detect_revivals",
     "fit_exponential",
-    "default_fit_window",
     "analyze",
 ]
 
@@ -183,7 +182,7 @@ def fit_exponential(
     )
 
 
-def default_fit_window(
+def _fit_window(
     modes: NormalModes, t_p: float, gamma_est: float | None
 ) -> tuple[float, float]:
     """Decay-fit window avoiding the quadratic onset and revival contamination.
@@ -234,7 +233,7 @@ def analyze(
         spacing = float(np.mean(np.diff([p.time for p in peaks])))
 
     gamma_fit = residual = window = None
-    w = default_fit_window(modes, tp.t_poincare, _gamma_estimate(modes))
+    w = _fit_window(modes, tp.t_poincare, _gamma_estimate(modes))
     t = series.times
     w = (max(w[0], float(t[0])), min(w[1], float(t[-1])))
     if w[0] < w[1]:

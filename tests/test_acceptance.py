@@ -17,7 +17,6 @@ from qbmlab import (
     SpectralModel,
     TimeGrid,
     asymptotic_mean_occupation,
-    dense_oracle,
     evolve_series,
     mean_bath_occupations,
     mean_subsystem_occupation,
@@ -28,8 +27,6 @@ from qbmlab import (
     poincare_time,
     solve_normal_modes,
     thermal_occupancy,
-    verify_closure,
-    verify_langevin_ode,
     width_from_discrete,
 )
 from qbmlab.cli import main as cli_main
@@ -47,6 +44,7 @@ from qbmlab.langevin import kernels, langevin_coefficients
 from qbmlab.model import lorentzian_coupling
 from qbmlab.recurrence import analyze, fit_exponential
 from conftest import random_model
+from oracles import dense_oracle, verify_closure, verify_langevin_ode
 from test_dynamics import occupation_double_sum, single_mode
 
 TABLE_RECURRENCE_TIMES = {10: 3370.0, 32: 11190.0, 100: 37311.0, 500: 177994.0}

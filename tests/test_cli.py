@@ -22,6 +22,7 @@ from qbmlab.cli import (
     build_parser,
     main,
 )
+import oracles
 
 
 def run(argv):
@@ -106,7 +107,7 @@ class TestSolve:
         np.testing.assert_array_equal(table[:, 1], modes.alphas)
         np.testing.assert_array_equal(table[:, 2], modes.weights)
         np.testing.assert_array_equal(table[:, 3], modes.residuals)
-        oracle = qbmlab.dense_oracle(modes.model)
+        oracle = oracles.dense_oracle(modes.model)
         assert np.abs(modes.alphas - oracle.alphas).max() <= 1e-12
 
     def test_seventeen_digit_round_trip(self, tmp_path):

@@ -678,6 +678,15 @@ class TestWorkBound:
         with pytest.raises(ContinuumError, match="bound"):
             build_weight_table(narrow, 10**7)
 
+    @pytest.mark.parametrize("panels", [0, -3, 2.5, math.nan, -math.inf])
+    def test_panel_count_must_be_a_positive_whole_number(self, narrow, panels):
+        with pytest.raises(ContinuumError, match="positive whole number"):
+            build_weight_table(narrow, panels)
+
+    def test_integral_float_panel_count_is_a_count(self, narrow):
+        assert np.array_equal(build_weight_table(narrow, 64.0).density,
+                              build_weight_table(narrow, 64).density)
+
     def test_overflowing_panel_count_is_refused(self, narrow):
         # both panel counts overflow to inf: the phase at t = 1e308, the peak at g^2 = 1e-320
         with pytest.raises(ContinuumError, match="bound"):

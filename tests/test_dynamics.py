@@ -18,7 +18,6 @@ from qbmlab import (
     TimeGrid,
     asymptotic_mean_occupation,
     evolve_series,
-    long_time_average_survival,
     mean_bath_occupation,
     mean_bath_occupations,
     mean_momentum_tilde,
@@ -32,11 +31,12 @@ from qbmlab import (
     poincare_time,
     solve_normal_modes,
     survival_amplitude,
-    theta_profile,
 )
-from qbmlab.continuum import build_weight_table, lorentzian_density
-from qbmlab.langevin import langevin_table
+from qbmlab.continuum import (build_weight_table, lorentzian_density,
+                              survival_amplitude_continuum)
+from qbmlab.langevin import kernels, langevin_table
 from conftest import random_model
+from oracles import long_time_average_survival, theta_profile
 from test_eigensolve import run_single_threaded
 
 
@@ -150,6 +150,15 @@ class TestTransitionProbabilities:
             p_omega_n(modes_32, 0, 1.0)
         with pytest.raises(IndexError):
             p_nm(modes_32, 1, 32, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda modes, init: p_omega_n(modes, 1.5, 1.0),
+        lambda modes, init: p_nm(modes, 1, 2.5, 1.0),
+        lambda modes, init: mean_bath_occupation(modes, init, 1.5, 1.0),
+    ], ids=["p_omega_n", "p_nm", "mean_bath_occupation"])
+    def test_non_integral_index_is_refused_by_name(self, call, modes_32, init_32):
+        with pytest.raises(IndexError, match=r"bath index [12]\.5 is not a whole number"):
+            call(modes_32, init_32)
 
 
 class TestMeanOccupations:
@@ -323,6 +332,15 @@ class TestEvolveSeries:
         with pytest.raises(ValueError, match="unknown"):
             evolve_series(modes_32, init_32, grid, ["bogus"])
 
+    @pytest.mark.parametrize("count", [2.5, 0.5, np.nan, np.inf])
+    def test_non_integral_count_is_refused(self, count):
+        with pytest.raises(ModelError, match="whole number"):
+            TimeGrid(t0=0.0, dt=0.1, count=count)
+
+    def test_integral_float_count_becomes_an_int(self):
+        grid = TimeGrid(t0=0.0, dt=0.1, count=3.0)
+        assert type(grid.count) is int and grid.times.size == 3
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(t0=0.0, dt=-1.0, count=5)
@@ -366,6 +384,25 @@ class TestTimeArgument:
         on_grid, on_times = f(modes_32, init_32, grid), f(modes_32, init_32, grid.times)
         assert on_grid.shape == on_times.shape and on_grid.shape[0] == grid.count
         np.testing.assert_allclose(on_grid, on_times, rtol=0, atol=1e-13)
+
+
+UNSHAPEABLE = {
+    "survival_amplitude": (lambda m: survival_amplitude(m, np.ones((2, 3))), r"shape \(2, 3\)"),
+    "kernels": (lambda m: kernels(m, np.ones((2, 2))), r"shape \(2, 2\)"),
+    "survival_amplitude_continuum": (
+        lambda m: survival_amplitude_continuum(
+            lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5),
+            np.ones((2, 3))),
+        r"shape \(2, 3\)"),
+    "mode_sum": (lambda m: mode_sum([1.0, 2.0], [1.0], [0.0]), r"shape \(1,\) need a first axis of 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSHAPEABLE))
+def test_unshapeable_times_and_coefficients_are_refused(name, modes_32):
+    call, message = UNSHAPEABLE[name]
+    with pytest.raises(ModelError, match=message):
+        call(modes_32)
 
 
 class TestModeSum:

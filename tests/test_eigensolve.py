@@ -16,10 +16,7 @@ from qbmlab import (
     EigensolveError,
     NormalModes,
     SpectralModel,
-    dense_oracle,
-    secular_value,
     solve_normal_modes,
-    verify_closure,
 )
 from qbmlab.continuum import (
     build_weight_table,
@@ -30,6 +27,7 @@ from qbmlab.continuum import (
 )
 from qbmlab.model import lorentzian_coupling, paper_default_model
 from conftest import random_model
+from oracles import dense_oracle, secular_value, verify_closure
 
 
 def make(omega, freqs, coups, beta=1.0, kappa=1.0):

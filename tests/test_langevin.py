@@ -9,9 +9,9 @@ from qbmlab import (
     langevin_coefficients,
     langevin_table,
     solve_normal_modes,
-    verify_langevin_ode,
 )
 from conftest import random_model
+from oracles import verify_langevin_ode
 
 
 def single_mode(omega=1.0):
