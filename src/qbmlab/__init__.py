@@ -11,6 +11,7 @@ from .model import (
     InitialState,
     ModelError,
     ModelFormatError,
+    QbmlabError,
     SpectralModel,
     ValidityReport,
     build_equidistant_bath,

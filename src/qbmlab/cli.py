@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .continuum import (
     QUAD_TOL,
-    ContinuumError,
     lorentzian_density,
     pole_estimate,
     survival_amplitude_continuum,
@@ -36,24 +35,23 @@ from .continuum import (
     width_from_discrete,
 )
 from .dynamics import OBSERVABLES, TimeGrid, evolve_series
-from .eigensolve import REL_TOL, EigensolveError, solve_normal_modes
+from .eigensolve import REL_TOL, solve_normal_modes
 from .langevin import WRONSKIAN_TOL, langevin_table
 from .model import (
     InitialState,
     ModelError,
+    QbmlabError,
     SpectralModel,
     load_model,
     paper_default_model,
     thermal_occupancy,
     validate_dissipation,
 )
-from .recurrence import RecurrenceError, analyze, poincare_time
+from .recurrence import analyze, poincare_time
 
-# errors that end a run with "error: ..." and exit 1; OSError covers unreadable
-# model files and unwritable output directories, MemoryError counts whose
-# arrays cannot be allocated
-_KNOWN_ERRORS = (ModelError, EigensolveError, ContinuumError, RecurrenceError, OSError,
-                 MemoryError)
+# errors that end a run with "error: ..." and exit 1: the package's refusals, OSError for
+# unreadable model files or unwritable output directories, MemoryError for unallocatable counts
+_KNOWN_ERRORS = (QbmlabError, OSError, MemoryError)
 
 
 def _fmt(value: float) -> str:
@@ -303,11 +301,7 @@ def _make_grid(args, fallback_t_max: float) -> TimeGrid:
     t_max = args.t_max if args.t_max is not None else fallback_t_max
     if t_max <= t0:
         raise ModelError(f"t_max = {t_max} must exceed t0 = {t0}")
-    dt = (t_max - t0) / max(args.points - 1, 1)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ModelError(f"grid step over [{t0}, {t_max}] must be finite and positive, "
-                         f"got {dt}")
-    return TimeGrid(t0=t0, dt=dt, count=args.points)
+    return TimeGrid(t0=t0, dt=(t_max - t0) / max(args.points - 1, 1), count=args.points)
 
 
 # --- subcommands --------------------------------------------------------------

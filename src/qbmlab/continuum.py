@@ -36,6 +36,11 @@ The weight table needs the principal value at every panel node, a sum over
 the nodes of the mesh to _NORM_TOL, the completeness the table must reach.  The
 work of a scheme (weight-table node pairs plus time-sum terms) is predicted
 before anything is allocated, and a scheme beyond ``_MAX_WORK`` is refused.
+
+Refusals are ContinuumErrors, each a ``QbmlabError`` and a RuntimeError: a
+density, band, time, panel count or scheme out of range, or work beyond the
+bound.  Times are read as ``dynamics.mode_sum`` reads them, so a time array of
+two or more dimensions raises ModelError before any table is built.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import mode_sum
-from .model import SpectralModel, _bose_occupancies
+from .dynamics import _read_times, mode_sum
+from .model import QbmlabError, SpectralModel, _bose_occupancies
 
 __all__ = [
     "ContinuumError",
@@ -100,7 +105,7 @@ _TABLE_BLOCK_BYTES = 256 * 2**10
 _MAX_WORK = 5e9
 
 
-class ContinuumError(RuntimeError):
+class ContinuumError(QbmlabError, RuntimeError):
     """Quadrature failure, resolution refusal, or invalid continuum model."""
 
 
@@ -261,7 +266,10 @@ def width_from_discrete(model: SpectralModel) -> float:
     if spacing is None:
         raise ContinuumError("width correspondence requires an equidistant bath")
     g_at = float(np.interp(model.omega_sub, model.bath_freqs, model.couplings))
-    return 2.0 * math.pi * g_at**2 / spacing
+    gamma = 2.0 * math.pi * _square(g_at) / spacing
+    if not math.isfinite(gamma):
+        raise ContinuumError(f"the width 2 pi g^2/spacing overflows at g = {g_at:g}")
+    return gamma
 
 
 @functools.cache
@@ -585,17 +593,19 @@ def build_weight_table(cm: ContinuumModel, n_panels: int) -> WeightTable:
 def survival_amplitude_continuum(cm: ContinuumModel, t, table: WeightTable | None = None):
     """Oscillatory quadrature of the weight density times exp(-i*alpha*t).
 
-    Panels are auto-sized from the largest requested time unless a scheme is
-    supplied; a supplied scheme whose panels cannot resolve the phase
-    (panel_width * t > 0.5) is refused rather than silently inaccurate.  The
-    completeness norm of the scheme is checked before use, and a scheme whose
-    predicted work exceeds ``_MAX_WORK`` is refused before it is built.
+    ``t`` is a time, an array of times or a TimeGrid, read and shaped as
+    ``mode_sum`` reads and shapes it.  Panels are auto-sized from the largest
+    requested time unless a scheme is supplied; a supplied scheme whose panels
+    cannot resolve the phase (panel_width * t > 0.5) is refused rather than
+    silently inaccurate.  The completeness norm of the scheme is checked before
+    use, and a scheme whose predicted work exceeds ``_MAX_WORK`` is refused
+    before it is built.
 
     The sum over the P*Q nodes is evaluated in factored form:
     s(t) = sum_q exp(-i offsets_q t) sum_p c_pq exp(-i centres_p t), one
     ``mode_sum`` over the P panel centres with Q coefficient columns.
     """
-    ts = np.asarray(t, dtype=float)
+    ts = _read_times(t)[0]
     if not np.all(np.isfinite(ts) & (ts >= 0)):
         raise ContinuumError("survival amplitude is defined for finite t >= 0")
     t_max = float(ts.max()) if ts.size else 0.0
@@ -622,7 +632,7 @@ def survival_amplitude_continuum(cm: ContinuumModel, t, table: WeightTable | Non
     def over_offsets(block, t_block):
         return (block * np.exp(-1j * np.outer(t_block, table.offsets))).sum(axis=1)
 
-    return mode_sum(table.centres, coeffs, ts, reduce=over_offsets)
+    return mode_sum(table.centres, coeffs, t, reduce=over_offsets)
 
 
 def khalfin_tail(cm: ContinuumModel, t_range: tuple[float, float]) -> float:
@@ -632,9 +642,9 @@ def khalfin_tail(cm: ContinuumModel, t_range: tuple[float, float]) -> float:
     lower cutoff (1/omega_max << t < 1/omega_min), where the band-edge
     contributions produce the power-law tail.
     """
-    t_lo, t_hi = t_range
-    if not 0 < t_lo < t_hi:
+    if np.shape(t_range) != (2,) or not 0 < t_range[0] < t_range[1]:
         raise ContinuumError(f"bad t_range {t_range}")
+    t_lo, t_hi = t_range
     if cm.omega_min <= 0:
         raise ContinuumError("the power-law window needs a positive lower cutoff")
     if t_lo < 5.0 / cm.omega_max or t_hi > 1.0 / cm.omega_min:

@@ -20,6 +20,12 @@ polynomial of the frequency to within 1e-14 of their scale, the secular
 equation folds them into a constant plus a small Hermitian form in K+1
 Chebyshev-weighted mode sums (``_chebyshev_form``), O(N K) per sample; other
 occupancies keep the N+1 dense channels (``_occupation_form``).
+
+Input contract: a time argument is one time, a 1-d array or a TimeGrid, read
+by ``_read_times``; more dimensions, and phases that are not finite or round
+too coarsely, raise ModelError.  A bath index that is not a whole number in
+1..N raises IndexError naming it.  An initial state needs one occupancy per
+bath oscillator, and a series a TimeGrid, else ModelError.
 """
 
 from __future__ import annotations
@@ -117,9 +123,9 @@ class TimeSeries:
             self.valid = np.ones(self.grid.count, dtype=bool)
         for name, col in self.columns.items():
             if col.shape != (self.grid.count,):
-                raise ValueError(f"column {name!r} length {col.shape} != grid count")
+                raise ModelError(f"column {name!r} length {col.shape} != grid count")
         if self.valid.shape != (self.grid.count,):
-            raise ValueError("valid flags length != grid count")
+            raise ModelError("valid flags length != grid count")
 
     @property
     def times(self) -> np.ndarray:
@@ -129,6 +135,12 @@ class TimeSeries:
         if name not in self.columns:
             raise KeyError(f"no column {name!r}; have {sorted(self.columns)}")
         return self.columns[name]
+
+
+def _check_grid(grid) -> None:
+    """Refuse anything but a TimeGrid where a series needs one, with a ModelError."""
+    if not isinstance(grid, TimeGrid):
+        raise ModelError(f"a series needs a TimeGrid, got {type(grid).__name__}")
 
 
 def _block_trig(ts, dt, freqs, cols):
@@ -193,14 +205,25 @@ def _block_trig(ts, dt, freqs, cols):
     return block, panel, trig
 
 
+def _read_times(t):
+    """(1-d times, a TimeGrid's step or None, whether t is one time); ndim > 1 is refused."""
+    if isinstance(t, TimeGrid):
+        return t.times, t.dt, False
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ModelError(f"times must be 0-d, 1-d or a TimeGrid, got shape {ts.shape}")
+    return np.atleast_1d(ts), None, ts.ndim == 0
+
+
 def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     """S[k, ...] = sum_i coeffs[i, ...] exp(-i freqs[i] ts[k]); shape (T,) + coeffs.shape[1:].
 
     ``ts`` is a 1-d array or a ``TimeGrid`` of T times, or a single time
     (0-d), which gives its one row: a numpy scalar where a row is one value,
     else that row.  No other function of the package shapes a result by its
-    times.  Times of more dimensions, and coefficients whose first axis is
-    not ``freqs.size``, are refused with a ModelError.  The sum is formed one
+    times.  Times of more dimensions (``_read_times``), frequencies that are
+    not 1-d, and coefficients that are not finite or whose first axis is not
+    ``freqs.size``, are refused with a ModelError.  The sum is formed one
     block of B samples at a time, and each block over panels of P modes
     (``_block_trig``), as cos(phase) @ C and sin(phase) @ C: two real GEMMs
     per B x P tile instead of one complex-by-real product, taken while the
@@ -230,18 +253,16 @@ def mode_sum(freqs, coeffs, ts, reduce=None) -> np.ndarray:
     rad (eps * max|freq| * max|t|), or is not finite, is refused with a
     ModelError.
     """
+    ts, dt, scalar = _read_times(ts)
     freqs = np.asarray(freqs, dtype=float)
     coeffs = np.asarray(coeffs, dtype=float)
-    if isinstance(ts, TimeGrid):
-        dt, ts, scalar = ts.dt, ts.times, False
-    else:
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim > 1:
-            raise ModelError(f"times must be 0-d, 1-d or a TimeGrid, got shape {ts.shape}")
-        dt, ts, scalar = None, np.atleast_1d(ts), ts.ndim == 0
+    if freqs.ndim != 1:
+        raise ModelError(f"frequencies must be 1-d, got shape {freqs.shape}")
     if coeffs.shape[:1] != (freqs.size,):
         raise ModelError(f"coefficients of shape {coeffs.shape} need a first axis of "
                          f"{freqs.size}, one row per frequency")
+    if not np.isfinite(coeffs).all():
+        raise ModelError("coefficients must be finite")
     if freqs.size and ts.size:
         with np.errstate(invalid="ignore"):  # inf * 0 is NaN, and refused below
             max_phase = np.abs(freqs).max() * np.abs(ts).max()
@@ -491,6 +512,9 @@ def _occupation_form(modes: NormalModes, init: InitialState, amp: np.ndarray) ->
     irregular values) keep the dense sum.
     """
     kappa, nbar = init.kappa, init.bath_occupancies
+    if nbar.size != modes.model.n_osc:
+        raise ModelError(f"the initial state has {nbar.size} bath occupancies, "
+                         f"the bath {modes.model.n_osc} oscillators")
     scale = max(kappa, float(nbar.max()))
     tol = _FORM_TOL * scale
     top = min(_FORM_MAX_DEGREE, nbar.size - 1)
@@ -610,10 +634,11 @@ def evolve_series(
     selection returns an empty column set.  A start point with
     2|x0 + i p0| not finite is refused with a ModelError.
     """
+    _check_grid(grid)
     names = list(observables)
     unknown = [n for n in names if n not in OBSERVABLES]
     if unknown:
-        raise ValueError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
+        raise ModelError(f"unknown observables {unknown}; supported: {OBSERVABLES}")
     start = _start_point(x0, p0)
     columns: dict[str, np.ndarray] = {}
     record = plateau = None

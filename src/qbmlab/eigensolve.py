@@ -37,6 +37,8 @@ every pole, and every root of a small solve, keep the exact sum over all
 poles.  Evaluation is vectorized over disjoint brackets in chunks sized to fit
 in cache, which leaves the result independent of the chunking (each bracket's
 iteration history depends only on itself).
+
+A solve that fails raises EigensolveError, a ``QbmlabError`` and a RuntimeError.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _cauchy
-from .model import SpectralModel
+from .model import QbmlabError, SpectralModel
 
 __all__ = [
     "EigensolveError",
@@ -75,7 +77,7 @@ _MAX_ITER = 300
 _MIN_CLUSTERS = 16
 
 
-class EigensolveError(RuntimeError):
+class EigensolveError(QbmlabError, RuntimeError):
     """Root bracketing or solver failure."""
 
 

@@ -9,6 +9,9 @@ order equation
 whose coefficients are ratios of kernel derivatives.  All derivatives are
 analytic mode sums, never finite differences: the coefficient ratios amplify
 numerical noise, and the mode sums are exact.
+
+Times are read and refused as ``dynamics.mode_sum`` reads them, and
+``langevin_table`` needs a TimeGrid.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeGrid, TimeSeries, mode_sum
+from .dynamics import TimeGrid, TimeSeries, _check_grid, mode_sum
 from .eigensolve import NormalModes
 
 __all__ = [
@@ -109,6 +112,7 @@ def langevin_table(modes: NormalModes, grid: TimeGrid) -> TimeSeries:
     A sample is invalid, its omega_sq and gamma NaN, where the wronskian
     |a b' - b a'| falls below the fixed WRONSKIAN_TOL = 1e-12 of omega_sub.
     """
+    _check_grid(grid)
     k, c = _langevin_pass(modes, grid)
     columns = {"a": k.a, "b": k.b, "delta": k.delta, "omega_sq": c.omega_sq, "gamma": c.gamma}
     return TimeSeries(grid=grid, columns=columns, valid=c.valid)

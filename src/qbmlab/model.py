@@ -7,6 +7,10 @@ coupling constants are already absorbed into the effective couplings, so the
 model carries only the quantities the closed-form solution uses.
 
 Units: hbar = k_B = 1, frequencies in units of the subsystem frequency scale.
+
+Every refusal of the package is a ``QbmlabError``.  Here it is a ModelError,
+also a ValueError: a parameter that is not finite or out of range, or a bath
+count that is not a whole number of the right parity.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "QbmlabError",
     "ModelError",
     "ModelFormatError",
     "SpectralModel",
@@ -36,7 +41,11 @@ __all__ = [
 _EXP_OVERFLOW_ARG = 700.0
 
 
-class ModelError(ValueError):
+class QbmlabError(Exception):
+    """Base of every refusal of the package; each error class keeps its builtin base too."""
+
+
+class ModelError(QbmlabError, ValueError):
     """Invalid model parameters."""
 
 
@@ -220,10 +229,10 @@ def _bose_occupancies(beta: float, omega: np.ndarray) -> np.ndarray:
 
 def thermal_occupancy(beta: float, omega: float) -> float:
     """Bose-Einstein mean occupation 1/(exp(beta*omega) - 1)."""
-    if beta <= 0:
-        raise ModelError(f"beta must be positive, got {beta}")
-    if omega <= 0:
-        raise ModelError(f"omega must be positive, got {omega}")
+    if not 0 < beta < math.inf:
+        raise ModelError(f"beta must be positive and finite, got {beta}")
+    if not 0 < omega < math.inf:
+        raise ModelError(f"omega must be positive and finite, got {omega}")
     x = beta * omega
     if x > _EXP_OVERFLOW_ARG:
         return math.exp(-x) / (1.0 - math.exp(-x))
@@ -252,17 +261,20 @@ def build_equidistant_bath(
     Both conventions are in circulation for this model family and differ at
     the percent level for small N; runs record which one they used.
     """
-    if n_osc < 1 or n_osc % 2 == 0:
+    if not (n_osc >= 1 and float(n_osc).is_integer() and n_osc % 2 == 1):
         raise ModelError(f"n_osc must be a positive odd integer, got {n_osc}")
+    n_osc = int(n_osc)
+    if not math.isfinite(omega_sub):
+        raise ModelError(f"omega_sub must be finite, got {omega_sub}")
     if (band_width is None) == (spacing is None):
         raise ModelError("exactly one of band_width or spacing must be given")
     if spacing is not None:
         a = float(spacing)
-        if a <= 0:
-            raise ModelError(f"spacing must be positive, got {a}")
+        if not 0 < a < math.inf:
+            raise ModelError(f"spacing must be positive and finite, got {a}")
     else:
-        if band_width <= 0:
-            raise ModelError(f"band_width must be positive, got {band_width}")
+        if not 0 < band_width < math.inf:
+            raise ModelError(f"band_width must be positive and finite, got {band_width}")
         if convention == "prose":
             denom = n_osc - 2
         elif convention == "formula":
@@ -297,6 +309,8 @@ def lorentzian_coupling(
     if not (a_width > 0 and 0 < a_width * a_width < math.inf):
         raise ModelError(f"a_width must be positive with a finite, nonzero square, got {a_width}")
     freqs = _as_float_array(bath_freqs, "bath_freqs")
+    if not (math.isfinite(omega_sub) and math.isfinite(d_amp) and np.isfinite(freqs).all()):
+        raise ModelError("bath_freqs, omega_sub and d_amp must be finite")
     # a detuning whose square overflows leaves the coupling at its limit, 0; an
     # overflowing peak leaves nan, which SpectralModel rejects
     with np.errstate(over="ignore", invalid="ignore"):
@@ -314,8 +328,8 @@ def validate_dissipation(model: SpectralModel, delta: float | None = None) -> Va
     w = model.bath_freqs
     if delta is None:
         delta = float(np.diff(w).min()) if model.n_osc > 1 else float(w[0])
-    if delta <= 0:
-        raise ModelError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ModelError(f"delta must be positive and finite, got {delta}")
     # couplings whose squares overflow give infinite sums, which fail their bounds
     with np.errstate(over="ignore"):
         g2 = model.couplings**2
@@ -356,7 +370,7 @@ def paper_default_model(
     peak coupling at the band edges.
     """
     n_osc = n_modes - 1
-    if n_osc < 3 or n_osc % 2 == 0:
+    if not (n_osc >= 3 and float(n_osc).is_integer() and n_osc % 2 == 1):
         raise ModelError(
             f"n_modes = {n_modes} requires an odd bath size >= 3, got N = {n_osc}"
         )

@@ -1,4 +1,10 @@
-"""Recurrence-time estimates, revival detection, and decay-segment fitting."""
+"""Recurrence-time estimates, revival detection, and decay-segment fitting.
+
+A threshold outside (0, 1), a negative or non-finite separation, a plateau
+that is not finite, and a window that is not a pair t_lo < t_hi holding two
+samples above the plateau raise RecurrenceError, a ``QbmlabError`` and a
+ValueError; an unknown column raises KeyError naming it.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +14,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .continuum import width_from_discrete
 from .dynamics import TimeSeries
 from .eigensolve import NormalModes
+from .model import QbmlabError
 
 __all__ = [
     "RecurrenceError",
@@ -24,7 +32,7 @@ __all__ = [
 ]
 
 
-class RecurrenceError(ValueError):
+class RecurrenceError(QbmlabError, ValueError):
     """Bad window or column for a recurrence analysis."""
 
 
@@ -109,10 +117,14 @@ def detect_revivals(
     """
     if not 0.0 < threshold < 1.0:
         raise RecurrenceError(f"threshold must lie in (0, 1), got {threshold}")
+    if not 0.0 <= min_separation < math.inf:
+        raise RecurrenceError(f"min_separation must be finite and >= 0, got {min_separation}")
     y = series.column(column)
     t = series.times
     if plateau is None:
         plateau = float(np.median(y))
+    elif not math.isfinite(plateau):
+        raise RecurrenceError(f"plateau must be finite, got {plateau}")
     level = plateau + threshold * (float(y[0]) - plateau)
 
     inner = np.arange(1, len(y) - 1)
@@ -158,6 +170,10 @@ def fit_exponential(
     The window is rejected if any sample inside it is not above the plateau:
     fitting a log through nonpositive values would be meaningless.
     """
+    if np.shape(window) != (2,):
+        raise RecurrenceError(f"window must be a pair (t_lo, t_hi), got {window}")
+    if not math.isfinite(plateau):
+        raise RecurrenceError(f"plateau must be finite, got {plateau}")
     t_lo, t_hi = window
     t = series.times
     if t_lo >= t_hi:
@@ -182,30 +198,20 @@ def fit_exponential(
     )
 
 
-def _fit_window(
-    modes: NormalModes, t_p: float, gamma_est: float | None
-) -> tuple[float, float]:
+def _fit_window(modes: NormalModes, t_p: float) -> tuple[float, float]:
     """Decay-fit window avoiding the quadratic onset and revival contamination.
 
-    The upper end is capped at 1.5 decay times: the discrete-bath decay rate
+    On an equidistant grid the upper end is capped at 1.5 decay times of the
+    continuum width 2*pi*g^2(Omega)/spacing: the discrete-bath decay rate
     drifts upward as the mode sum dephases, and windows several decay times
     long systematically overestimate the width.
     """
-    omega = modes.model.omega_sub
+    model = modes.model
     hi = 0.2 * t_p
-    if gamma_est is not None and gamma_est > 0:
-        hi = min(hi, 1.5 / gamma_est)
-    return (3.0 / omega, hi)
-
-
-def _gamma_estimate(modes: NormalModes) -> float | None:
-    """Continuum-width estimate 2*pi*g^2(Omega)/spacing for equidistant grids."""
-    from .continuum import ContinuumError, width_from_discrete
-
-    try:
-        return width_from_discrete(modes.model)
-    except ContinuumError:
-        return None
+    gamma = width_from_discrete(model) if model.uniform_spacing() is not None else 0.0
+    if gamma > 0:
+        hi = min(hi, 1.5 / gamma)
+    return (3.0 / model.omega_sub, hi)
 
 
 def analyze(
@@ -233,7 +239,7 @@ def analyze(
         spacing = float(np.mean(np.diff([p.time for p in peaks])))
 
     gamma_fit = residual = window = None
-    w = _fit_window(modes, tp.t_poincare, _gamma_estimate(modes))
+    w = _fit_window(modes, tp.t_poincare)
     t = series.times
     w = (max(w[0], float(t[0])), min(w[1], float(t[-1])))
     if w[0] < w[1]:

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import qbmlab
-from qbmlab import dynamics, eigensolve
+from qbmlab import cli, dynamics, eigensolve
 from qbmlab.cli import (
+    _KNOWN_ERRORS,
     _finite_float,
     _fmt,
     _positive_int,
@@ -198,6 +199,21 @@ def test_file_errors_end_in_an_error_line(tmp_path, capsys, case):
     assert run(FILE_ERRORS[case](tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_known_errors_are_the_package_refusals():
+    assert _KNOWN_ERRORS == (qbmlab.QbmlabError, OSError, MemoryError)
+
+
+@pytest.mark.parametrize("argv", [["solve", "--paper-defaults", "--n", "10"],
+                                  ["sweep", "--n-list", "10"]])
+def test_a_bug_is_not_a_refusal(tmp_path, monkeypatch, argv):
+    # an exception that is no refusal of the package keeps its traceback
+    def bug(model):
+        raise ValueError("bug")
+    monkeypatch.setattr(cli, "solve_normal_modes", bug)
+    with pytest.raises(ValueError, match="bug"):
+        main(argv + ["--out-dir", str(tmp_path)])
 
 
 # 10**17 float64 values are 8e17 bytes, past every 57-bit user address space,

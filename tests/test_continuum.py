@@ -10,6 +10,7 @@ import pytest
 from qbmlab import (
     ContinuumError,
     ContinuumModel,
+    TimeGrid,
     paper_default_model,
     solve_normal_modes,
     thermal_occupancy,
@@ -278,6 +279,12 @@ class TestSurvivalAmplitude:
             survival_amplitude_continuum(narrow, t_bad, table=narrow_table)
         with pytest.raises(ContinuumError, match="panel"):
             survival_amplitude_continuum(narrow, 500.0, table=build_weight_table(narrow, 100))
+
+    def test_grid_matches_its_times(self, narrow):
+        grid = TimeGrid(0.0, 2.5, 401)
+        np.testing.assert_allclose(survival_amplitude_continuum(narrow, grid),
+                                   survival_amplitude_continuum(narrow, grid.times),
+                                   rtol=0, atol=1e-13)
 
     def test_negative_time_rejected(self, narrow, narrow_table):
         with pytest.raises(ContinuumError):

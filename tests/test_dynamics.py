@@ -394,6 +394,12 @@ UNSHAPEABLE = {
             lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5),
             np.ones((2, 3))),
         r"shape \(2, 3\)"),
+    # refused by its shape before the weight table is sized or built
+    "survival_amplitude_continuum_long": (
+        lambda m: survival_amplitude_continuum(
+            lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.5, omega_max=1.5),
+            np.full((2, 3), 1e7)),
+        r"shape \(2, 3\)"),
     "mode_sum": (lambda m: mode_sum([1.0, 2.0], [1.0], [0.0]), r"shape \(1,\) need a first axis of 2"),
 }
 
@@ -403,6 +409,17 @@ def test_unshapeable_times_and_coefficients_are_refused(name, modes_32):
     call, message = UNSHAPEABLE[name]
     with pytest.raises(ModelError, match=message):
         call(modes_32)
+
+
+def test_initial_state_must_match_its_bath(modes_32):
+    init = InitialState(1.0, np.ones(5))
+    grid = TimeGrid(t0=0.0, dt=1.0, count=4)
+    calls = [lambda: mean_subsystem_occupation(modes_32, init, 1.0),
+             lambda: asymptotic_mean_occupation(modes_32, init),
+             lambda: evolve_series(modes_32, init, grid, ["N_omega"])]
+    for call in calls:
+        with pytest.raises(ModelError, match="5 bath occupancies, the bath 31 oscillators"):
+            call()
 
 
 class TestModeSum:

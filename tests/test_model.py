@@ -47,6 +47,11 @@ class TestEquidistantBath:
         with pytest.raises(ModelError, match="odd"):
             build_equidistant_bath(1.0, 30, band_width=0.018)
 
+    @pytest.mark.parametrize("n_osc", [31.5, 30.999, math.nan, math.inf])
+    def test_non_integral_count_rejected(self, n_osc):
+        with pytest.raises(ModelError, match=f"got {n_osc}"):
+            build_equidistant_bath(1.0, n_osc, band_width=0.018)
+
     def test_nonpositive_lowest_frequency_rejected(self):
         with pytest.raises(ModelError, match="omega_1"):
             build_equidistant_bath(0.005, 31, band_width=1.0)
@@ -220,6 +225,12 @@ class TestValidateDissipation:
         assert report.right_sum == pytest.approx(g2[-1] / delta, rel=1e-12)
         assert not report.all_pass
 
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_non_finite_delta_rejected(self, model_32, delta):
+        # at delta = inf every sum is 0 against infinite bounds, a vacuous pass
+        with pytest.raises(ModelError, match=f"delta must be positive and finite, got {delta}"):
+            validate_dissipation(model_32, delta=delta)
+
     def test_passes_consistent_with_sums(self, model_32):
         report = validate_dissipation(model_32)
         assert report.passes[0] == (report.left_sum < report.left_bound)
@@ -298,6 +309,17 @@ class TestPaperDefaultFamily:
         assert m.n_osc == 9
         with pytest.raises(ModelError):
             paper_default_model(11)  # N = 10 is even
+
+    @pytest.mark.parametrize("n_modes", [32.5, 10.25, math.nan])
+    def test_non_integral_count_rejected(self, n_modes):
+        # 32.5 would build an even bath of 32 with no frequency at omega_sub
+        with pytest.raises(ModelError, match=f"n_modes = {n_modes}"):
+            paper_default_model(n_modes)
+
+    def test_integral_float_count_allowed(self):
+        m = paper_default_model(32.0)
+        assert m.n_osc == 31
+        assert np.array_equal(m.bath_freqs, paper_default_model(32).bath_freqs)
 
     def test_coupling_peak_equals_spacing(self):
         m = paper_default_model(32)
