@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -271,7 +270,6 @@ def _write_manifest(args, parser, written: list[Path], **fields) -> Path:
         "version": __version__,
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "outputs": [path.name for path in written],
-        "threads": os.cpu_count() or 1,
         **fields,
     }
     path = _out(args, "_manifest.json")

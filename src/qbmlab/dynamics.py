@@ -395,14 +395,9 @@ def _dense_form(modes: NormalModes, init: InitialState, amp: np.ndarray) -> _Occ
 
 
 def _chebyshev_vander(x: np.ndarray, degree: int) -> np.ndarray:
-    """V[i, k] = T_k(x_i) for k = 0..degree."""
-    v = np.empty((x.size, degree + 1))
-    v[:, 0] = 1.0
-    if degree > 0:
-        v[:, 1] = x
-    for k in range(2, degree + 1):
-        v[:, k] = 2.0 * x * v[:, k - 1] - v[:, k - 2]
-    return v
+    """V[i, k] = T_k(x_i) for k = 0..degree, in C order: numpy's chebvander is
+    Fortran-ordered, and BLAS rounds the products with V by their memory order."""
+    return np.ascontiguousarray(np.polynomial.chebyshev.chebvander(x, degree))
 
 
 def _divided_differences(degree: int) -> np.ndarray:

@@ -29,7 +29,7 @@ pole index, and the rest through the Chebyshev tables of the Cauchy-sum kernel
 beyond the cluster and its neighbours until an a-priori bound keeps the
 tables' error far below the rounding of f.  One more such sweep at the roots
 gives their residuals and weights.  The sweeps then cost O(N m) and the tables
-O(N^2 p / m); ``NormalModes.validate`` audits one root per tabulated cluster
+O(N^2 p / m); ``NormalModes.validate`` audits one root per cluster
 against exact sums, O(N^2 / m), so with m ~ 2 sqrt(N) the solve is O(N^1.5 p).
 In process on 2 vCPUs (numpy 2.4.6, OpenBLAS 0.3.31) N+1 = 4096 takes about
 0.10 s and 16384 about 0.6 s.  Roots of a cluster whose window grows to cover
@@ -145,7 +145,7 @@ class NormalModes:
         Besides interlacing, the weight sum and the trace, an exact audit
         recomputes from exact sums (``_exact_sums``) the residual of both
         exterior roots, of the root closest to a pole and of the first root of
-        every tabulated cluster, and the weight of each where the weights come
+        every cluster, and the weight of each where the weights come
         from the normalization formula (``secular_evaluations > 0``; modes
         built without the solver, say from eigenvectors, keep their weights
         unaudited).  It raises when a residual is
@@ -208,11 +208,8 @@ def _audit(modes: NormalModes) -> tuple[float, float]:
     w, g, a = model.bath_freqs, model.couplings, modes.alphas
     n = w.size
     pole_offset = np.minimum(np.r_[math.inf, a[1:] - w], np.r_[w - a[:-1], math.inf])
-    picks = {0, n, int(np.argmin(pole_offset))}
-    if modes.tabulated_clusters:
-        field = _far_field(w)
-        picks.update(int(s) + 1 for s, win in zip(field.starts, field.windows) if win is not None)
-    picks = np.array(sorted(picks))
+    # the first root of every cluster, tabulated or not
+    picks = np.unique(np.r_[0, n, np.argmin(pole_offset), _cluster_edges(n)[:-1] + 1])
     residual_error, weight_error = 0.0, (0.0 if modes.secular_evaluations else math.nan)
     # 2 rows per root in a quarter of the scratch, so that the temporaries of
     # _exact_sums stay within about the scratch
@@ -263,17 +260,6 @@ def _exact_sums(t: np.ndarray) -> np.ndarray:
         return hi.sum(axis=1) + (t - hi).sum(axis=1)
 
 
-def _secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
-                   g2: np.ndarray) -> np.ndarray:
-    """f at each alpha, in one alphas.size x N block, the sum pairwise in ascending n;
-    ``solve_normal_modes`` checks its exterior brackets with it.  An alpha on a
-    pole gives an infinite f."""
-    d = alphas[:, None] - w[None, :]
-    with np.errstate(divide="ignore"):
-        np.divide(g2[None, :], d, out=d)
-    return alphas - omega_sub - d.sum(axis=1)
-
-
 def solve_normal_modes(model: SpectralModel) -> NormalModes:
     """Find all N+1 roots and weights of the secular equation.
 
@@ -310,7 +296,10 @@ def solve_normal_modes(model: SpectralModel) -> NormalModes:
     low, high = min(omega_sub, w[0]), max(omega_sub, w[-1])
     lo[0] = low - g_norm - 4.0 * eps * (abs(low) + g_norm)
     hi[n] = high + g_norm + 4.0 * eps * (abs(high) + g_norm)
-    f_ends = _secular_batch(np.array([lo[0], hi[n]]), omega_sub, w, g2)
+    ends = np.array([lo[0], hi[n]])
+    below, above, _, _ = _pole_sums(ends, np.array([0, n]), w, g2, np.empty(2 * n),
+                                    np.empty(2 * n))
+    f_ends = ends - omega_sub - (below + above)
     if not (f_ends[0] < 0 < f_ends[1]):
         raise EigensolveError(
             f"exterior brackets [{float(lo[0])!r}, {float(hi[n])!r}] do not enclose "

@@ -1,7 +1,8 @@
 """Reference checks of the package that only the tests call.
 
 Each is a slow or dense restatement of something the package computes in
-closed form: the O(N^3) ``eigh`` solve, the O(N^2) closure identities, the
+closed form: the secular function summed over every pole at once, the
+O(N^3) ``eigh`` solve, the O(N^2) closure identities, the
 eliminated Langevin equation on its own trajectories, and the long-time
 averages behind ``asymptotic_mean_occupation``.
 """
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qbmlab.dynamics import TimeGrid
-from qbmlab.eigensolve import EigensolveError, NormalModes, _secular_batch
+from qbmlab.eigensolve import EigensolveError, NormalModes
 from qbmlab.langevin import _langevin_pass
 from qbmlab.model import SpectralModel
 
@@ -29,12 +30,22 @@ class ClosureReport:
     bath_orth_max: float    # max_{n,m} |sum_nu phi_{nu,n} phi_{nu,m} - delta_nm|
 
 
+def secular_batch(alphas: np.ndarray, omega_sub: float, w: np.ndarray,
+                  g2: np.ndarray) -> np.ndarray:
+    """f at each alpha, in one alphas.size x N block, the sum pairwise in ascending n.
+    An alpha on a pole gives an infinite f."""
+    d = alphas[:, None] - w[None, :]
+    with np.errstate(divide="ignore"):
+        np.divide(g2[None, :], d, out=d)
+    return alphas - omega_sub - d.sum(axis=1)
+
+
 def secular_value(alpha: float, model: SpectralModel) -> float:
     """Evaluate f(alpha); O(N) with pairwise summation in ascending n."""
     if np.any(alpha == model.bath_freqs):
         raise EigensolveError(f"alpha = {float(alpha)!r} is a pole of the secular function")
-    return float(_secular_batch(np.array([alpha], dtype=float), model.omega_sub,
-                                model.bath_freqs, model.couplings**2)[0])
+    return float(secular_batch(np.array([alpha], dtype=float), model.omega_sub,
+                               model.bath_freqs, model.couplings**2)[0])
 
 
 def dense_oracle(model: SpectralModel) -> NormalModes:
@@ -55,8 +66,8 @@ def dense_oracle(model: SpectralModel) -> NormalModes:
     h[diag, diag] = model.bath_freqs
     vals, vecs = np.linalg.eigh(h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        residuals = _secular_batch(vals, model.omega_sub, model.bath_freqs,
-                                   model.couplings**2)
+        residuals = secular_batch(vals, model.omega_sub, model.bath_freqs,
+                                  model.couplings**2)
     modes = NormalModes(
         model=model,
         alphas=vals,

@@ -144,13 +144,33 @@ class TestSolve:
         cfg.write_text("omega_sub = 1.0\n[bath]\n1.1 0.1\n0.9 0.1\n")
         assert run(["solve", "--config", cfg, "--out-dir", tmp_path]) == 1
 
-    def test_usage_errors_exit_two(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["solve", "--paper-defaults", "--out-dir", tmp_path])  # missing --n
-        assert exc.value.code == 2
+    def test_usage_errors_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "model.txt"
+        cfg.write_text("omega_sub = 1.0\n[bath]\n0.9 0.05\n1.1 0.05\n")
+        usage_errors = {
+            "--paper-defaults requires --n": ["solve", "--paper-defaults"],
+            "mutually exclusive": ["solve", "--config", cfg, "--paper-defaults", "--n", 10],
+            "give either --config or --paper-defaults": ["solve"],
+            "ullersma density needs --c1": ["continuum", "--density", "ullersma",
+                                            "--band", 0.5, 1.5],
+            "cannot parse --n-list '10,x'": ["sweep", "--n-list", "10,x"],
+            "--n-list is empty": ["sweep", "--n-list", " , "],
+        }
+        for message, argv in usage_errors.items():
+            with pytest.raises(SystemExit) as exc:
+                run(argv + ["--out-dir", tmp_path])
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             run(["bogus-subcommand"])
         assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_t_max_not_after_t0_is_refused(self, tmp_path, capsys):
+        code = run(["evolve", "--paper-defaults", "--n", 10, "--t0", 5, "--t-max", 5,
+                    "--out-dir", tmp_path])
+        assert code == 1
+        assert capsys.readouterr().err == "error: t_max = 5.0 must exceed t0 = 5.0\n"
 
     @pytest.mark.parametrize("command", ["solve", "validate"])
     def test_coupling_whose_square_underflows_is_named(self, tmp_path, capsys, command):
@@ -612,7 +632,7 @@ RERUNS = {
     "validate": (["validate", "--paper-defaults", "--n", 10], {"dissipation"}),
 }
 COMMON_KEYS = {"command", "argv_effective", "version", "generated_at", "tolerances",
-               "outputs", "threads"}
+               "outputs"}
 # each subcommand's fixed tolerances, and the recurrence run's --threshold
 TOLERANCES = {
     "solve": {"rel_tol": 1e-13},

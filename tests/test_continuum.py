@@ -79,6 +79,15 @@ class TestModelValidation:
             ullersma_density(0.3, bad, omega_min=1e-3, omega_max=5.0)
 
 
+    def test_density_not_finite_on_the_band_refused(self):
+        spike = ContinuumModel(
+            g_sq=lambda w: np.where(np.asarray(w, float) > 1.4, np.inf, 1e-3),
+            omega_min=0.5, omega_max=1.5, omega_sub=1.0, beta=1.0,
+        )
+        with pytest.raises(ContinuumError, match="not finite on the band"):
+            pv_shift(spike)
+
+
 class TestPvShift:
     def test_symmetric_density_gives_zero(self, narrow):
         assert abs(pv_shift(narrow)) < 1e-10
@@ -315,6 +324,12 @@ class TestKhalfinTail:
         with pytest.raises(ContinuumError, match="validity"):
             khalfin_tail(strong_ullersma, (100.0, 5000.0))
 
+    def test_band_from_zero_refused(self):
+        from_zero = lorentzian_density(5e-4, 0.05, omega_sub=1.0, omega_min=0.0,
+                                       omega_max=2.0)
+        with pytest.raises(ContinuumError, match="positive lower cutoff"):
+            khalfin_tail(from_zero, (10.0, 100.0))
+
 
 class TestAsymptoticOccupation:
     def test_weak_coupling_value(self, narrow):
@@ -347,6 +362,13 @@ class TestAsymptoticOccupation:
         assert all(d > 0 for d in deviations)
         assert deviations[0] > deviations[1] > deviations[2]
         assert deviations[2] < 1e-4
+
+
+    def test_incomplete_weight_density_refused(self):
+        # strong coupling binds states outside the band, which take a third of the weight
+        strong = lorentzian_density(0.2, 0.5, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        with pytest.raises(ContinuumError, match="cannot form the thermal average"):
+            asymptotic_occupation(strong)
 
 
 class TestValidateContinuum:

@@ -69,11 +69,6 @@ from qbmlab import (  # noqa: E402
 from qbmlab.dynamics import OBSERVABLES  # noqa: E402
 from conftest import random_model  # noqa: E402
 
-# hypothesis imports mypy_extensions while it explains a failing example, and that
-# import's DeprecationWarning, an error under pyproject.toml, would end the session
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
-
 CHECK = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 # draws that build a continuum weight table
 FEW = settings(max_examples=8, deadline=None, derandomize=True, database=None)

@@ -16,6 +16,7 @@ from qbmlab import (
     NormalModes,
     SpectralModel,
     TimeGrid,
+    TimeSeries,
     asymptotic_mean_occupation,
     evolve_series,
     mean_bath_occupation,
@@ -293,6 +294,13 @@ class TestEvolveSeries:
         assert series.occupation_form["kind"] == "chebyshev"
         assert np.array_equal(series.column("N_omega"),
                               mean_subsystem_occupation(modes_32, init_32, grid))
+
+    def test_columns_and_flags_must_span_the_grid(self):
+        grid = TimeGrid(t0=0.0, dt=1.0, count=5)
+        with pytest.raises(ModelError, match=r"column 'y' length \(4,\) != grid count"):
+            TimeSeries(grid, {"y": np.zeros(4)})
+        with pytest.raises(ModelError, match="valid flags length != grid count"):
+            TimeSeries(grid, {"y": np.zeros(5)}, valid=np.ones(4, dtype=bool))
 
     def test_empty_selection(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=1.0, count=10)

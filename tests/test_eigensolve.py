@@ -27,7 +27,7 @@ from qbmlab.continuum import (
 )
 from qbmlab.model import lorentzian_coupling, paper_default_model
 from conftest import random_model
-from oracles import dense_oracle, secular_value, verify_closure
+from oracles import dense_oracle, secular_batch, secular_value, verify_closure
 
 
 def make(omega, freqs, coups, beta=1.0, kappa=1.0):
@@ -291,6 +291,25 @@ class TestSolverBehavior:
             residuals=modes_32.residuals[:-1],
         )
         with pytest.raises(EigensolveError):
+            broken.validate()
+
+    @pytest.mark.parametrize("defect, message", [
+        ("swapped roots", "interlacing violated"),
+        ("negative weight", r"weights must lie in \(0, 1\]"),
+        ("shifted roots", "eigenvalue sum does not match matrix trace"),
+    ])
+    def test_validate_rejects_a_broken_invariant(self, modes_32, defect, message):
+        alphas, weights = modes_32.alphas.copy(), modes_32.weights.copy()
+        if defect == "swapped roots":
+            alphas[[3, 4]] = alphas[[4, 3]]
+        elif defect == "negative weight":
+            weights[5] = -weights[5]
+        else:
+            # 32e-9 off a trace of ~32, past its 1e-10 relative tolerance; every
+            # root stays more than 1e-9 from its poles, so the roots still interlace
+            alphas += 1e-9
+        broken = NormalModes(modes_32.model, alphas, weights, modes_32.residuals.copy())
+        with pytest.raises(EigensolveError, match=message):
             broken.validate()
 
     def test_solver_far_exterior_root(self):
@@ -589,8 +608,8 @@ class TestExactAudit:
             monkeypatch.setattr(eigensolve, "_SCRATCH_BYTES", scratch)
         model = make(1.0, [0.9, 1.0, 1.1], [0.05, 0.05, 0.05])
         roots = np.array([0.8, 1.0, 1.05, 1.2])
-        residuals = eigensolve._secular_batch(roots, model.omega_sub, model.bath_freqs,
-                                              model.couplings**2)
+        residuals = secular_batch(roots, model.omega_sub, model.bath_freqs,
+                                  model.couplings**2)
         modes = NormalModes(model, roots, np.full(4, 0.25), residuals)
         residual_error, weight_error = eigensolve._audit(modes)
         assert math.isnan(residual_error) and math.isnan(weight_error)

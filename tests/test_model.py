@@ -52,6 +52,10 @@ class TestEquidistantBath:
         with pytest.raises(ModelError, match=f"got {n_osc}"):
             build_equidistant_bath(1.0, n_osc, band_width=0.018)
 
+    def test_unknown_convention_rejected(self):
+        with pytest.raises(ModelError, match="unknown band-width convention 'width'"):
+            build_equidistant_bath(1.0, 31, band_width=0.018, convention="width")
+
     def test_nonpositive_lowest_frequency_rejected(self):
         with pytest.raises(ModelError, match="omega_1"):
             build_equidistant_bath(0.005, 31, band_width=1.0)
@@ -148,6 +152,19 @@ class TestSpectralModelInvariants:
             with pytest.raises(ModelError, match=f"{name} must be finite"):
                 SpectralModel(**fields)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"omega_sub": 0.0}, "omega_sub must be positive, got 0.0"),
+        ({"mass": -1.0}, "mass must be positive, got -1.0"),
+        ({"couplings": [0.1]}, r"couplings \(1\) and bath_freqs \(2\) differ in length"),
+        ({"bath_freqs": [-0.1, 1.1]}, "omega_1 = -0.1"),
+        ({"bath_freqs": [[0.9, 1.1]]}, "bath_freqs must be a one-dimensional sequence"),
+    ], ids=["omega_sub", "mass", "lengths", "omega_1", "two-dimensional"])
+    def test_out_of_range_values_rejected(self, fields, message):
+        good = dict(omega_sub=1.0, beta=1.0, kappa=1.0, bath_freqs=[0.9, 1.1],
+                    couplings=[0.1, 0.1], mass=1.0)
+        with pytest.raises(ModelError, match=message):
+            SpectralModel(**(good | fields))
+
     def test_fractional_kappa_allowed(self):
         m = SpectralModel(1.0, 1.0, 0.75, [1.0], [0.1])
         assert m.kappa == 0.75
@@ -178,6 +195,8 @@ class TestInitialState:
     def test_negative_occupancy_rejected(self):
         with pytest.raises(ModelError):
             InitialState(1.0, np.array([0.5, -0.1]))
+        with pytest.raises(ModelError, match="kappa must be nonnegative, got -0.5"):
+            InitialState(-0.5, np.array([0.5]))
 
     def test_non_finite_values_rejected(self):
         with pytest.raises(ModelError, match="finite"):
@@ -268,9 +287,20 @@ class TestModelFiles:
 
     def test_parse_error_carries_line_number(self, tmp_path):
         path = tmp_path / "m.txt"
-        path.write_text("omega_sub = 1.0\nnot a key value\n[bath]\n1.0 0.1\n")
-        with pytest.raises(ModelFormatError, match="line 2"):
-            load_model(path)
+        defects = {
+            "omega_sub = 1.0\nnot a key value\n[bath]\n1.0 0.1\n":
+                "line 2: expected 'key = value'",
+            "omega_sub = 1.0\n[bath]\n1.0 0.1\n[bath]\n": r"line 4: duplicate \[bath\]",
+            "omega_sub = 1.0\nomega = 2.0\n[bath]\n1.0 0.1\n": "line 2: unknown key 'omega'",
+            "omega_sub = 1.0\nbeta = 1\nbeta = 2\n[bath]\n1.0 0.1\n":
+                "line 3: duplicate key 'beta'",
+            "omega_sub = one\n[bath]\n1.0 0.1\n": "line 1: cannot parse value for 'omega_sub'",
+            "omega_sub = 1.0\n[bath]\n1.0 0.1\n1.1 g\n": "line 4: cannot parse pair",
+        }
+        for text, message in defects.items():
+            path.write_text(text)
+            with pytest.raises(ModelFormatError, match=message):
+                load_model(path)
 
     def test_bad_pair_line_number(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -294,6 +324,12 @@ class TestModelFiles:
         path = tmp_path / "m.txt"
         path.write_text("omega_sub = 1.0\n")
         with pytest.raises(ModelFormatError, match="bath"):
+            load_model(path)
+
+    def test_missing_omega_sub(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("beta = 1.0\n[bath]\n1.0 0.1\n")
+        with pytest.raises(ModelFormatError, match="missing required key 'omega_sub'"):
             load_model(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):

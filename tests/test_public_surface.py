@@ -45,9 +45,7 @@ MODULE_ALL = {
     },
 }
 
-# every name of every __all__ but the three tolerance constants and OBSERVABLES
-PACKAGE_NAMES = set().union(*MODULE_ALL.values()) - {
-    "REL_TOL", "WRONSKIAN_TOL", "QUAD_TOL", "OBSERVABLES"}
+PACKAGE_NAMES = set().union(*MODULE_ALL.values())
 
 
 @pytest.mark.parametrize("name", sorted(MODULE_ALL))

@@ -78,6 +78,13 @@ class TestDetectRevivals:
         assert len(merged) == 1
         assert merged[0].time == pytest.approx(40.0, abs=0.5)
 
+    def test_default_plateau_is_the_median(self):
+        # median 0.3: level 0.3 + 0.5 (1.0 - 0.3) = 0.65 keeps the 0.8 bump only
+        y = np.array([1.0, 0.3, 0.6, 0.3, 0.3, 0.8, 0.3, 0.2, 0.3, 0.1, 0.3])
+        peaks = detect_revivals(make_series(0.0, 1.0, y), "y")
+        assert [peak.time for peak in peaks] == [5.0]
+        assert peaks == detect_revivals(make_series(0.0, 1.0, y), "y", plateau=0.3)
+
     def test_threshold_domain(self):
         series = make_series(0.0, 1.0, np.ones(10))
         with pytest.raises(RecurrenceError):
@@ -108,6 +115,11 @@ class TestFitExponential:
         series = make_series(0.0, 1.0, np.ones(10))
         with pytest.raises(RecurrenceError):
             fit_exponential(series, "y", (5.0, 5.0), plateau=0.0)
+
+    def test_rejects_a_window_of_one_sample(self):
+        series = make_series(0.0, 1.0, np.ones(10))
+        with pytest.raises(RecurrenceError, match="fewer than 2 samples"):
+            fit_exponential(series, "y", (4.5, 5.5), plateau=0.0)
 
 
 @pytest.fixture(scope="module")
