@@ -1,13 +1,14 @@
 """Command-line front end: batch runs, CSV/JSON artifacts, and run manifests.
 
-Every subcommand takes one path.  Its handler ``_cmd_<name>(args, parser)``
-writes the run's data files and returns (exit code, paths written, manifest
-fields).  ``main`` then writes the manifest, recording the exact model
-parameters, conventions, and tolerances that shaped the numbers, and an
-effective argument vector from which the run can be repeated verbatim; it
-prints one ``wrote ...`` line naming every file.  A known error, from a bad
-model to an unwritable output directory, ends the run with ``error: ...``
-and exit 1 instead.  Identical inputs produce byte-identical CSV output.
+Every subcommand takes one path.  Its handler ``_cmd_<name>(args, parser)``,
+bound to its subparser as ``run``, writes the run's data files and returns
+(exit code, paths written, manifest fields).  ``main`` then writes the
+manifest, recording the exact model parameters, conventions, and tolerances
+that shaped the numbers, and an effective argument vector from which the run
+can be repeated verbatim; it prints one ``wrote ...`` line naming every file.
+A known error, from a bad model to an unwritable output directory, ends the
+run with ``error: ...`` and exit 1 instead.  Identical inputs produce
+byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -215,27 +216,12 @@ def _solved(args, model: SpectralModel):
             "spacing": model.uniform_spacing(),
         },
         "derived": derived,
-        "diagnostics": {
-            "secular_evaluations": modes.secular_evaluations,
-            "safeguard_fallbacks": modes.safeguard_fallbacks,
-            "min_pole_offset": modes.min_pole_offset,
-            "tabulated_clusters": modes.tabulated_clusters,
-            "exact_clusters": modes.exact_clusters,
-            "chebyshev_points": modes.chebyshev_points,
-            "far_field_bound": modes.far_field_bound,
-            "residual_ratio": modes.residual_ratio,
-            "audit_residual_error": modes.audit_residual_error,
-            "audit_weight_error": modes.audit_weight_error,
+        "diagnostics": {  # every NormalModes field with a default is a solver diagnostic
+            **{f.name: getattr(modes, f.name) for f in dataclasses.fields(modes)
+               if f.default is not dataclasses.MISSING},
             "weight_sum_error": abs(math.fsum(modes.weights.tolist()) - 1.0),
         },
     }
-
-
-def _dissipation_record(validity) -> dict:
-    """Manifest block of a positivity check: the sums, bounds, passes and D ratio."""
-    record = dataclasses.asdict(validity)
-    del record["delta"]
-    return record
 
 
 def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
@@ -319,7 +305,7 @@ def _cmd_solve(args, parser) -> _Run:
     csv_path = _out(args, "_modes.csv")
     _write_csv(csv_path, {"nu": np.arange(modes.n_modes), "alpha": modes.alphas,
                           "weight": modes.weights, "residual": modes.residuals})
-    record["dissipation"] = _dissipation_record(validate_dissipation(modes.model))
+    record["dissipation"] = dataclasses.asdict(validate_dissipation(modes.model))
     return 0, [csv_path], record
 
 
@@ -329,7 +315,7 @@ def _cmd_evolve(args, parser) -> _Run:
     if unknown:
         parser.error(f"unknown observables {unknown}; choose from {OBSERVABLES}")
     modes, record = _solved(args, _resolve_model(args, parser))
-    grid = _make_grid(args, fallback_t_max=poincare_time(modes).t_poincare / 2.0)
+    grid = _make_grid(args, fallback_t_max=record["derived"]["t_poincare"] / 2.0)
     series = evolve_series(modes, InitialState.thermal(modes.model), grid, observables,
                            x0=args.x0, p0=args.p0)
     csv_path = _out(args, "_series.csv")
@@ -354,7 +340,7 @@ def _cmd_langevin(args, parser) -> _Run:
 
 def _cmd_recurrence(args, parser) -> _Run:
     modes, record = _solved(args, _resolve_model(args, parser))
-    series, report = _recurrence_report(args, modes, 3.0 * poincare_time(modes).t_poincare,
+    series, report = _recurrence_report(args, modes, 3.0 * record["derived"]["t_poincare"],
                                         threshold=args.threshold)
     payload = {
         "t_poincare": report.t_poincare,
@@ -498,7 +484,7 @@ def _cmd_validate(args, parser) -> _Run:
     if not report.all_pass:
         print("model violates the positivity conditions; dissipation is not guaranteed",
               file=sys.stderr)
-    return (0 if report.all_pass else 1), [], {"dissipation": _dissipation_record(report),
+    return (0 if report.all_pass else 1), [], {"dissipation": dataclasses.asdict(report),
                                                "tolerances": {}}
 
 
@@ -511,10 +497,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_solve = subs.add_parser("solve", help="normal frequencies and weights")
+    p_solve.set_defaults(run=_cmd_solve)
     _add_model_args(p_solve)
     _add_output_args(p_solve, "solve")
 
     p_evolve = subs.add_parser("evolve", help="mean-observable time series")
+    p_evolve.set_defaults(run=_cmd_evolve)
     _add_model_args(p_evolve)
     _add_grid_args(p_evolve)
     p_evolve.add_argument("--obs", default="N_omega",
@@ -524,17 +512,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_evolve, "evolve")
 
     p_lan = subs.add_parser("langevin", help="rotation kernels and damping coefficients")
+    p_lan.set_defaults(run=_cmd_langevin)
     _add_model_args(p_lan)
     _add_grid_args(p_lan)
     _add_output_args(p_lan, "langevin")
 
     p_rec = subs.add_parser("recurrence", help="revival detection and decay fit")
+    p_rec.set_defaults(run=_cmd_recurrence)
     _add_model_args(p_rec)
     _add_grid_args(p_rec)
     p_rec.add_argument("--threshold", type=_finite_float, default=0.5)
     _add_output_args(p_rec, "recurrence")
 
     p_cont = subs.add_parser("continuum", help="dense-bath decay analytics")
+    p_cont.set_defaults(run=_cmd_continuum)
     p_cont.add_argument("--density", choices=("lorentzian", "ullersma"),
                         default="lorentzian")
     p_cont.add_argument("--band", type=_finite_float, nargs=2, required=True,
@@ -550,6 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_cont, "continuum")
 
     p_sweep = subs.add_parser("sweep", help="one run per bath size")
+    p_sweep.set_defaults(run=_cmd_sweep)
     p_sweep.add_argument("--n-list", required=True,
                          help="comma-separated N+1 values, e.g. 10,32,100,500")
     _add_paper_model_args(p_sweep)
@@ -560,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_args(p_sweep, "sweep")
 
     p_val = subs.add_parser("validate", help="check the positivity conditions")
+    p_val.set_defaults(run=_cmd_validate)
     _add_model_args(p_val)
     p_val.add_argument("--delta", type=_finite_float, default=None,
                        help="regulator frequency; defaults to the smallest grid spacing")
@@ -568,23 +561,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "evolve": _cmd_evolve,
-    "langevin": _cmd_langevin,
-    "recurrence": _cmd_recurrence,
-    "continuum": _cmd_continuum,
-    "sweep": _cmd_sweep,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     sub = _subparsers(parser)[args.command]
     try:  # handlers get their subcommand's parser, so usage errors print its usage
-        code, written, fields = _COMMANDS[args.command](args, sub)
+        code, written, fields = args.run(args, sub)
         written.append(_write_manifest(args, sub, written, **fields))
     except _KNOWN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -90,8 +90,8 @@ _GAUSS_ORDER = 12
 _MESH_MIN_WIDTH, _MESH_MAX_PANELS = 2.0**-40, 2**16
 _PANEL_PHASE_LIMIT = 0.5  # panel_width * t_max: automatic tables below, supplied ones refused above
 _POLE_MAX_STEPS, _POLE_STEP_TOL = 40, 1e-12  # refine_pole's step cap and relative step floor
-# refusal bound on |completeness - 1| of a survival-sum scheme, and the tolerance
-# of the mesh its weight table sums over
+# refusal bound on |completeness - 1| of a weight table, in the survival sum and
+# the asymptotic occupation alike, and the tolerance of the mesh the table sums over
 _NORM_TOL = 1e-6
 # each scratch buffer of the table's principal-value sums stays within this
 # budget, so their passes run from cache: on a 2-core Xeon (2 MiB L2 per core)
@@ -424,19 +424,16 @@ def width(cm: ContinuumModel) -> float:
     return 2.0 * math.pi * float(cm.g_sq(np.asarray(cm.omega_sub)))
 
 
-def resolvent_boundary(cm: ContinuumModel, alpha: float, side: int = +1) -> complex:
+def resolvent_boundary(cm: ContinuumModel, alpha: float) -> complex:
     """Boundary value of the inverse reduced resolvent on the band cut.
 
-    side=+1 approaches from the upper half plane: alpha - omega_sub - Sigma(alpha)
-    = alpha - omega_sub - PV(alpha) + i*pi*g^2(alpha); side=-1 gives the complex
-    conjugate.  The jump across the cut (upper minus lower) is 2*i*pi*g^2(alpha).
+    From the upper half plane: alpha - omega_sub - PV(alpha) + i*pi*g^2(alpha).
+    From below it is the complex conjugate, so the jump across the cut (upper
+    minus lower) is 2*i*pi*g^2(alpha).
     """
     if not cm.omega_min < alpha < cm.omega_max:
         raise ContinuumError(f"alpha = {alpha} lies outside the open band")
-    if side not in (+1, -1):
-        raise ContinuumError(f"side must be +1 or -1, got {side}")
-    r = alpha - cm.omega_sub - _self_energy(cm, alpha)
-    return r if side == 1 else r.conjugate()
+    return alpha - cm.omega_sub - _self_energy(cm, alpha)
 
 
 def pole_estimate(cm: ContinuumModel) -> PoleEstimate:
@@ -670,7 +667,7 @@ def asymptotic_occupation(cm: ContinuumModel) -> float:
     1/(exp(beta W) - 1), ``thermal_occupancy(cm.beta, cm.omega_sub)``.
     """
     table = build_weight_table(cm, _auto_panels(cm, 0.0))
-    if abs(table.completeness - 1.0) > 1e-4:
+    if abs(table.completeness - 1.0) > _NORM_TOL:
         raise ContinuumError(
             f"weight density integrates to {float(table.completeness)!r}; "
             "cannot form the thermal average"

@@ -128,11 +128,6 @@ class NormalModes:
     def n_modes(self) -> int:
         return int(self.alphas.size)
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Phi_nu with the real positive sign convention."""
-        return np.sqrt(self.weights)
-
     def pole_ratios(self) -> np.ndarray:
         """Matrix K[nu, n] = g_n / (alpha_nu - omega_n), shape (N+1, N)."""
         return self.model.couplings[None, :] / (

@@ -16,7 +16,7 @@ count that is not a whole number of the right parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +83,8 @@ class SpectralModel:
     couplings:
         Effective couplings, all nonzero, same length as ``bath_freqs``.
     mass:
-        Subsystem mass (only rescales position/momentum observables).
+        Subsystem mass, carried through model files and manifests only: no
+        observable reads it (positions are in units of x0, momenta P/(M Omega)).
     """
 
     omega_sub: float
@@ -207,7 +208,7 @@ class ValidityReport:
     right_bound: float
     passes: tuple[bool, bool]
     d_bound_ratio: float | None = None
-    delta: float = field(default=0.0)
+    delta: float = 0.0
 
     @property
     def all_pass(self) -> bool:
@@ -245,15 +246,14 @@ def thermal_occupancy(beta: float, omega: float) -> float:
 def build_equidistant_bath(
     omega_sub: float,
     n_osc: int,
-    band_width: float | None = None,
+    band_width: float,
     convention: str = "prose",
-    spacing: float | None = None,
 ) -> np.ndarray:
     """Equidistant bath frequencies centered on the subsystem frequency.
 
     omega_n = omega_sub + A*(n - (N+1)/2) for n = 1..N, with N odd so the
-    central frequency equals omega_sub exactly.  The spacing A is either given
-    directly or derived from ``band_width`` under one of two conventions:
+    central frequency equals omega_sub exactly.  The spacing A is derived from
+    ``band_width`` under one of two conventions:
 
     - ``"prose"``:   A = band_width / (N - 2)
     - ``"formula"``: A = band_width / (N - 1), i.e. band_width = omega_N - omega_1
@@ -266,26 +266,17 @@ def build_equidistant_bath(
     n_osc = int(n_osc)
     if not math.isfinite(omega_sub):
         raise ModelError(f"omega_sub must be finite, got {omega_sub}")
-    if (band_width is None) == (spacing is None):
-        raise ModelError("exactly one of band_width or spacing must be given")
-    if spacing is not None:
-        a = float(spacing)
-        if not 0 < a < math.inf:
-            raise ModelError(f"spacing must be positive and finite, got {a}")
+    if not 0 < band_width < math.inf:
+        raise ModelError(f"band_width must be positive and finite, got {band_width}")
+    if convention == "prose":
+        denom = n_osc - 2
+    elif convention == "formula":
+        denom = n_osc - 1
     else:
-        if not 0 < band_width < math.inf:
-            raise ModelError(f"band_width must be positive and finite, got {band_width}")
-        if convention == "prose":
-            denom = n_osc - 2
-        elif convention == "formula":
-            denom = n_osc - 1
-        else:
-            raise ModelError(f"unknown band-width convention {convention!r}")
-        if denom < 1:
-            raise ModelError(
-                f"n_osc = {n_osc} is too small for a band-width grid; give spacing directly"
-            )
-        a = float(band_width) / denom
+        raise ModelError(f"unknown band-width convention {convention!r}")
+    if denom < 1:
+        raise ModelError(f"n_osc = {n_osc} is too small for a band-width grid")
+    a = float(band_width) / denom
     n = np.arange(1, n_osc + 1, dtype=float)
     freqs = omega_sub + a * (n - (n_osc + 1) / 2.0)
     if freqs[0] <= 0:

@@ -80,13 +80,13 @@ def dense_oracle(model: SpectralModel) -> NormalModes:
 
 def bath_matrix(modes: NormalModes) -> np.ndarray:
     """Bath coefficients phi[nu, n] = g_n Phi_nu / (alpha_nu - omega_n)."""
-    return modes.amplitudes[:, None] * modes.pole_ratios()
+    return np.sqrt(modes.weights)[:, None] * modes.pole_ratios()
 
 
 def verify_closure(modes: NormalModes) -> ClosureReport:
     """Residuals of the three completeness/orthogonality identities."""
     phi = bath_matrix(modes)
-    amp = modes.amplitudes
+    amp = np.sqrt(modes.weights)
     n = modes.model.n_osc
     weight_norm = abs(float(modes.weights.sum()) - 1.0)
     cross = amp @ phi

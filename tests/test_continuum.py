@@ -140,14 +140,10 @@ class TestResolventBoundary:
             r = resolvent_boundary(narrow, float(alpha))
             assert r.imag == math.pi * float(narrow.g_sq(np.asarray(alpha)))
 
-    def test_conjugacy(self, narrow):
-        r_up = resolvent_boundary(narrow, 1.2)
-        r_dn = resolvent_boundary(narrow, 1.2, side=-1)
-        assert r_dn == r_up.conjugate()
-
     def test_cut_discontinuity(self, narrow):
         alpha = 0.87
-        jump = resolvent_boundary(narrow, alpha) - resolvent_boundary(narrow, alpha, side=-1)
+        r = resolvent_boundary(narrow, alpha)
+        jump = r - r.conjugate()
         expected = 2j * math.pi * float(narrow.g_sq(np.asarray(alpha)))
         assert jump == pytest.approx(expected, rel=1e-12)
 
@@ -370,6 +366,17 @@ class TestAsymptoticOccupation:
         with pytest.raises(ContinuumError, match="cannot form the thermal average"):
             asymptotic_occupation(strong)
 
+    def test_weight_missing_past_the_survival_bound_refused(self):
+        # the bound state below the band carries ~2e-5 of the weight: inside a
+        # 1e-4 bound, outside the 1e-6 that the survival sum also refuses past
+        cm = lorentzian_density(0.05, 0.5, omega_sub=1.0, omega_min=0.5, omega_max=1.5)
+        table = build_weight_table(cm, _auto_panels(cm, 0.0))
+        assert 1e-6 < 1.0 - table.completeness < 1e-4
+        with pytest.raises(ContinuumError, match="cannot form the thermal average"):
+            asymptotic_occupation(cm)
+        with pytest.raises(ContinuumError, match="not 1"):
+            survival_amplitude_continuum(cm, [0.0, 10.0])
+
 
 class TestValidateContinuum:
     def test_narrow_lorentzian_passes(self, narrow):
@@ -571,6 +578,8 @@ class TestDiscreteContinuumConsistency:
         m = SpectralModel(1.0, 1.0, 1.0, [0.8, 1.0, 1.3], [0.1, 0.1, 0.1])
         with pytest.raises(ContinuumError, match="equidistant"):
             density_from_discrete(m)
+        with pytest.raises(ContinuumError, match="equidistant"):
+            width_from_discrete(m)
 
 
 def chunked_density(cm, n_panels, order=12):

@@ -21,7 +21,7 @@ from qbmlab import (
 
 class TestEquidistantBath:
     def test_direct_spacing_n3(self):
-        freqs = build_equidistant_bath(1.0, 3, spacing=0.1)
+        freqs = build_equidistant_bath(1.0, 3, band_width=0.1)
         assert freqs == pytest.approx([0.9, 1.0, 1.1], abs=0)
 
     def test_center_frequency_exact(self):
@@ -59,12 +59,6 @@ class TestEquidistantBath:
     def test_nonpositive_lowest_frequency_rejected(self):
         with pytest.raises(ModelError, match="omega_1"):
             build_equidistant_bath(0.005, 31, band_width=1.0)
-
-    def test_band_and_spacing_exclusive(self):
-        with pytest.raises(ModelError):
-            build_equidistant_bath(1.0, 5, band_width=0.1, spacing=0.01)
-        with pytest.raises(ModelError):
-            build_equidistant_bath(1.0, 5)
 
 
 class TestLorentzianCoupling:
@@ -174,6 +168,7 @@ class TestSpectralModelInvariants:
         assert m.uniform_spacing() == pytest.approx(0.018 / 7, rel=1e-12)
         jitter = SpectralModel(1.0, 1.0, 1.0, [0.9, 1.0, 1.15], [0.1, 0.1, 0.1])
         assert jitter.uniform_spacing() is None
+        assert SpectralModel(1.0, 1.0, 1.0, [1.0], [0.1]).uniform_spacing() is None
 
 
 class TestInitialState:

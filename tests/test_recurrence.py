@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -147,11 +150,15 @@ class TestReferenceModelAnalysis:
     def test_first_peak_rises_steeper_than_it_decays(self, report_and_series):
         report, _ = report_and_series
         assert report.peaks[0].asymmetry > 1.0
+        assert dataclasses.replace(report.peaks[0], fall_slope=0.0).asymmetry == math.inf
 
-    def test_fit_present_and_positive(self, report_and_series):
-        report, _ = report_and_series
+    def test_fit_present_and_positive(self, report_and_series, modes_32):
+        report, series = report_and_series
         assert report.gamma_fit is not None and report.gamma_fit > 0
         assert report.plateau == pytest.approx(0.609, abs=0.01)
+        # with no valid sample the trimmed window's fit is refused, and no rate reported
+        invalid = dataclasses.replace(series, valid=np.zeros(series.grid.count, dtype=bool))
+        assert analyze(modes_32, invalid, "N_omega").gamma_fit is None
 
     def test_init_plateau_only_for_occupation(self, modes_32, init_32):
         # the series' plateau is <N_sub>'s mean (0.609), not P_surv's (sum w^2 = 0.064)
