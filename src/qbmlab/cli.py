@@ -311,6 +311,8 @@ def _cmd_solve(args, parser) -> _Run:
 
 def _cmd_evolve(args, parser) -> _Run:
     observables = list(dict.fromkeys(o.strip() for o in args.obs.split(",") if o.strip()))
+    if not observables:
+        parser.error("--obs is empty")
     unknown = [o for o in observables if o not in OBSERVABLES]
     if unknown:
         parser.error(f"unknown observables {unknown}; choose from {OBSERVABLES}")
@@ -332,8 +334,9 @@ def _cmd_langevin(args, parser) -> _Run:
     grid = _make_grid(args, fallback_t_max=500.0 / modes.model.omega_sub)
     table = langevin_table(modes, grid)
     csv_path = _out(args, "_langevin.csv")
-    _write_csv(csv_path, {"t": table.times, **table.columns, "valid": table.valid})
-    record["invalid_samples"] = int(np.count_nonzero(~table.valid))
+    valid = ~np.isnan(table.column("omega_sq"))
+    _write_csv(csv_path, {"t": table.times, **table.columns, "valid": valid})
+    record["invalid_samples"] = int(np.count_nonzero(~valid))
     record["tolerances"]["wronskian_tol"] = WRONSKIAN_TOL
     return 0, [csv_path], record
 

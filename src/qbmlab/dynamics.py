@@ -31,7 +31,7 @@ bath oscillator, and a series a TimeGrid, else ModelError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class TimeGrid:
 class TimeSeries:
     """Named observable columns over a common grid.
 
-    Invalid samples carry NaN and valid=False; every column has grid length.
+    An invalid sample is NaN in its column; every column has grid length.
     ``occupation_form`` is how N_omega was summed, as the form's ``kind``,
     ``degree``, ``fit_residual`` and ``error_bound``, and ``plateau`` is the
     Cesaro mean of N_omega, the mean of that same form
@@ -114,18 +114,13 @@ class TimeSeries:
 
     grid: TimeGrid
     columns: dict[str, np.ndarray]
-    valid: np.ndarray = field(default=None)
     occupation_form: dict | None = None
     plateau: float | None = None
 
     def __post_init__(self):
-        if self.valid is None:
-            self.valid = np.ones(self.grid.count, dtype=bool)
         for name, col in self.columns.items():
             if col.shape != (self.grid.count,):
                 raise ModelError(f"column {name!r} length {col.shape} != grid count")
-        if self.valid.shape != (self.grid.count,):
-            raise ModelError("valid flags length != grid count")
 
     @property
     def times(self) -> np.ndarray:

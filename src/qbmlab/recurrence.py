@@ -1,9 +1,10 @@
 """Recurrence-time estimates, revival detection, and decay-segment fitting.
 
-A threshold outside (0, 1), a negative or non-finite separation, a plateau
-that is not finite, and a window that is not a pair t_lo < t_hi holding two
-samples above the plateau raise RecurrenceError, a ``QbmlabError`` and a
-ValueError; an unknown column raises KeyError naming it.
+Every reader here skips NaN samples, the invalid ones.  A threshold outside
+(0, 1), a negative or non-finite separation, a plateau that is not finite or
+the median of a column of NaN only, and a window that is not a pair
+t_lo < t_hi holding two samples above the plateau raise RecurrenceError, a
+``QbmlabError`` and a ValueError; an unknown column raises KeyError naming it.
 """
 
 from __future__ import annotations
@@ -89,17 +90,24 @@ def poincare_time(modes: NormalModes) -> PoincareTime:
     return PoincareTime(t_poincare=2.0 * math.pi / min_gap, min_gap=min_gap, index=idx)
 
 
-def _half_crossing(t, y, i_peak, level, direction):
-    """Interpolated time where y crosses `level` walking away from the peak."""
-    i = i_peak
-    n = len(y)
-    while 0 < i < n - 1:
-        j = i - 1 if direction < 0 else i + 1
+def _median_plateau(y: np.ndarray) -> float:
+    """Median of the column's samples that are not NaN."""
+    kept = y[~np.isnan(y)]
+    if kept.size == 0:
+        raise RecurrenceError("no median plateau: every sample of the column is NaN")
+    return float(np.median(kept))
+
+
+def _half_crossing(t, y, i, level, direction):
+    """Interpolated time where y crosses `level` walking from the peak at i by
+    ``direction`` (+1 or -1); else the last time before the series end or a NaN."""
+    j = i + direction
+    while 0 <= j < len(y) and not np.isnan(y[j]):
         if y[j] < level:
             frac = (y[i] - level) / (y[i] - y[j])
             return float(t[i] + frac * (t[j] - t[i]))
-        i = j
-    return float(t[0] if direction < 0 else t[-1])
+        i, j = j, j + direction
+    return float(t[i])
 
 
 def detect_revivals(
@@ -111,8 +119,9 @@ def detect_revivals(
 ) -> list[Peak]:
     """Local maxima above a plateau-relative threshold, sub-sample refined.
 
-    The detection level is plateau + threshold*(first sample - plateau); the
-    boundary samples are never peaks (the initial condition is not a revival).
+    The detection level is plateau + threshold*(first sample - plateau), the
+    first sample that is not NaN; the boundary samples and NaN samples are never
+    peaks (the initial condition is not a revival).
     When two candidates fall within ``min_separation`` the higher one wins.
     """
     if not 0.0 < threshold < 1.0:
@@ -122,10 +131,11 @@ def detect_revivals(
     y = series.column(column)
     t = series.times
     if plateau is None:
-        plateau = float(np.median(y))
+        plateau = _median_plateau(y)
     elif not math.isfinite(plateau):
         raise RecurrenceError(f"plateau must be finite, got {plateau}")
-    level = plateau + threshold * (float(y[0]) - plateau)
+    # argmax: the first sample that is not NaN, or y[0], a NaN that admits no peak
+    level = plateau + threshold * (float(y[np.argmax(~np.isnan(y))]) - plateau)
 
     inner = np.arange(1, len(y) - 1)
     is_max = (y[inner] >= y[inner - 1]) & (y[inner] >= y[inner + 1]) & (
@@ -167,8 +177,8 @@ def fit_exponential(
 ) -> ExponentialFit:
     """Least-squares decay rate of log(column - plateau) over the window.
 
-    The window is rejected if any sample inside it is not above the plateau:
-    fitting a log through nonpositive values would be meaningless.
+    NaN samples are skipped, and the window is rejected if any other sample in it
+    is not above the plateau: a log through nonpositive values is meaningless.
     """
     if np.shape(window) != (2,):
         raise RecurrenceError(f"window must be a pair (t_lo, t_hi), got {window}")
@@ -178,10 +188,11 @@ def fit_exponential(
     t = series.times
     if t_lo >= t_hi:
         raise RecurrenceError(f"empty window {window}")
-    mask = (t >= t_lo) & (t <= t_hi) & series.valid
+    y = series.column(column)
+    mask = (t >= t_lo) & (t <= t_hi) & ~np.isnan(y)
     if np.count_nonzero(mask) < 2:
         raise RecurrenceError(f"window {window} contains fewer than 2 samples")
-    y = series.column(column)[mask] - plateau
+    y = y[mask] - plateau
     if np.any(y <= 0):
         raise RecurrenceError(
             f"window {window} rejected: column minus plateau is not positive everywhere"
@@ -225,13 +236,13 @@ def analyze(
     The plateau of "N_omega" is the series' own ``plateau``, the long-time
     mean of <N_sub(t)> that ``evolve_series`` stores with the column; any
     other column, and an N_omega column without a stored plateau, takes the
-    column's median.
+    median of the column's samples that are not NaN.
     """
     tp = poincare_time(modes)
     if column == "N_omega" and series.plateau is not None:
         plateau = series.plateau
     else:
-        plateau = float(np.median(series.column(column)))
+        plateau = _median_plateau(series.column(column))
     peaks = detect_revivals(series, column, threshold=threshold,
                             min_separation=tp.t_poincare / 4.0, plateau=plateau)
     spacing = None

@@ -15,7 +15,7 @@ import numpy as np
 
 from qbmlab.dynamics import TimeGrid
 from qbmlab.eigensolve import EigensolveError, NormalModes
-from qbmlab.langevin import _langevin_pass
+from qbmlab.langevin import kernels
 from qbmlab.model import SpectralModel
 
 _DENSE_CAP = 4096
@@ -118,7 +118,8 @@ def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
     are drawn from a fixed seed.  Invalid (singular) samples are excluded and
     counted.
     """
-    k, c = _langevin_pass(modes, grid)
+    k = kernels(modes, grid)
+    valid = ~np.isnan(k.omega_sq)
     rng = np.random.default_rng(20)
     worst = 0.0
     x_scale = 0.0
@@ -127,8 +128,8 @@ def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
         x = k.a * x0 + k.b * p0
         dx = k.da * x0 + k.db * p0
         ddx = k.dda * x0 + k.ddb * p0
-        resid = ddx + c.omega_sq * x + c.gamma * dx
-        finite = c.valid & np.isfinite(resid)
+        resid = ddx + k.omega_sq * x + k.gamma * dx
+        finite = valid & np.isfinite(resid)
         if finite.any():
             worst = max(worst, float(np.abs(resid[finite]).max()))
         x_scale = max(x_scale, float(np.abs(x).max()))
@@ -136,7 +137,7 @@ def verify_langevin_ode(modes: NormalModes, grid: TimeGrid,
         max_residual=worst,
         x_scale=x_scale,
         n_samples=grid.count * n_trials,
-        n_invalid=int(np.count_nonzero(~c.valid)) * n_trials,
+        n_invalid=int(np.count_nonzero(~valid)) * n_trials,
     )
 
 

@@ -40,7 +40,7 @@ from qbmlab.continuum import (
     ullersma_density,
 )
 from qbmlab.eigensolve import EigensolveError
-from qbmlab.langevin import kernels, langevin_coefficients
+from qbmlab.langevin import kernels
 from qbmlab.model import lorentzian_coupling
 from qbmlab.recurrence import analyze, fit_exponential
 from conftest import random_model
@@ -176,7 +176,7 @@ def test_criterion_07_langevin_identity(modes_32):
     worst_gamma = 0.0
     worst_omega = 0.0
     for t in (0.3, 2.0, 57.0, 400.0):
-        s = langevin_coefficients(decoupled, t)
+        s = kernels(decoupled, t)
         worst_gamma = max(worst_gamma, abs(s.gamma))
         worst_omega = max(worst_omega, abs(s.omega_sq - 1.0))
     dec_ok = worst_gamma < 1e-14 and worst_omega < 1e-13

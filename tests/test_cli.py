@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,7 @@ class TestSolve:
                                             "--band", 0.5, 1.5],
             "cannot parse --n-list '10,x'": ["sweep", "--n-list", "10,x"],
             "--n-list is empty": ["sweep", "--n-list", " , "],
+            "--obs is empty": ["evolve", "--paper-defaults", "--n", 32, "--obs", ","],
         }
         for message, argv in usage_errors.items():
             with pytest.raises(SystemExit) as exc:
@@ -346,6 +348,19 @@ class TestLangevin:
         first = rows[1].split(",")
         assert float(first[1]) == pytest.approx(1.0, abs=1e-10)  # a(0)
         assert first[6] == "1"
+
+    def test_invalid_sample_row_and_count(self, tmp_path):
+        # modes 0.9 and 1.1 of equal weight: the wronskian vanishes at t = pi/0.2, sample 8
+        cfg = tmp_path / "model.txt"
+        cfg.write_text("omega_sub = 1.0\n[bath]\n1.0  0.1\n")
+        code = run(["langevin", "--config", cfg, "--t-max", 31.41592653589793,
+                    "--points", 17, "--out-dir", tmp_path, "--prefix", "i"])
+        assert code == 0
+        rows = [r.split(",") for r in (tmp_path / "i_langevin.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 17
+        assert rows[8][4:] == ["", "", "0"]
+        assert all(r[6] == "1" and r[4] and r[5] for i, r in enumerate(rows) if i != 8)
+        assert read_manifest(tmp_path / "i_manifest.json")["invalid_samples"] == 1
 
 
 class TestRecurrence:
@@ -728,11 +743,16 @@ class TestInputBoundary:
         assert "beta must be finite" in capsys.readouterr().err
 
 
+def readme_block(heading, language):
+    """The first ``language`` code block of README after ``heading``."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index(heading):]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
 def readme_quick_start():
     """The commands of README's Quick-start sh block, continuation lines joined."""
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme[readme.index("## Quick start"):]
-    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    block = readme_block("## Quick start", "sh")
     lines = [line for line in block.replace("\\\n", " ").splitlines()
              if line.strip() and not line.lstrip().startswith("#")]
     return [shlex.split(line) for line in lines]
@@ -753,3 +773,10 @@ class TestReadme:
         # validate's documented example is an overcoupled model: exit 1 by design
         assert main(argv[1:]) == (1 if argv[1] == "validate" else 0)
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_library_sketch_runs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sketch = readme_block("## Library sketch", "python")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            exec(compile(sketch, "README.md", "exec"), {})

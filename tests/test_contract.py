@@ -38,7 +38,6 @@ from qbmlab import (  # noqa: E402
     fit_exponential,
     kernels,
     khalfin_tail,
-    langevin_coefficients,
     langevin_table,
     lorentzian_coupling,
     lorentzian_density,
@@ -124,9 +123,8 @@ def test_error_classes_keep_their_builtin_bases():
 def _valid_coefficients(t):
     """omega_sq and gamma, stacked on the last axis, with 0 for invalid samples (NaN
     by design)."""
-    c = langevin_coefficients(MODES, t)
-    return np.stack([np.where(c.valid, c.omega_sq, 0.0), np.where(c.valid, c.gamma, 0.0)],
-                    axis=-1)
+    k = kernels(MODES, t)
+    return np.stack([np.where(np.isnan(c), 0.0, c) for c in (k.omega_sq, k.gamma)], axis=-1)
 
 
 # every function of time over the N+1 = 10 model, and the shape it adds to the times'
@@ -140,7 +138,8 @@ OF_TIME = {
     "mean_bath_occupations": (lambda t: mean_bath_occupations(MODES, INIT, t), (9,)),
     "mean_position": (lambda t: mean_position(MODES, 0.3, -0.2, t), ()),
     "mean_momentum_tilde": (lambda t: mean_momentum_tilde(MODES, 0.3, -0.2, t), ()),
-    "kernels": (lambda t: np.stack(list(vars(kernels(MODES, t)).values()), axis=-1), (6,)),
+    # the six kernels; their coefficients, NaN at invalid samples, are the next case
+    "kernels": (lambda t: np.stack(list(vars(kernels(MODES, t)).values())[:6], axis=-1), (6,)),
     "langevin_coefficients": (lambda t: _valid_coefficients(t), (2,)),
 }
 
@@ -232,9 +231,10 @@ def test_series_columns_are_finite(names, t0, dt, count, x0, p0):
     series = evolve_series(MODES, INIT, grid, names, x0=x0, p0=p0)
     assert list(series.columns) == names
     table = langevin_table(MODES, grid)
-    for col in [*series.columns.values(), *(c[table.valid] for c in table.columns.values())]:
+    valid = ~np.isnan(table.column("omega_sq"))
+    for col in [*series.columns.values(), *(c[valid] for c in table.columns.values())]:
         assert np.isfinite(col).all()
-    assert all(c.shape == (count,) for c in [*series.columns.values(), table.valid])
+    assert all(c.shape == (count,) for c in [*series.columns.values(), *table.columns.values()])
 
 
 @CHECK

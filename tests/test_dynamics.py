@@ -299,8 +299,6 @@ class TestEvolveSeries:
         grid = TimeGrid(t0=0.0, dt=1.0, count=5)
         with pytest.raises(ModelError, match=r"column 'y' length \(4,\) != grid count"):
             TimeSeries(grid, {"y": np.zeros(4)})
-        with pytest.raises(ModelError, match="valid flags length != grid count"):
-            TimeSeries(grid, {"y": np.zeros(5)}, valid=np.ones(4, dtype=bool))
 
     def test_empty_selection(self, modes_32, init_32):
         grid = TimeGrid(t0=0.0, dt=1.0, count=10)

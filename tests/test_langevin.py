@@ -6,7 +6,6 @@ from qbmlab import (
     SpectralModel,
     TimeGrid,
     kernels,
-    langevin_coefficients,
     langevin_table,
     solve_normal_modes,
 )
@@ -81,13 +80,11 @@ class TestKernels:
         two = two_mode(0.9, 1.1)
         # t = 0, a generic time, and a wronskian zero, whose sample is invalid
         for modes, t in [(modes_32, 0.0), (modes_32, 37.1), (two, np.pi / 0.2)]:
-            for sample in (kernels, langevin_coefficients):
-                one, arr = sample(modes, t), sample(modes, np.array([t]))
-                names = list(vars(one)) + (["delta", "wronskian"] if sample is kernels else [])
-                for name in names:
-                    value = getattr(one, name)
-                    assert np.ndim(value) == 0 and isinstance(value, np.generic), name
-                    assert np.array_equal(value, getattr(arr, name)[0], equal_nan=True), name
+            one, arr = kernels(modes, t), kernels(modes, np.array([t]))
+            for name in list(vars(one)) + ["delta", "wronskian"]:
+                value = getattr(one, name)
+                assert np.ndim(value) == 0 and isinstance(value, np.generic), name
+                assert np.array_equal(value, getattr(arr, name)[0], equal_nan=True), name
 
     def test_grid_gives_the_langevin_table_columns(self, modes_32):
         grid = TimeGrid(t0=0.0, dt=0.25, count=2001)
@@ -96,34 +93,29 @@ class TestKernels:
         assert np.array_equal(k.a, table.column("a"))
         assert np.array_equal(k.b, table.column("b"))
         assert np.array_equal(k.delta, table.column("delta"))
-        c = langevin_coefficients(modes_32, grid)
-        assert np.array_equal(c.omega_sq, table.column("omega_sq"), equal_nan=True)
-        assert np.array_equal(c.gamma, table.column("gamma"), equal_nan=True)
-        assert np.array_equal(c.valid, table.valid)
+        assert np.array_equal(k.omega_sq, table.column("omega_sq"), equal_nan=True)
+        assert np.array_equal(k.gamma, table.column("gamma"), equal_nan=True)
 
 
 class TestCoefficients:
     def test_decoupled_limit_exact(self):
         modes = single_mode(1.0)
         for t in (0.0, 1.7, 12.9, 300.0):
-            s = langevin_coefficients(modes, t)
-            assert s.valid
+            s = kernels(modes, t)
             assert s.omega_sq == pytest.approx(1.0, rel=1e-13)
             assert abs(s.gamma) < 1e-14
 
     def test_t_zero_always_valid(self, modes_32):
-        s = langevin_coefficients(modes_32, 0.0)
-        assert s.valid
+        s = kernels(modes_32, 0.0)
         assert s.omega_sq > 0
 
     def test_singular_sample_flagged_not_fatal(self):
         modes = two_mode(0.9, 1.1)
         t_star = np.pi / 0.2  # |s(t)| = |cos((a2-a1)t/2)| vanishes here
-        s = langevin_coefficients(modes, t_star)
-        assert not s.valid
+        s = kernels(modes, t_star)
         assert np.isnan(s.omega_sq) and np.isnan(s.gamma)
-        before = langevin_coefficients(modes, 0.5 * t_star)
-        assert before.valid
+        before = kernels(modes, 0.5 * t_star)
+        assert np.isfinite(before.omega_sq) and np.isfinite(before.gamma)
 
     def test_table_columns_and_flags(self):
         modes = two_mode(0.9, 1.1)
@@ -131,9 +123,9 @@ class TestCoefficients:
         grid = TimeGrid(t0=0.0, dt=t_star / 8, count=17)  # sample 8 hits t_star
         table = langevin_table(modes, grid)
         assert set(table.columns) == {"a", "b", "delta", "omega_sq", "gamma"}
-        assert not table.valid[8]
-        assert table.valid[[0, 1, 2, 3]].all()
-        assert np.isnan(table.column("omega_sq")[8])
+        invalid = [np.isnan(table.column(c)) for c in ("omega_sq", "gamma")]
+        assert np.array_equal(np.flatnonzero(invalid[0]), [8])
+        assert np.array_equal(invalid[0], invalid[1])
 
 
 class TestOdeResidual:
@@ -162,9 +154,8 @@ class TestExponentialRegimeWidth:
         from qbmlab import width_from_discrete
         gamma = width_from_discrete(modes_500.model)
         ts = np.linspace(50.0, 2000.0, 2500)
-        coefficients = langevin_coefficients(modes_500, ts)
-        gamma_t, valid = coefficients.gamma, coefficients.valid
-        median = float(np.median(gamma_t[valid]))
+        gamma_t = kernels(modes_500, ts).gamma
+        median = float(np.median(gamma_t[~np.isnan(gamma_t)]))
         assert median == pytest.approx(gamma, rel=0.2)
 
 

@@ -98,6 +98,30 @@ class TestDetectRevivals:
         with pytest.raises(KeyError):
             detect_revivals(series, "z")
 
+    def test_flat_top_keeps_the_sample(self):
+        # the parabola's curvature (1 - ulp) - 2 + 1 rounds to 0: no sub-sample shift
+        y = [0.0, np.nextafter(1.0, 0.0), 1.0, 1.0, 0.0]
+        peak = detect_revivals(make_series(0.0, 1.0, y), "y", plateau=0.0)[0]
+        assert (peak.time, peak.height) == (2.0, 1.0)
+
+    def test_nan_samples_are_skipped(self):
+        # the level 0.5 comes from sample 1, the first that is not NaN, and the left
+        # half-crossing walk of the peak at sample 5 stops at sample 4, before a NaN
+        y = [np.nan, 1.0, 0.2, np.nan, 0.6, 0.9, 0.7, 0.2, 0.8, 0.3, 0.0]
+        peaks = detect_revivals(make_series(0.0, 1.0, y), "y", plateau=0.0)
+        assert [round(peak.time) for peak in peaks] == [5, 8]
+        half = 0.5 * peaks[0].height
+        assert peaks[0].width == pytest.approx(6.0 + (0.7 - half) / 0.5 - 4.0, rel=1e-14)
+
+    def test_a_column_of_nan_only_has_no_median_plateau(self, modes_32):
+        # RuntimeWarnings are errors in this suite: np.median of no sample would warn
+        series = make_series(0.0, 1.0, np.full(10, np.nan))
+        with pytest.raises(RecurrenceError, match="every sample of the column is NaN"):
+            detect_revivals(series, "y")
+        with pytest.raises(RecurrenceError, match="every sample of the column is NaN"):
+            analyze(modes_32, series, "y")
+        assert detect_revivals(series, "y", plateau=0.0) == []
+
 
 class TestFitExponential:
     def test_recovers_exact_rate(self):
@@ -157,8 +181,31 @@ class TestReferenceModelAnalysis:
         assert report.gamma_fit is not None and report.gamma_fit > 0
         assert report.plateau == pytest.approx(0.609, abs=0.01)
         # with no valid sample the trimmed window's fit is refused, and no rate reported
-        invalid = dataclasses.replace(series, valid=np.zeros(series.grid.count, dtype=bool))
+        nan = np.full(series.grid.count, np.nan)
+        invalid = dataclasses.replace(series, columns={"N_omega": nan})
         assert analyze(modes_32, invalid, "N_omega").gamma_fit is None
+
+    def test_a_nan_sample_is_left_out_of_the_fit(self, modes_32, init_32):
+        tp = poincare_time(modes_32).t_poincare
+        grid = TimeGrid(t0=0.0, dt=3.0 * tp / 2000, count=2001)
+        series = evolve_series(modes_32, init_32, grid, ["N_omega"])
+        y = series.column("N_omega").copy()
+        y[5] = np.nan
+        report = analyze(modes_32, dataclasses.replace(series, columns={"N_omega": y}))
+        assert report.fit_window == analyze(modes_32, series).fit_window
+        t = series.times
+        fitted = (t >= report.fit_window[0]) & (t <= report.fit_window[1])
+        assert fitted[5]
+        fitted[5] = False
+        slope = np.polyfit(t[fitted], np.log(y[fitted] - series.plateau), 1)[0]
+        assert report.gamma_fit == -slope
+        assert report.gamma_fit == pytest.approx(0.0030225887552212645, rel=1e-9)
+        # the same values as any other column: the plateau is the median of the rest
+        other = TimeSeries(grid=grid, columns={"y": y})
+        report = analyze(modes_32, other, "y")
+        assert report.plateau == np.median(np.delete(y, 5))
+        assert report.plateau == pytest.approx(0.58198489058426, rel=1e-9)
+        assert list(report.peaks) == detect_revivals(other, "y", min_separation=tp / 4.0)
 
     def test_init_plateau_only_for_occupation(self, modes_32, init_32):
         # the series' plateau is <N_sub>'s mean (0.609), not P_surv's (sum w^2 = 0.064)
