@@ -396,12 +396,11 @@ def _cmd_continuum(args, parser) -> _Run:
 
     written = []
     if args.survival_t_max is not None:
-        ts = np.linspace(0.0, args.survival_t_max, args.survival_points)
-        s = survival_amplitude_continuum(cm, ts)
+        span = argparse.Namespace(t_max=args.survival_t_max, points=args.survival_points)
+        grid = _make_grid(span, fallback_t_max=None)
+        s = survival_amplitude_continuum(cm, grid)
         csv_path = _out(args, "_survival.csv")
-        # Python's complex abs and float ** round differently from numpy's in the
-        # last bit; they are the arithmetic the survival CSVs have always used
-        _write_csv(csv_path, {"t": ts, "p_survival": [abs(v) ** 2 for v in s.tolist()]})
+        _write_csv(csv_path, {"t": grid.times, "p_survival": np.abs(s) ** 2})
         written.append(csv_path)
         payload["survival_csv"] = csv_path.name
 

@@ -120,8 +120,9 @@ def detect_revivals(
     """Local maxima above a plateau-relative threshold, sub-sample refined.
 
     The detection level is plateau + threshold*(first sample - plateau), the
-    first sample that is not NaN; the boundary samples and NaN samples are never
-    peaks (the initial condition is not a revival).
+    first sample that is not NaN.  NaN samples are left out: each other sample
+    is compared with its nearest samples that are not NaN, and the first and
+    last of them are never peaks (the initial condition is not a revival).
     When two candidates fall within ``min_separation`` the higher one wins.
     """
     if not 0.0 < threshold < 1.0:
@@ -137,11 +138,11 @@ def detect_revivals(
     # argmax: the first sample that is not NaN, or y[0], a NaN that admits no peak
     level = plateau + threshold * (float(y[np.argmax(~np.isnan(y))]) - plateau)
 
-    inner = np.arange(1, len(y) - 1)
-    is_max = (y[inner] >= y[inner - 1]) & (y[inner] >= y[inner + 1]) & (
-        (y[inner] > y[inner - 1]) | (y[inner] > y[inner + 1])
-    )
-    cand = inner[is_max & (y[inner] > level)]
+    # each sample that is not NaN is judged against the nearest such samples
+    idx = np.flatnonzero(~np.isnan(y))
+    v, left, right = y[idx[1:-1]], y[idx[:-2]], y[idx[2:]]
+    is_max = (v >= left) & (v >= right) & ((v > left) | (v > right))
+    cand = idx[1:-1][is_max & (v > level)]
 
     kept: list[int] = []
     for i in sorted(cand, key=lambda i: -y[i]):

@@ -459,6 +459,32 @@ class TestContinuum:
         assert "Traceback" not in err
         assert not (tmp_path / "c_survival.csv").exists()
 
+    def test_survival_is_summed_on_a_time_grid(self, tmp_path, monkeypatch):
+        # the README command's 401 times reach the survival sum as the grid they are
+        seen = []
+
+        def spy(cm, t):
+            seen.append(t)
+            return qbmlab.survival_amplitude_continuum(cm, t)
+
+        monkeypatch.setattr(qbmlab.cli, "survival_amplitude_continuum", spy)
+        assert run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
+                    "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", 1000,
+                    "--out-dir", tmp_path]) == 0
+        assert seen == [qbmlab.TimeGrid(t0=0.0, dt=2.5, count=401)]
+        rows = (tmp_path / "continuum_survival.csv").read_text().splitlines()
+        assert rows[-1].startswith("1000,")
+
+    @pytest.mark.parametrize("t_max", [0, -5])
+    def test_survival_span_must_be_positive(self, tmp_path, capsys, t_max):
+        code = run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,
+                    "--peak", 5e-4, "--half-width", 0.05, "--survival-t-max", t_max,
+                    "--out-dir", tmp_path, "--prefix", "c"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "c_survival.csv").exists()
+
     def test_missing_density_parameters(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["continuum", "--density", "lorentzian", "--band", 0.5, 1.5,

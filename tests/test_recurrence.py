@@ -113,6 +113,26 @@ class TestDetectRevivals:
         half = 0.5 * peaks[0].height
         assert peaks[0].width == pytest.approx(6.0 + (0.7 - half) / 0.5 - 4.0, rel=1e-14)
 
+    def test_a_sample_beside_a_nan_sample_is_judged_by_its_nearest_samples(self):
+        # sample 3 is a maximum of 0.2, 0.9, 0.2 across the NaN at 4; its parabola
+        # needs the NaN, so it reports the sample itself
+        y = [np.nan, 1.0, 0.2, 0.9, np.nan, 0.2, 0.3, 0.2, 0.8, 0.3, 0.0]
+        peaks = detect_revivals(make_series(0.0, 1.0, y), "y", plateau=0.0)
+        assert [peak.time for peak in peaks] == [3.0, pytest.approx(8.0 + 0.05 / 1.1,
+                                                                    rel=1e-15)]
+        assert peaks[0].height == 0.9
+
+    def test_flank_arithmetic(self):
+        # worked by hand: the parabola through (3, 0.5), (4, 1), (5, 0.75) peaks at
+        # 25/6 with height 97/96, so half = 97/192; the linear half crossings are
+        # 4 - 95/96 and 5 + 47/48
+        y = [1.0, 0.0, 0.0, 0.5, 1.0, 0.75, 0.5, 0.25, 0.0, 0.0, 0.0]
+        peak, = detect_revivals(make_series(0.0, 1.0, y), "y", plateau=0.0)
+        expected = (25 / 6, 97 / 96, 95 / 32, 97 / 222, 97 / 348, 58 / 37)
+        got = (peak.time, peak.height, peak.width, peak.rise_slope, peak.fall_slope,
+               peak.asymmetry)
+        assert got == pytest.approx(expected, rel=1e-14)
+
     def test_a_column_of_nan_only_has_no_median_plateau(self, modes_32):
         # RuntimeWarnings are errors in this suite: np.median of no sample would warn
         series = make_series(0.0, 1.0, np.full(10, np.nan))
